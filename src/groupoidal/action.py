@@ -7,9 +7,9 @@ action uses G1 x_{s, G0, anchor} X.  Both orientations are stored
 natively and converted through inversion when needed.
 """
 
-from .site_core import (Finding, Mor, SiteError, compose, fibre_product,
-                        is_cover, is_iso, is_surjective, pair_id, passed,
-                        valid_mor_table)
+from .site_core import (Mor, SiteError, compose, fibre_product,
+                        first_failure, is_cover, is_iso, is_surjective,
+                        pair_id, passed, valid_mor_table, witness_finding)
 from .groupoid import Groupoid
 
 
@@ -42,52 +42,43 @@ def validate_action(a):
     """Axioms plus the cross-checks that unitality may be replaced by
     multiplication being epi, being a cover, or the shear map being
     invertible with the inversion formula as inverse."""
-    out = []
     g = a.g
-
-    def check(name, witness):
-        out.append(Finding(name, witness is None, witness))
-
-    def first(pred_pairs):
-        for w, ok in pred_pairs:
-            if not ok:
-                return w
-        return None
-
     if a.side == "right":
-        anchor_w = first(
+        anchor_w = first_failure(
             (e, a.anchor(a.mult(e)) == g.s(gel))
             for e, (x, gel) in a.pairs.pairing.items())
-        assoc_w = first(
+        assoc_w = first_failure(
             ((x, g1, g2),
              a.act(a.act(x, g1), g2) == a.act(x, g.mul(g1, g2)))
             for x in a.X.elements for g1 in g.arrows() for g2 in g.arrows()
             if a.anchor(x) == g.r(g1) and g.composable(g1, g2))
-        unit_w = first(
+        unit_w = first_failure(
             (x, a.act(x, g.u(a.anchor(x))) == x) for x in a.X.elements)
     else:
-        anchor_w = first(
+        anchor_w = first_failure(
             (e, a.anchor(a.mult(e)) == g.r(gel))
             for e, (gel, x) in a.pairs.pairing.items())
-        assoc_w = first(
+        assoc_w = first_failure(
             ((g1, g2, x),
              a.act(g1, a.act(g2, x)) == a.act(g.mul(g1, g2), x))
             for x in a.X.elements for g1 in g.arrows() for g2 in g.arrows()
             if a.anchor(x) == g.s(g2) and g.composable(g1, g2))
-        unit_w = first(
+        unit_w = first_failure(
             (x, a.act(g.u(a.anchor(x)), x) == x) for x in a.X.elements)
-    check("anchor-compat", anchor_w)
-    check("associativity", assoc_w)
-    check("unit", unit_w)
+    out = [witness_finding("anchor-compat", anchor_w),
+           witness_finding("associativity", assoc_w),
+           witness_finding("unit", unit_w)]
 
     if anchor_w is None and assoc_w is None:
         unit_holds = unit_w is None
         epi = is_surjective(a.mult)
         cover = is_cover(a.mult)
-        check("unit-vs-epi", None if unit_holds == epi else
-              "unit axiom and epi multiplication disagree")
-        check("unit-vs-cover", None if unit_holds == cover else
-              "unit axiom and cover multiplication disagree")
+        out.append(witness_finding(
+            "unit-vs-epi", None if unit_holds == epi else
+            "unit axiom and epi multiplication disagree"))
+        out.append(witness_finding(
+            "unit-vs-cover", None if unit_holds == cover else
+            "unit axiom and cover multiplication disagree"))
         shear_ok = False
         try:
             sh, shinv = action_shear(a)
@@ -97,8 +88,9 @@ def validate_action(a):
                 shear_ok = inverse(sh) == shinv
         except (AssertionError, KeyError):
             shear_ok = False
-        check("unit-vs-shear", None if unit_holds == shear_ok else
-              "unit axiom and shear invertibility disagree")
+        out.append(witness_finding(
+            "unit-vs-shear", None if unit_holds == shear_ok else
+            "unit axiom and shear invertibility disagree"))
     return out
 
 
@@ -166,28 +158,19 @@ class GMap:
 
 
 def validate_gmap(m):
-    out = []
     a, b, f = m.from_, m.to, m.f
-    g = a.g
-    anchor_w = None
-    for x in a.X.elements:
-        if b.anchor(f(x)) != a.anchor(x):
-            anchor_w = x
-            break
-    out.append(Finding("anchor-over", anchor_w is None, anchor_w))
-    eq_w = None
+    anchor_w = first_failure(
+        (x, b.anchor(f(x)) == a.anchor(x)) for x in a.X.elements)
     if a.side == "right":
-        for e, (x, gel) in a.pairs.pairing.items():
-            if f(a.mult(e)) != b.act(f(x), gel):
-                eq_w = e
-                break
+        eq_w = first_failure(
+            (e, f(a.mult(e)) == b.act(f(x), gel))
+            for e, (x, gel) in a.pairs.pairing.items())
     else:
-        for e, (gel, x) in a.pairs.pairing.items():
-            if f(a.mult(e)) != b.act(gel, f(x)):
-                eq_w = e
-                break
-    out.append(Finding("equivariance", eq_w is None, eq_w))
-    return out
+        eq_w = first_failure(
+            (e, f(a.mult(e)) == b.act(gel, f(x)))
+            for e, (gel, x) in a.pairs.pairing.items())
+    return [witness_finding("anchor-over", anchor_w),
+            witness_finding("equivariance", eq_w)]
 
 
 def is_invariant(a, f):
@@ -322,40 +305,20 @@ class Bibundle:
 def validate_bibundle(b):
     out = list(validate_action(b.left))
     out += validate_action(b.right)
-    w = None
-    for e, (x, hel) in b.right.pairs.pairing.items():
-        if b.r_anchor(b.ract(x, hel)) != b.r_anchor(x):
-            w = e
-            break
-    out.append(Finding("left-anchor-invariant", w is None, w))
-    w = None
-    for e, (gel, x) in b.left.pairs.pairing.items():
-        if b.s_anchor(b.lact(gel, x)) != b.s_anchor(x):
-            w = e
-            break
-    out.append(Finding("right-anchor-invariant", w is None, w))
-    w = None
-    for gel in b.g.arrows():
-        for x in b.X.elements:
-            if b.r_anchor(x) != b.g.s(gel):
-                continue
-            for hel in b.h.arrows():
-                if b.s_anchor(x) != b.h.r(hel):
-                    continue
-                try:
-                    ok = b.ract(b.lact(gel, x), hel) == \
-                        b.lact(gel, b.ract(x, hel))
-                except KeyError:
-                    # an anchor is not invariant, so one side is undefined
-                    ok = False
-                if not ok:
-                    w = (gel, x, hel)
-                    break
-            if w:
-                break
-        if w:
-            break
-    out.append(Finding("actions-commute", w is None, w))
+    out.append(witness_finding("left-anchor-invariant", first_failure(
+        (e, b.r_anchor(b.ract(x, hel)) == b.r_anchor(x))
+        for e, (x, hel) in b.right.pairs.pairing.items())))
+    out.append(witness_finding("right-anchor-invariant", first_failure(
+        (e, b.s_anchor(b.lact(gel, x)) == b.s_anchor(x))
+        for e, (gel, x) in b.left.pairs.pairing.items())))
+    # when an anchor is not invariant one side is undefined, which
+    # first_failure reports as a failing case
+    out.append(witness_finding("actions-commute", first_failure(
+        ((gel, x, hel),
+         b.ract(b.lact(gel, x), hel) == b.lact(gel, b.ract(x, hel)))
+        for gel in b.g.arrows() for x in b.X.elements
+        if b.r_anchor(x) == b.g.s(gel)
+        for hel in b.h.arrows() if b.s_anchor(x) == b.h.r(hel))))
     return out
 
 
@@ -428,34 +391,16 @@ class Actor:
 def validate_actor(a):
     out = list(validate_action(a.action))
     g, h = a.g, a.h
-    w = None
-    for h1 in h.arrows():
-        for h2 in h.arrows():
-            if not h.composable(h1, h2):
-                continue
-            if a.anchor(h.mul(h1, h2)) != a.anchor(h1):
-                w = (h1, h2)
-                break
-        if w:
-            break
-    out.append(Finding("anchor-right-invariant", w is None, w))
-    w = None
-    for gel in g.arrows():
-        for h1 in h.arrows():
-            if a.anchor(h1) != g.s(gel):
-                continue
-            for h2 in h.arrows():
-                if not h.composable(h1, h2):
-                    continue
-                if a.act(gel, h.mul(h1, h2)) != \
-                        h.mul(a.act(gel, h1), h2):
-                    w = (gel, h1, h2)
-                    break
-            if w:
-                break
-        if w:
-            break
-    out.append(Finding("commutes-with-right-mult", w is None, w))
+    out.append(witness_finding("anchor-right-invariant", first_failure(
+        ((h1, h2), a.anchor(h.mul(h1, h2)) == a.anchor(h1))
+        for h1 in h.arrows() for h2 in h.arrows()
+        if h.composable(h1, h2))))
+    out.append(witness_finding("commutes-with-right-mult", first_failure(
+        ((gel, h1, h2),
+         a.act(gel, h.mul(h1, h2)) == h.mul(a.act(gel, h1), h2))
+        for gel in g.arrows() for h1 in h.arrows()
+        if a.anchor(h1) == g.s(gel)
+        for h2 in h.arrows() if h.composable(h1, h2))))
     return out
 
 

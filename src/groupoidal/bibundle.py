@@ -4,23 +4,26 @@ Flags, conversions to and from functors and anafunctors, composition with
 associators and unitors, duals, inverses, actor decomposition and
 imprimitivity.  Quotient carriers are named by least-id representatives,
 so a class id is always an element of the space being quotiented.
+
+The calculus is built from two moves: ``balanced_product`` forms the
+fibre product X x_{H0} Y of a right and a left H-action with its diagonal
+H-action, whose orbit space is X x_H Y, and ``site_core.descend`` turns a
+map that is constant on orbits into a map out of the orbit space.
 """
 
-from .site_core import (BoundaryMismatch, Finding, Mor, SiteError,
-                        compose, fibre_product, is_cover, is_iso, pair_id,
-                        passed)
-from .action import (Action, Bibundle, GMap, to_left, to_right,
-                     left_transformation_groupoid, transformation_groupoid,
+from .site_core import (BoundaryMismatch, Mor, NotWellDefined, SiteError,
+                        compose, descend, fibre_product, first_failure,
+                        is_cover, is_iso, passed, witness_finding)
+from .action import (Action, Bibundle, NotAnActor, is_invariant,
+                     left_transformation_groupoid, to_left, to_right,
+                     transformation_groupoid,
                      two_sided_transformation_groupoid, unit_bibundle,
                      validate_action, validate_bibundle)
 from .bundle import PrincipalBundle, check_principal, is_basic, orbit_space
+from .morphism import NotComposable
 
 
 class MiddleMismatch(SiteError):
-    pass
-
-
-class NotComposable(SiteError):
     pass
 
 
@@ -29,10 +32,6 @@ class NotABibundleFunctor(SiteError):
 
 
 class NotAnEquivalence(SiteError):
-    pass
-
-
-class NotAnActor(SiteError):
     pass
 
 
@@ -58,27 +57,18 @@ def classify(x):
 
 def validate_bibundle_map(x, y, f):
     """An equivariant map of bibundles over both anchors."""
-    out = []
-    w = None
-    for e in x.X.elements:
-        if y.r_anchor(f(e)) != x.r_anchor(e) or \
-                y.s_anchor(f(e)) != x.s_anchor(e):
-            w = e
-            break
-    out.append(Finding("anchors-over", w is None, w))
-    w = None
-    for e, (gel, xe) in x.left.pairs.pairing.items():
-        if f(x.lact(gel, xe)) != y.lact(gel, f(xe)):
-            w = e
-            break
-    out.append(Finding("left-equivariance", w is None, w))
-    w = None
-    for e, (xe, hel) in x.right.pairs.pairing.items():
-        if f(x.ract(xe, hel)) != y.ract(f(xe), hel):
-            w = e
-            break
-    out.append(Finding("right-equivariance", w is None, w))
-    return out
+    return [
+        witness_finding("anchors-over", first_failure(
+            (e, y.r_anchor(f(e)) == x.r_anchor(e)
+             and y.s_anchor(f(e)) == x.s_anchor(e))
+            for e in x.X.elements)),
+        witness_finding("left-equivariance", first_failure(
+            (e, f(x.lact(gel, xe)) == y.lact(gel, f(xe)))
+            for e, (gel, xe) in x.left.pairs.pairing.items())),
+        witness_finding("right-equivariance", first_failure(
+            (e, f(x.ract(xe, hel)) == y.ract(f(xe), hel))
+            for e, (xe, hel) in x.right.pairs.pairing.items())),
+    ]
 
 
 def dual(x):
@@ -217,10 +207,8 @@ def beta_ana_to_bibundle(a):
     def cls(gel, xe, hel):
         return coeq.proj(index[(gel, xe, hel)])
 
-    l_anchor = Mor(Z, g.G0, {c: g.r(triples[c][0]) for c in Z.elements})
-    for c in Z.elements:           # anchor well defined on classes
-        for m in next(k for k in coeq.classes if c in k):
-            assert g.r(triples[m][0]) == l_anchor(c)
+    l_anchor = descend(Z, g.G0, ((coeq.proj(e), g.r(gel))
+                                 for e, (gel, xe, hel) in triples.items()))
     lpairs = fibre_product(g.s, l_anchor)
     ltab = {}
     for e, (gel, c) in lpairs.pairing.items():
@@ -241,7 +229,6 @@ def beta_ana_to_bibundle(a):
     out.triples = triples
     out.triple_index = index
     out.triple_proj = coeq.proj
-    out.triple_classes = coeq.classes
     return out
 
 
@@ -286,16 +273,8 @@ def roundtrip_beta(x):
     g·x·h."""
     ana = bibundle_to_anafunctor(x)
     b = beta_ana_to_bibundle(ana)
-    g = x.g
-    tbl = {}
-    for c in b.X.elements:
-        vals = set()
-        for m in next(k for k in b.triple_classes if c in k):
-            gel, xe, hel = b.triples[m]
-            vals.add(x.ract(x.lact(gel, xe), hel))
-        assert len(vals) == 1, "round trip map not constant on classes"
-        tbl[c] = vals.pop()
-    iso = Mor(b.X, x.X, tbl)
+    iso = descend(b.X, x.X, ((b.triple_proj(e), x.ract(x.lact(gel, xe), hel))
+                             for e, (gel, xe, hel) in b.triples.items()))
     assert is_iso(iso)
     assert passed(validate_bibundle_map(b, x, iso))
     return {"beta": b, "iso": iso, "ana": ana}
@@ -322,6 +301,22 @@ def roundtrip_ananat(a):
     return psi
 
 
+def balanced_product(x, y):
+    """The fibre product X x_{H0} Y of a right H-action x and a left
+    H-action y, with the diagonal right action (x, y)·h = (x·h, h⁻¹·y)
+    whose orbit space is the balanced product X x_H Y.  Returns the fibre
+    product and the diagonal action."""
+    h = x.g
+    FP = fibre_product(x.anchor, y.anchor)
+    anchor = compose(x.anchor, FP.pr1)
+    dpairs = fibre_product(anchor, h.r)
+    dtab = {e: FP.index[(x.act(FP.pairing[w][0], hel),
+                         y.act(h.i(hel), FP.pairing[w][1]))]
+            for e, (w, hel) in dpairs.pairing.items()}
+    return FP, Action(h, FP.apex, anchor, Mor(dpairs.apex, FP.apex, dtab),
+                      "right", dpairs)
+
+
 def compose_bibundles(x, y):
     """The orbit space of the diagonal middle action on the fibre product
     of carriers, with the surviving outer actions.
@@ -330,15 +325,8 @@ def compose_bibundles(x, y):
     """
     if x.h != y.g:
         raise MiddleMismatch("middle groupoids differ")
-    g, h, k = x.g, x.h, y.h
-    FP = fibre_product(x.s_anchor, y.r_anchor)
-    anchor = compose(x.s_anchor, FP.pr1)
-    dpairs = fibre_product(anchor, h.r)
-    dtab = {e: FP.index[(x.ract(FP.pairing[w][0], hel),
-                         y.lact(h.i(hel), FP.pairing[w][1]))]
-            for e, (w, hel) in dpairs.pairing.items()}
-    diag = Action(h, FP.apex, anchor, Mor(dpairs.apex, FP.apex, dtab),
-                  "right", dpairs)
+    g, k = x.g, y.h
+    FP, diag = balanced_product(x.right, y.left)
     assert passed(validate_action(diag))
     res = is_basic(diag)
     if not res["flag"]:
@@ -384,16 +372,9 @@ def composite_class(c, xe, ye):
 
 def induced_composite_map(c1, c2, f, g):
     """f x g on composites, descending [x, y] to [f x, g y]."""
-    tbl = {}
-    for e, (xe, ye) in c1.middle.pairing.items():
-        cl = c1.middle_proj(e)
-        val = composite_class(c2, f(xe), g(ye))
-        if cl in tbl:
-            assert tbl[cl] == val, "induced map not well defined"
-        else:
-            tbl[cl] = val
-    assert set(tbl) == set(c1.X.elements)
-    return Mor(c1.X, c2.X, tbl)
+    return descend(c1.X, c2.X,
+                   ((c1.middle_proj(e), composite_class(c2, f(xe), g(ye)))
+                    for e, (xe, ye) in c1.middle.pairing.items()))
 
 
 def associator(x, y, z):
@@ -402,20 +383,11 @@ def associator(x, y, z):
     c12 = compose_bibundles(c1, z)
     c2 = compose_bibundles(y, z)
     c21 = compose_bibundles(x, c2)
-    tbl = {}
-    for e, (xe, ye) in c1.middle.pairing.items():
-        w = c1.middle_proj(e)
-        for ze in z.X.elements:
-            if y.s_anchor(ye) != z.r_anchor(ze):
-                continue
-            lhs = composite_class(c12, w, ze)
-            rhs = composite_class(c21, xe, composite_class(c2, ye, ze))
-            if lhs in tbl:
-                assert tbl[lhs] == rhs, "associator not well defined"
-            else:
-                tbl[lhs] = rhs
-    assert set(tbl) == set(c12.X.elements)
-    iso = Mor(c12.X, c21.X, tbl)
+    iso = descend(c12.X, c21.X, (
+        (composite_class(c12, c1.middle_proj(e), ze),
+         composite_class(c21, xe, composite_class(c2, ye, ze)))
+        for e, (xe, ye) in c1.middle.pairing.items()
+        for ze in z.X.elements if y.s_anchor(ye) == z.r_anchor(ze)))
     assert is_iso(iso)
     assert passed(validate_bibundle_map(c12, c21, iso))
     return {"iso": iso, "left": c12, "right": c21}
@@ -425,15 +397,8 @@ def left_unitor(x):
     """G1 ∘ x ≅ x by acting."""
     u = unit_bibundle(x.g)
     c = compose_bibundles(u, x)
-    tbl = {}
-    for e, (gel, xe) in c.middle.pairing.items():
-        cl = c.middle_proj(e)
-        val = x.lact(gel, xe)
-        if cl in tbl:
-            assert tbl[cl] == val
-        else:
-            tbl[cl] = val
-    iso = Mor(c.X, x.X, tbl)
+    iso = descend(c.X, x.X, ((c.middle_proj(e), x.lact(gel, xe))
+                             for e, (gel, xe) in c.middle.pairing.items()))
     assert is_iso(iso)
     assert passed(validate_bibundle_map(c, x, iso))
     return {"iso": iso, "composite": c, "unit": u}
@@ -443,15 +408,8 @@ def right_unitor(x):
     """x ∘ H1 ≅ x by acting."""
     u = unit_bibundle(x.h)
     c = compose_bibundles(x, u)
-    tbl = {}
-    for e, (xe, hel) in c.middle.pairing.items():
-        cl = c.middle_proj(e)
-        val = x.ract(xe, hel)
-        if cl in tbl:
-            assert tbl[cl] == val
-        else:
-            tbl[cl] = val
-    iso = Mor(c.X, x.X, tbl)
+    iso = descend(c.X, x.X, ((c.middle_proj(e), x.ract(xe, hel))
+                             for e, (xe, hel) in c.middle.pairing.items()))
     assert is_iso(iso)
     assert passed(validate_bibundle_map(c, x, iso))
     return {"iso": iso, "composite": c, "unit": u}
@@ -468,28 +426,16 @@ def check_inverse(x):
     lb = PrincipalBundle(to_right(x.left), x.s_anchor)
     rb = PrincipalBundle(x.right, x.r_anchor)
     c1 = compose_bibundles(x, xd)
-    tbl = {}
-    for e, (x1, x2) in c1.middle.pairing.items():
-        cl = c1.middle_proj(e)
-        gel = g.i(lb.solve(x2, x1))     # the unique g with g·x2 = x1
-        if cl in tbl:
-            assert tbl[cl] == gel
-        else:
-            tbl[cl] = gel
-    iso1 = Mor(c1.X, g.G1, tbl)
+    # the unique g with g·x2 = x1
+    iso1 = descend(c1.X, g.G1, ((c1.middle_proj(e), g.i(lb.solve(x2, x1)))
+                                for e, (x1, x2) in c1.middle.pairing.items()))
     ug = unit_bibundle(g)
     assert is_iso(iso1)
     assert passed(validate_bibundle_map(c1, ug, iso1))
     c2 = compose_bibundles(xd, x)
-    tbl = {}
-    for e, (x1, x2) in c2.middle.pairing.items():
-        cl = c2.middle_proj(e)
-        hel = rb.solve(x1, x2)          # the unique h with x1·h = x2
-        if cl in tbl:
-            assert tbl[cl] == hel
-        else:
-            tbl[cl] = hel
-    iso2 = Mor(c2.X, h.G1, tbl)
+    # the unique h with x1·h = x2
+    iso2 = descend(c2.X, h.G1, ((c2.middle_proj(e), rb.solve(x1, x2))
+                                for e, (x1, x2) in c2.middle.pairing.items()))
     uh = unit_bibundle(h)
     assert is_iso(iso2)
     assert passed(validate_bibundle_map(c2, uh, iso2))
@@ -510,14 +456,9 @@ def decompose_actor(x):
     bundle = res["bundle"]
     p = bundle.proj
     K0 = bundle.Z
-    XX = fibre_product(x.s_anchor, x.s_anchor)
-    anchor = compose(x.s_anchor, XX.pr1)
-    dpairs = fibre_product(anchor, h.r)
-    dtab = {e: XX.index[(x.ract(XX.pairing[w][0], hel),
-                         x.ract(XX.pairing[w][1], hel))]
-            for e, (w, hel) in dpairs.pairing.items()}
-    diag = Action(h, XX.apex, anchor, Mor(dpairs.apex, XX.apex, dtab),
-                  "right", dpairs)
+    # X x_H X: the left form of the right action turns h⁻¹·x2 into x2·h,
+    # so the diagonal action is (x1, x2)·h = (x1·h, x2·h)
+    XX, diag = balanced_product(x.right, to_left(x.right))
     assert passed(validate_action(diag))
     coeq = orbit_space(diag)
     K1 = coeq.quotient
@@ -572,15 +513,8 @@ def decompose_actor(x):
 
     actor_bib = actor_to_bibundle(actor)
     c = compose_bibundles(actor_bib, equiv)
-    tbl = {}
-    for e, (ke, xe) in c.middle.pairing.items():
-        cl = c.middle_proj(e)
-        val = equiv.lact(ke, xe)
-        if cl in tbl:
-            assert tbl[cl] == val
-        else:
-            tbl[cl] = val
-    iso = Mor(c.X, x.X, tbl)
+    iso = descend(c.X, x.X, ((c.middle_proj(e), equiv.lact(ke, xe))
+                             for e, (ke, xe) in c.middle.pairing.items()))
     assert is_iso(iso)
     assert passed(validate_bibundle_map(c, x, iso))
     return {"k": K, "actor": actor, "equiv": equiv,
@@ -603,18 +537,16 @@ def imprimitivity(x):
     qr = res_l["orbits"].proj          # X -> G\X
     XH, GX = ql.cod, qr.cod
 
-    l_anchor = Mor(XH, g.G0, {c: x.r_anchor(c) for c in XH.elements})
-    for xe in x.X.elements:
-        assert l_anchor(ql(xe)) == x.r_anchor(xe)
+    l_anchor = descend(XH, g.G0,
+                       ((ql(xe), x.r_anchor(xe)) for xe in x.X.elements))
     lpairs = fibre_product(g.s, l_anchor)
     ltab = {e: ql(x.lact(gel, c)) for e, (gel, c) in lpairs.pairing.items()}
     act_l = Action(g, XH, l_anchor, Mor(lpairs.apex, XH, ltab), "left",
                    lpairs)
     A = left_transformation_groupoid(act_l)
 
-    r_anchor = Mor(GX, h.G0, {c: x.s_anchor(c) for c in GX.elements})
-    for xe in x.X.elements:
-        assert r_anchor(qr(xe)) == x.s_anchor(xe)
+    r_anchor = descend(GX, h.G0,
+                       ((qr(xe), x.s_anchor(xe)) for xe in x.X.elements))
     rpairs = fibre_product(r_anchor, h.r)
     rtab = {e: qr(x.ract(c, hel)) for e, (c, hel) in rpairs.pairing.items()}
     act_r = Action(h, GX, r_anchor, Mor(rpairs.apex, GX, rtab), "right",
@@ -648,18 +580,11 @@ def composite_witness(x, y, w, m):
     product presents w as the composite of x and y."""
     if x.h != y.g or x.g != w.g or y.h != w.h:
         raise BoundaryMismatch("bibundle chain does not match w")
-    FP = fibre_product(x.s_anchor, y.r_anchor)
+    FP, diag = balanced_product(x.right, y.left)
     if m.dom != FP.apex or m.cod != w.X:
         raise BoundaryMismatch("m must go from the middle fibre product to w")
-    h = x.h
-    # invariance under the diagonal middle action
-    for e, (xe, ye) in FP.pairing.items():
-        for hel in h.arrows():
-            if x.s_anchor(xe) != h.r(hel):
-                continue
-            e2 = FP.index[(x.ract(xe, hel), y.lact(h.i(hel), ye))]
-            if m(e2) != m(e):
-                return False
+    if not is_invariant(diag, m):
+        return False
     # equivariance on the two outer sides
     for e, (xe, ye) in FP.pairing.items():
         for gel in x.g.arrows():
@@ -676,13 +601,11 @@ def composite_witness(x, y, w, m):
                 w.s_anchor(m(e)) != y.s_anchor(ye):
             return False
     c = compose_bibundles(x, y)
-    tbl = {}
-    for e in FP.apex.elements:
-        cl = c.middle_proj(e)
-        if cl in tbl and tbl[cl] != m(e):
-            return False
-        tbl[cl] = m(e)
-    induced = Mor(c.X, w.X, tbl)
+    try:
+        induced = descend(c.X, w.X, ((c.middle_proj(e), m(e))
+                                     for e in FP.apex.elements))
+    except NotWellDefined:
+        return False
     if not is_iso(induced):
         return False
     assert is_cover(m)
@@ -700,18 +623,11 @@ def act_on(x, y):
     flags = classify(x)
     if not flags["is_actor"]:
         raise NotAnActor("bibundle is not an actor")
-    g, h = x.g, x.h
+    g = x.g
     if y.side == "right":
         y = to_left(y)
-    assert y.g == h
-    FP = fibre_product(x.s_anchor, y.anchor)
-    anchor = compose(x.s_anchor, FP.pr1)
-    dpairs = fibre_product(anchor, h.r)
-    dtab = {e: FP.index[(x.ract(FP.pairing[w][0], hel),
-                         y.act(h.i(hel), FP.pairing[w][1]))]
-            for e, (w, hel) in dpairs.pairing.items()}
-    diag = Action(h, FP.apex, anchor, Mor(dpairs.apex, FP.apex, dtab),
-                  "right", dpairs)
+    assert y.g == x.h
+    FP, diag = balanced_product(x.right, y)
     res = is_basic(diag)
     assert res["flag"], "middle action is not basic"
     coeq = res["orbits"]

@@ -7,9 +7,9 @@ action.
 """
 
 from .site_core import (Finding, Mor, SiteError, coequalizer, compose,
-                        fibre_product, inverse, is_cover, is_iso, pair_id,
-                        passed, valid_mor_table)
-from .action import Action, GMap, is_invariant, transformation_groupoid
+                        descend, fibre_product, inverse, is_cover, is_iso,
+                        passed)
+from .action import Action, is_invariant, transformation_groupoid
 
 
 class NotPrincipal(SiteError):
@@ -114,16 +114,8 @@ def pullback_bundle(b, f):
 def induced_base_map(f, b1, b2):
     """The map on bases induced by an equivariant map of total spaces."""
     assert f.f.dom == b1.X and f.f.cod == b2.X
-    tbl = {}
-    for x in b1.X.elements:
-        z = b1.proj(x)
-        w = b2.proj(f.f(x))
-        if z in tbl:
-            assert tbl[z] == w, "induced map is not well defined"
-        else:
-            tbl[z] = w
-    assert set(tbl) == set(b1.Z.elements)
-    return Mor(b1.Z, b2.Z, tbl)
+    return descend(b1.Z, b2.Z,
+                   ((b1.proj(x), b2.proj(f.f(x))) for x in b1.X.elements))
 
 
 def basic_witness_functor(a):
@@ -150,13 +142,8 @@ def cech_action_reconstruction(a, p):
     """For an action of the kernel-pair groupoid of p: X -> Z on Y, the
     isomorphism from Y to (orbit space) x_Z X given by y -> ([y], anchor y)."""
     coeq = orbit_space(a)
-    pz = Mor(coeq.quotient, p.cod,
-             {c: p(a.anchor(next(y for y in a.X.elements
-                                 if coeq.proj(y) == c)))
-              for c in coeq.quotient.elements})
-    # well-definedness of the descended map to Z
-    for y in a.X.elements:
-        assert pz(coeq.proj(y)) == p(a.anchor(y))
+    pz = descend(coeq.quotient, p.cod,
+                 ((coeq.proj(y), p(a.anchor(y))) for y in a.X.elements))
     FP = fibre_product(pz, p)
     tbl = {y: FP.index[(coeq.proj(y), a.anchor(y))] for y in a.X.elements}
     iso = Mor(a.X, FP.apex, tbl)

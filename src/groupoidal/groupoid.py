@@ -6,9 +6,10 @@ usual equations; multiplication lives on the canonical fibre product of
 in the domain of m.
 """
 
-from .site_core import (Finding, Mor, NotACover, SiteError, compose,
-                        fibre_product, identity, is_cover, is_iso,
-                        kernel_pair, pair_id, passed, terminal, to_terminal)
+from .site_core import (Mor, NotACover, SiteError, compose, descend,
+                        fibre_product, first_failure, identity, is_cover,
+                        is_iso, kernel_pair, pair_id, passed, terminal,
+                        to_terminal, witness_finding)
 
 
 class NotAssociative(SiteError):
@@ -79,65 +80,59 @@ def shear_maps(G0, G1, r, s, m, pairs):
 
 def validate_groupoid(g):
     """Check every axiom; returns all failures, not just the first."""
-    out = []
     arrows = g.arrows()
-
-    def check(name, witness):
-        out.append(Finding(name, witness is None, witness))
-
-    def first(pred_pairs):
-        try:
-            for w, ok in pred_pairs:
-                if not ok:
-                    return w
-        except KeyError as exc:
-            # a product fell outside the composable pairs: boundary broken
-            return "undefined composite at %s" % exc
-        return None
-
-    check("range-cover", None if is_cover(g.r) else "r is not a cover")
-    check("source-cover", None if is_cover(g.s) else "s is not a cover")
-    check("mult-range", first(
-        (e, g.r(g.m(e)) == g.r(a))
-        for e, (a, b) in g.pairs.pairing.items()))
-    check("mult-source", first(
-        (e, g.s(g.m(e)) == g.s(b))
-        for e, (a, b) in g.pairs.pairing.items()))
     by_range = {}
     for b in arrows:
         by_range.setdefault(g.r(b), []).append(b)
-    check("associativity", first(
-        ((a, b, c), g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c)))
-        for a in arrows for b in by_range.get(g.s(a), ())
-        for c in by_range.get(g.s(b), ())))
-    check("unit-section", first(
-        (x, g.r(g.u(x)) == x and g.s(g.u(x)) == x) for x in g.objects()))
-    check("left-unit", first(
-        (a, g.mul(g.u(g.r(a)), a) == a) for a in arrows))
-    check("right-unit", first(
-        (a, g.mul(a, g.u(g.s(a))) == a) for a in arrows))
-    check("inverse-boundaries", first(
-        (a, g.s(g.i(a)) == g.r(a) and g.r(g.i(a)) == g.s(a))
-        for a in arrows))
-    check("left-inverse", first(
-        (a, g.mul(g.i(a), a) == g.u(g.s(a))) for a in arrows))
-    check("right-inverse", first(
-        (a, g.mul(a, g.i(a)) == g.u(g.r(a))) for a in arrows))
-    # derived identities
-    check("unit-idempotent", first(
-        (x, g.mul(g.u(x), g.u(x)) == g.u(x)) for x in g.objects()))
-    check("inversion-involutive", first(
-        (a, g.i(g.i(a)) == a) for a in arrows))
-    check("inversion-antihom", first(
-        ((a, b), g.i(g.mul(a, b)) == g.mul(g.i(b), g.i(a)))
-        for a in arrows for b in arrows if g.composable(a, b)))
+    out = [
+        witness_finding("range-cover",
+                        None if is_cover(g.r) else "r is not a cover"),
+        witness_finding("source-cover",
+                        None if is_cover(g.s) else "s is not a cover"),
+        witness_finding("mult-range", first_failure(
+            (e, g.r(g.m(e)) == g.r(a))
+            for e, (a, b) in g.pairs.pairing.items())),
+        witness_finding("mult-source", first_failure(
+            (e, g.s(g.m(e)) == g.s(b))
+            for e, (a, b) in g.pairs.pairing.items())),
+        witness_finding("associativity", first_failure(
+            ((a, b, c), g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c)))
+            for a in arrows for b in by_range.get(g.s(a), ())
+            for c in by_range.get(g.s(b), ()))),
+        witness_finding("unit-section", first_failure(
+            (x, g.r(g.u(x)) == x and g.s(g.u(x)) == x)
+            for x in g.objects())),
+        witness_finding("left-unit", first_failure(
+            (a, g.mul(g.u(g.r(a)), a) == a) for a in arrows)),
+        witness_finding("right-unit", first_failure(
+            (a, g.mul(a, g.u(g.s(a))) == a) for a in arrows)),
+        witness_finding("inverse-boundaries", first_failure(
+            (a, g.s(g.i(a)) == g.r(a) and g.r(g.i(a)) == g.s(a))
+            for a in arrows)),
+        witness_finding("left-inverse", first_failure(
+            (a, g.mul(g.i(a), a) == g.u(g.s(a))) for a in arrows)),
+        witness_finding("right-inverse", first_failure(
+            (a, g.mul(a, g.i(a)) == g.u(g.r(a))) for a in arrows)),
+        # derived identities
+        witness_finding("unit-idempotent", first_failure(
+            (x, g.mul(g.u(x), g.u(x)) == g.u(x)) for x in g.objects())),
+        witness_finding("inversion-involutive", first_failure(
+            (a, g.i(g.i(a)) == a) for a in arrows)),
+        witness_finding("inversion-antihom", first_failure(
+            ((a, b), g.i(g.mul(a, b)) == g.mul(g.i(b), g.i(a)))
+            for a in arrows for b in arrows if g.composable(a, b))),
+    ]
     try:
         sh1, sh2 = shear_maps(g.G0, g.G1, g.r, g.s, g.m, g.pairs)
-        check("shear-right-iso", None if is_iso(sh1) else "not invertible")
-        check("shear-left-iso", None if is_iso(sh2) else "not invertible")
+        out.append(witness_finding(
+            "shear-right-iso", None if is_iso(sh1) else "not invertible"))
+        out.append(witness_finding(
+            "shear-left-iso", None if is_iso(sh2) else "not invertible"))
     except (KeyError, AssertionError) as exc:
-        check("shear-right-iso", "shear map undefined: %s" % exc)
-    check("mult-cover", None if is_cover(g.m) else "m is not a cover")
+        out.append(witness_finding("shear-right-iso",
+                                   "shear map undefined: %s" % exc))
+    out.append(witness_finding(
+        "mult-cover", None if is_cover(g.m) else "m is not a cover"))
     return out
 
 
@@ -182,21 +177,13 @@ def from_multiplication(G0, G1, r, s, m):
                  if s(e) == r(gel) and mul(e, gel) == gel]
         assert len(cands) == 1, "left unit at %s not unique" % gel
         left_unit[gel] = cands[0]
-    utab = {}
-    for gel in G1.elements:
-        x = r(gel)
-        if x in utab:
-            assert utab[x] == left_unit[gel], \
-                "unit candidate does not descend along r"
-        else:
-            utab[x] = left_unit[gel]
-    assert set(utab) == set(G0.elements)
-    u = Mor(G0, G1, utab)
+    # the unit candidate must descend along r
+    u = descend(G0, G1, ((r(gel), left_unit[gel]) for gel in G1.elements))
 
     itab = {}
     for gel in G1.elements:
         cands = [h for h in G1.elements
-                 if s(h) == r(gel) and mul(h, gel) == utab[s(gel)]]
+                 if s(h) == r(gel) and mul(h, gel) == u(s(gel))]
         assert len(cands) == 1, "inverse of %s not unique" % gel
         itab[gel] = cands[0]
     i = Mor(G1, G1, itab)

@@ -7,9 +7,9 @@ essentially surjective, with a constructed isomorphism witness) live
 here.
 """
 
-from .site_core import (Finding, Mor, SiteError, all_maps, compose,
-                        fibre_product, identity, is_cover, is_iso, pair_id,
-                        passed)
+from .site_core import (Mor, SiteError, all_maps, compose, descend,
+                        fibre_product, first_failure, identity, is_cover,
+                        is_iso, pair_id, passed, witness_finding)
 from .groupoid import Groupoid, pullback_groupoid
 
 
@@ -18,10 +18,6 @@ class NotComposable(SiteError):
 
 
 class NotASection(SiteError):
-    pass
-
-
-class NotFibrewiseConstant(SiteError):
     pass
 
 
@@ -49,28 +45,19 @@ def identity_functor(g):
 
 
 def validate_functor(F):
-    out = []
     g, h = F.src, F.dst
-
-    def first(pred_pairs):
-        for w, ok in pred_pairs:
-            if not ok:
-                return w
-        return None
-
-    def check(name, witness):
-        out.append(Finding(name, witness is None, witness))
-
-    check("range-compat", first(
-        (a, h.r(F.F1(a)) == F.F0(g.r(a))) for a in g.arrows()))
-    check("source-compat", first(
-        (a, h.s(F.F1(a)) == F.F0(g.s(a))) for a in g.arrows()))
-    check("multiplicative", first(
-        ((a, b), F.F1(g.mul(a, b)) == h.mul(F.F1(a), F.F1(b)))
-        for a in g.arrows() for b in g.arrows() if g.composable(a, b)))
-    check("unit-preserving", first(
-        (x, F.F1(g.u(x)) == h.u(F.F0(x))) for x in g.objects()))
-    return out
+    return [
+        witness_finding("range-compat", first_failure(
+            (a, h.r(F.F1(a)) == F.F0(g.r(a))) for a in g.arrows())),
+        witness_finding("source-compat", first_failure(
+            (a, h.s(F.F1(a)) == F.F0(g.s(a))) for a in g.arrows())),
+        witness_finding("multiplicative", first_failure(
+            ((a, b), F.F1(g.mul(a, b)) == h.mul(F.F1(a), F.F1(b)))
+            for a in g.arrows() for b in g.arrows()
+            if g.composable(a, b))),
+        witness_finding("unit-preserving", first_failure(
+            (x, F.F1(g.u(x)) == h.u(F.F0(x))) for x in g.objects())),
+    ]
 
 
 def compose_functors(F2, F1):
@@ -100,24 +87,17 @@ class NatTrans:
 
 
 def validate_nat(t):
-    out = []
     g = t.from_.src
     h = t.from_.dst
     F1, F2 = t.from_, t.to
-
-    def first(pred_pairs):
-        for w, ok in pred_pairs:
-            if not ok:
-                return w
-        return None
-
-    w = first((x, h.s(t.phi(x)) == F1.F0(x) and h.r(t.phi(x)) == F2.F0(x))
-              for x in g.objects())
-    out.append(Finding("anchor", w is None, w))
-    w = first((a, h.mul(t.phi(g.r(a)), F1.F1(a))
-               == h.mul(F2.F1(a), t.phi(g.s(a)))) for a in g.arrows())
-    out.append(Finding("naturality", w is None, w))
-    return out
+    return [
+        witness_finding("anchor", first_failure(
+            (x, h.s(t.phi(x)) == F1.F0(x) and h.r(t.phi(x)) == F2.F0(x))
+            for x in g.objects())),
+        witness_finding("naturality", first_failure(
+            (a, h.mul(t.phi(g.r(a)), F1.F1(a))
+             == h.mul(F2.F1(a), t.phi(g.s(a)))) for a in g.arrows())),
+    ]
 
 
 def identity_nat(F):
@@ -293,44 +273,30 @@ class AnaNat:
 
 
 def validate_ananat(t):
-    out = []
     a1, a2 = t.from_, t.to
     h = a1.dst
 
-    anchor_w = None
-    for e, (x1, x2) in t.fp.pairing.items():
-        v = t.phi(e)
-        if not (h.s(v) == a1.F0(x1) and h.r(v) == a2.F0(x2)):
-            anchor_w = e
-            break
-    out.append(Finding("anchor", anchor_w is None, anchor_w))
+    def naturality_cases():
+        for g in a1.src.arrows():
+            rg, sg = a1.src.r(g), a1.src.s(g)
+            x1s = [x for x in a1.X.elements if a1.p(x) == rg]
+            x2s = [x for x in a2.X.elements if a2.p(x) == rg]
+            x3s = [x for x in a1.X.elements if a1.p(x) == sg]
+            x4s = [x for x in a2.X.elements if a2.p(x) == sg]
+            for x1 in x1s:
+                for x2 in x2s:
+                    for x3 in x3s:
+                        for x4 in x4s:
+                            lhs = h.mul(t.at(x1, x2), a1.F1t(x1, g, x3))
+                            rhs = h.mul(a2.F1t(x2, g, x4), t.at(x3, x4))
+                            yield (x1, x2, g, x3, x4), lhs == rhs
 
-    nat_w = None
-    for g in a1.src.arrows():
-        rg, sg = a1.src.r(g), a1.src.s(g)
-        x1s = [x for x in a1.X.elements if a1.p(x) == rg]
-        x2s = [x for x in a2.X.elements if a2.p(x) == rg]
-        x3s = [x for x in a1.X.elements if a1.p(x) == sg]
-        x4s = [x for x in a2.X.elements if a2.p(x) == sg]
-        for x1 in x1s:
-            for x2 in x2s:
-                for x3 in x3s:
-                    for x4 in x4s:
-                        lhs = h.mul(t.at(x1, x2), a1.F1t(x1, g, x3))
-                        rhs = h.mul(a2.F1t(x2, g, x4), t.at(x3, x4))
-                        if lhs != rhs:
-                            nat_w = (x1, x2, g, x3, x4)
-                            break
-                    if nat_w:
-                        break
-                if nat_w:
-                    break
-            if nat_w:
-                break
-        if nat_w:
-            break
-    out.append(Finding("naturality", nat_w is None, nat_w))
-    return out
+    return [
+        witness_finding("anchor", first_failure(
+            (e, h.s(t.phi(e)) == a1.F0(x1) and h.r(t.phi(e)) == a2.F0(x2))
+            for e, (x1, x2) in t.fp.pairing.items())),
+        witness_finding("naturality", first_failure(naturality_cases())),
+    ]
 
 
 def identity_ananat(a):
@@ -366,15 +332,8 @@ def ananat_inverse(t):
 def descend_nat(psi, p, F1, F2):
     """A transformation between functors pulled back along p factors
     uniquely through p; return the downstairs transformation."""
-    for x1 in p.dom.elements:
-        for x2 in p.dom.elements:
-            if p(x1) == p(x2) and psi.phi(x1) != psi.phi(x2):
-                raise NotFibrewiseConstant((x1, x2))
-    tbl = {}
-    for x in p.dom.elements:
-        tbl[p(x)] = psi.phi(x)
-    assert set(tbl) == set(p.cod.elements)
-    out = NatTrans(F1, F2, Mor(p.cod, F1.dst.G1, tbl))
+    out = NatTrans(F1, F2, descend(
+        p.cod, F1.dst.G1, ((p(x), psi.phi(x)) for x in p.dom.elements)))
     assert passed(validate_nat(out))
     return out
 
@@ -389,14 +348,10 @@ def compose_ananat(mode, a, b):
         h = af1.dst
         mid = b.to
         fp = fibre_product(af1.p, af3.p)
-        tbl = {}
-        for e, (x1, x3) in fp.pairing.items():
-            z = af1.p(x1)
-            vals = {h.mul(a.at(x2, x3), b.at(x1, x2))
-                    for x2 in mid.X.elements if mid.p(x2) == z}
-            assert len(vals) == 1, "descent failed"
-            tbl[e] = vals.pop()
-        out = AnaNat(af1, af3, Mor(fp.apex, h.G1, tbl), fp)
+        out = AnaNat(af1, af3, descend(fp.apex, h.G1, (
+            (e, h.mul(a.at(x2, x3), b.at(x1, x2)))
+            for e, (x1, x3) in fp.pairing.items()
+            for x2 in mid.X.elements if mid.p(x2) == af1.p(x1))), fp)
         assert passed(validate_ananat(out))
         return out
     if mode == "horizontal":
@@ -406,20 +361,18 @@ def compose_ananat(mode, a, b):
         k = psi.from_.dst
         b2 = psi.to
         fp = fibre_product(c1.p, c2.p)
-        tbl = {}
-        for e, (z1, z2) in fp.pairing.items():
-            x1, y1 = c1.fp.pairing[z1]
-            x2, y2 = c2.fp.pairing[z2]
-            base = phi.from_.F0(x1)
-            vals = set()
-            for y2p in b2.X.elements:
-                if b2.p(y2p) != base:
-                    continue
-                vals.add(k.mul(b2.F1t(y2, phi.at(x1, x2), y2p),
-                               psi.at(y1, y2p)))
-            assert len(vals) == 1, "descent failed"
-            tbl[e] = vals.pop()
-        out = AnaNat(c1, c2, Mor(fp.apex, k.G1, tbl), fp)
+
+        def values():
+            for e, (z1, z2) in fp.pairing.items():
+                x1, y1 = c1.fp.pairing[z1]
+                x2, y2 = c2.fp.pairing[z2]
+                base = phi.from_.F0(x1)
+                for y2p in b2.X.elements:
+                    if b2.p(y2p) == base:
+                        yield e, k.mul(b2.F1t(y2, phi.at(x1, x2), y2p),
+                                       psi.at(y1, y2p))
+
+        out = AnaNat(c1, c2, descend(fp.apex, k.G1, values()), fp)
         assert passed(validate_ananat(out))
         return out
     raise NotComposable("unknown mode %r" % (mode,))

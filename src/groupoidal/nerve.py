@@ -8,8 +8,9 @@ inner multiplications descend to isomorphisms from composites.
 
 from itertools import combinations_with_replacement, product
 
-from .site_core import (BoundaryMismatch, Finding, Mor, SiteError,
-                        fibre_product, is_cover, is_iso, pair_id, passed)
+from .site_core import (Mor, NotWellDefined, SiteError, descend,
+                        fibre_product, first_failure, is_cover, is_iso,
+                        pair_id, passed, witness_finding)
 from .action import Action, Bibundle, validate_bibundle
 from .bibundle import classify, compose_bibundles, validate_bibundle_map
 
@@ -74,142 +75,107 @@ def validate_simplex(sx):
     """All six structural conditions, then the derived facts: diagonals
     are groupoids, edges are bibundle functors, and the inner
     multiplications descend to isomorphisms from the composites."""
-    out = []
     n = sx.n
 
-    def check(name, witness):
-        out.append(Finding(name, witness is None, witness))
+    def boundary_cases():
+        for (i, j, k) in sx.triples():
+            for e, (x, y) in sx.fp(i, j, k).pairing.items():
+                v = sx.m[(i, j, k)](e)
+                yield (i, j, k, e), (sx.r[(i, k)](v) == sx.r[(i, j)](x) and
+                                     sx.s[(i, k)](v) == sx.s[(j, k)](y))
 
-    w = None
-    for (i, j) in sx.XX:
-        if not is_cover(sx.r[(i, j)]):
-            w = (i, j)
-            break
-    check("range-covers", w)
-    w = None
-    for i in range(n + 1):
-        if not is_cover(sx.s[(i, i)]):
-            w = i
-            break
-    check("diagonal-source-covers", w)
-    w = None
-    for (i, j, k) in sx.triples():
-        fp = sx.fp(i, j, k)
-        for e, (x, y) in fp.pairing.items():
-            v = sx.m[(i, j, k)](e)
-            if sx.r[(i, k)](v) != sx.r[(i, j)](x) or \
-                    sx.s[(i, k)](v) != sx.s[(j, k)](y):
-                w = (i, j, k, e)
-                break
-        if w:
-            break
-    check("boundary-equations", w)
-    w = None
-    for quad in combinations_with_replacement(range(n + 1), 4):
-        i, j, k, l = quad
-        for x in sx.XX[(i, j)].elements:
-            for y in sx.XX[(j, k)].elements:
-                if sx.s[(i, j)](x) != sx.r[(j, k)](y):
-                    continue
-                xy = sx.mul(i, j, k, x, y)
-                for z in sx.XX[(k, l)].elements:
-                    if sx.s[(j, k)](y) != sx.r[(k, l)](z):
+    def associativity_cases():
+        for quad in combinations_with_replacement(range(n + 1), 4):
+            i, j, k, l = quad
+            for x in sx.XX[(i, j)].elements:
+                for y in sx.XX[(j, k)].elements:
+                    if sx.s[(i, j)](x) != sx.r[(j, k)](y):
                         continue
-                    if sx.mul(i, k, l, xy, z) != \
-                            sx.mul(i, j, l, x, sx.mul(j, k, l, y, z)):
-                        w = (quad, x, y, z)
-                        break
-                if w:
-                    break
-            if w:
-                break
-        if w:
-            break
-    check("associativity", w)
-    w = None
-    for (i, j, k) in sx.triples():
-        if i != j and j != k:
-            continue
-        fp = sx.fp(i, j, k)
-        cod = fibre_product(sx.r[(i, j)], sx.r[(i, k)])
+                    xy = sx.mul(i, j, k, x, y)
+                    for z in sx.XX[(k, l)].elements:
+                        if sx.s[(j, k)](y) != sx.r[(k, l)](z):
+                            continue
+                        yield (quad, x, y, z), (
+                            sx.mul(i, k, l, xy, z) ==
+                            sx.mul(i, j, l, x, sx.mul(j, k, l, y, z)))
+
+    def shear_is_iso(i, j, k, side):
+        """(x, y) -> (x, xy) onto the fibre product of the ranges, or
+        (x, y) -> (xy, y) onto that of the sources."""
+        fp, m = sx.fp(i, j, k), sx.m[(i, j, k)]
+        if side == "left":
+            cod = fibre_product(sx.r[(i, j)], sx.r[(i, k)])
+        else:
+            cod = fibre_product(sx.s[(i, k)], sx.s[(j, k)])
         try:
             sh = Mor(fp.apex, cod.apex,
-                     {e: cod.index[(x, sx.m[(i, j, k)](e))]
+                     {e: cod.index[(x, m(e)) if side == "left" else (m(e), y)]
                       for e, (x, y) in fp.pairing.items()})
         except KeyError:
-            w = (i, j, k)
-            break
-        if not is_iso(sh):
-            w = (i, j, k)
-            break
-    check("left-shear-iso", w)
-    w = None
-    for (i, j, k) in sx.triples():
-        if j != k:
-            continue
-        fp = sx.fp(i, j, k)
-        cod = fibre_product(sx.s[(i, k)], sx.s[(j, k)])
-        try:
-            sh = Mor(fp.apex, cod.apex,
-                     {e: cod.index[(sx.m[(i, j, k)](e), y)]
-                      for e, (x, y) in fp.pairing.items()})
-        except KeyError:
-            w = (i, j, k)
-            break
-        if not is_iso(sh):
-            w = (i, j, k)
-            break
-    check("right-shear-iso", w)
+            return False
+        return is_iso(sh)
+
+    out = [
+        witness_finding("range-covers", first_failure(
+            ((i, j), is_cover(sx.r[(i, j)])) for (i, j) in sx.XX)),
+        witness_finding("diagonal-source-covers", first_failure(
+            (i, is_cover(sx.s[(i, i)])) for i in range(n + 1))),
+        witness_finding("boundary-equations", first_failure(boundary_cases())),
+        witness_finding("associativity", first_failure(associativity_cases())),
+        witness_finding("left-shear-iso", first_failure(
+            ((i, j, k), shear_is_iso(i, j, k, "left"))
+            for (i, j, k) in sx.triples() if i == j or j == k)),
+        witness_finding("right-shear-iso", first_failure(
+            ((i, j, k), shear_is_iso(i, j, k, "right"))
+            for (i, j, k) in sx.triples() if j == k)),
+    ]
     if not passed(out):
         return out
 
-    groupoids = {}
-    w = None
-    for i in range(n + 1):
-        try:
-            groupoids[i] = diagonal_groupoid(sx, i)
-        except (SiteError, AssertionError) as exc:
-            w = (i, str(exc))
-            break
-    check("diagonals-are-groupoids", w)
-    if w:
-        return out
-    edges = {}
-    w = None
-    for (i, j) in sx.XX:
-        try:
-            b = edge_bibundle(sx, i, j, groupoids[i], groupoids[j])
-            assert passed(validate_bibundle(b))
-            assert classify(b)["is_functor"]
-            edges[(i, j)] = b
-        except (SiteError, AssertionError) as exc:
-            w = (i, j, str(exc))
-            break
-    check("edges-are-bibundle-functors", w)
-    if w:
-        return out
-    w = None
-    for (i, j, k) in sx.triples():
-        if not (i < j < k):
-            continue
+    def attempts(keys, make):
+        """(witness, ok) cases for make(*key): a key fails when make
+        returns False or raises, with the error message in the witness."""
+        for key in keys:
+            try:
+                ok, msg = make(*key), ""
+            except (SiteError, AssertionError) as exc:
+                ok, msg = False, str(exc)
+            yield key + (msg,), ok
+
+    groupoids, edges = {}, {}
+
+    def diagonal(i):
+        groupoids[i] = diagonal_groupoid(sx, i)
+        return True
+
+    def edge(i, j):
+        b = edges[(i, j)] = edge_bibundle(sx, i, j, groupoids[i],
+                                          groupoids[j])
+        return passed(validate_bibundle(b)) and classify(b)["is_functor"]
+
+    def descends_to_iso(i, j, k):
         c = compose_bibundles(edges[(i, j)], edges[(j, k)])
-        tbl = {}
-        for e in c.middle.apex.elements:
-            cl = c.middle_proj(e)
-            v = sx.m[(i, j, k)](e)
-            if cl in tbl and tbl[cl] != v:
-                w = (i, j, k, "not invariant")
-                break
-            tbl[cl] = v
-        if w:
-            break
-        descended = Mor(c.X, sx.XX[(i, k)], tbl)
-        if not is_iso(descended) or \
-                not passed(validate_bibundle_map(c, edges[(i, k)],
-                                                 descended)):
-            w = (i, j, k)
-            break
-    check("inner-multiplications-descend-to-isos", w)
+        try:
+            descended = descend(c.X, sx.XX[(i, k)],
+                                ((c.middle_proj(e), sx.m[(i, j, k)](e))
+                                 for e in c.middle.apex.elements))
+        except NotWellDefined:
+            return (i, j, k, "not invariant"), False
+        return (i, j, k), is_iso(descended) and passed(
+            validate_bibundle_map(c, edges[(i, k)], descended))
+
+    out.append(witness_finding("diagonals-are-groupoids", first_failure(
+        attempts([(i,) for i in range(n + 1)], diagonal))))
+    if not out[-1].ok:
+        return out
+    out.append(witness_finding("edges-are-bibundle-functors", first_failure(
+        attempts(list(sx.XX), edge))))
+    if not out[-1].ok:
+        return out
+    out.append(witness_finding(
+        "inner-multiplications-descend-to-isos", first_failure(
+            descends_to_iso(i, j, k) for (i, j, k) in sx.triples()
+            if i < j < k)))
     return out
 
 

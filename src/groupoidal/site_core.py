@@ -35,6 +35,10 @@ class BudgetExceeded(SiteError):
     pass
 
 
+class NotWellDefined(SiteError):
+    pass
+
+
 PAIR_SEP = "|"
 
 
@@ -342,6 +346,27 @@ def coequalizer(f, g):
     return Coequalizer(quot, proj, classes)
 
 
+def descend(dom, cod, pairs):
+    """The map out of a quotient ``dom`` that sends each class to its value.
+
+    ``pairs`` yields (class, value) pairs, typically one per element of
+    the space being quotiented.  Raises NotWellDefined when a class is
+    given two different values or none.
+    """
+    tbl = {}
+    for cl, val in pairs:
+        if cl in tbl:
+            if tbl[cl] != val:
+                raise NotWellDefined("class %r has values %r and %r"
+                                     % (cl, tbl[cl], val))
+        else:
+            tbl[cl] = val
+    for cl in dom.elements:
+        if cl not in tbl:
+            raise NotWellDefined("class %r has no value" % (cl,))
+    return Mor(dom, cod, tbl)
+
+
 def all_maps(dom, cod):
     """All morphisms dom -> cod (fintop: the continuous ones)."""
     elems = dom.elements
@@ -417,6 +442,24 @@ Finding = namedtuple("Finding", "check ok witness")
 
 def passed(findings):
     return all(f.ok for f in findings)
+
+
+def witness_finding(check, witness):
+    """The finding of a check that fails exactly when it has a witness."""
+    return Finding(check, witness is None, witness)
+
+
+def first_failure(cases):
+    """The witness of the first failing case among (witness, ok) pairs,
+    or None.  A product outside the composable pairs (a KeyError while
+    evaluating a case) counts as a failing case."""
+    try:
+        for w, ok in cases:
+            if not ok:
+                return w
+    except KeyError as exc:
+        return "undefined composite at %s" % exc
+    return None
 
 
 class _Budget:

@@ -1,5 +1,6 @@
 import pytest
 
+from groupoidal import action, morphism
 from groupoidal.site_core import (Mor, compose, fibre_product, identity,
                                   is_cover, is_iso, pair_id, passed,
                                   terminal, to_terminal)
@@ -174,6 +175,8 @@ def test_compose_requires_basic_middle(Z2):
     # middle acts trivially on the point-to-point pair: not free
     with pytest.raises(NotComposable):
         compose_bibundles(triv, triv)
+    with pytest.raises(morphism.NotComposable):
+        compose_bibundles(triv, triv)
 
 
 def test_associator(EQ23):
@@ -243,6 +246,8 @@ def test_decompose_actor_rejects(Z2):
                    Mor(rp.apex, X, {e: "p" for e in rp.apex.elements}),
                    "right", rp)
     with pytest.raises(NotAnActor):
+        decompose_actor(Bibundle(Z2, Z2, left, right))
+    with pytest.raises(action.NotAnActor):
         decompose_actor(Bibundle(Z2, Z2, left, right))
 
 

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import groupoidal
 from groupoidal.site_core import (Mor, compose, fibre_product, identity,
                                   is_cover, is_iso, passed, terminal,
                                   to_terminal)
@@ -99,6 +104,50 @@ def test_induced_base_map(SWAP, S2, p2):
     f = GMap(SWAP, SWAP, Mor(S2, S2, {"a": "b", "b": "a"}))
     q = induced_base_map(f, b, b)
     assert is_iso(q)
+
+
+INDUCED_BASE_MAP_CASE = """
+from groupoidal.site_core import Mor, NotWellDefined, fibre_product, terminal
+from groupoidal.backends import make_finset
+from groupoidal.groupoid import cyclic_groupoid
+from groupoidal.action import Action, GMap
+from groupoidal.bundle import PrincipalBundle, induced_base_map
+
+z2 = cyclic_groupoid(2)
+flip = {"a": "b", "b": "a", "c": "d", "d": "c"}
+
+
+def swap_action(X):
+    anchor = Mor(X, z2.G0, {x: "*" for x in X.elements})
+    pairs = fibre_product(anchor, z2.r)
+    tbl = {e: (x if gel == "0" else flip[x])
+           for e, (x, gel) in pairs.pairing.items()}
+    return Action(z2, X, anchor, Mor(pairs.apex, X, tbl), "right", pairs)
+
+
+S2, S4 = make_finset(["a", "b"]), make_finset(["a", "b", "c", "d"])
+swap2, swap4 = swap_action(S2), swap_action(S4)
+b1 = PrincipalBundle(swap2, Mor(S2, terminal("finset"),
+                                {"a": "*", "b": "*"}))
+b2 = PrincipalBundle(swap4, Mor(S4, make_finset(["x", "y"]),
+                                {"a": "x", "b": "x", "c": "y", "d": "y"}))
+f = GMap(swap2, swap4, Mor(S2, S4, {"a": "a", "b": "c"}))
+try:
+    print(induced_base_map(f, b1, b2).table)
+except NotWellDefined:
+    print("NotWellDefined")
+"""
+
+
+def test_induced_base_map_rejects_non_equivariant_map_under_O():
+    """a and b share an orbit but a -> a and b -> c land in different
+    orbits, so no base map exists; this must not rest on assert."""
+    src = os.path.dirname(os.path.dirname(groupoidal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", INDUCED_BASE_MAP_CASE],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "NotWellDefined"
 
 
 def test_basic_witness_functor(SWAP):

@@ -49,6 +49,21 @@ def test_invalid_functor_detected(Z2):
     assert not passed(validate_functor(bad))
 
 
+def test_validate_functor_reports_undefined_composite():
+    """F1 swapping u|v and v|u breaks composability: the validator
+    reports failing findings instead of raising KeyError."""
+    g = pair_groupoid(make_finset(["u", "v"]))
+    swap = {"u|v": "v|u", "v|u": "u|v"}
+    bad = Functor(g, g, identity(g.G0),
+                  Mor(g.G1, g.G1, {a: swap.get(a, a) for a in g.arrows()}))
+    rep = {f.check: f for f in validate_functor(bad)}
+    assert not rep["range-compat"].ok and not rep["source-compat"].ok
+    assert not rep["multiplicative"].ok
+    assert rep["multiplicative"].witness == \
+        "undefined composite at 'u|u|v|u'"
+    assert rep["unit-preserving"].ok
+
+
 def test_nat_trans_on_cyclic(Z4):
     idF = identity_functor(Z4)
     # conjugation by any element of an abelian group is trivial, so any

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from groupoidal.site_core import (BoundaryMismatch, Mor, Obj, all_maps,
-                                  axiom_harness, coequalizer, compose,
-                                  copair, disjoint_union, fibre_product,
+from groupoidal.site_core import (BoundaryMismatch, Mor, NotWellDefined,
+                                  Obj, SiteError, all_maps, axiom_harness,
+                                  coequalizer, compose, copair, descend,
+                                  disjoint_union, fibre_product,
                                   identity, inverse, is_cover, is_iso,
                                   is_open_map, is_surjective, kernel_pair,
                                   mor_product, obj_product, pair_id,
@@ -21,6 +22,35 @@ def test_mor_basics(S2, PT, p2):
         Mor(S2, PT, {"a": "*"})          # partial table
     with pytest.raises(AssertionError):
         Mor(S2, PT, {"a": "*", "b": "?"})  # value outside codomain
+
+
+def test_descend_rejects_conflicting_values(S2, PT):
+    with pytest.raises(NotWellDefined):
+        descend(PT, S2, [("*", "a"), ("*", "b")])
+
+
+def test_descend_rejects_class_without_value(S2):
+    with pytest.raises(NotWellDefined):
+        descend(S2, S2, [("a", "a")])
+
+
+def test_site_error_classes_defined_once():
+    """Two classes of one name are two kinds of failure to an except
+    clause; each SiteError subclass is defined in one module only."""
+    import collections
+    import importlib
+    import pkgutil
+    import groupoidal
+    for mod in pkgutil.iter_modules(groupoidal.__path__):
+        importlib.import_module("groupoidal." + mod.name)
+    seen, todo = [], [SiteError]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("groupoidal") and sub not in seen:
+                seen.append(sub)
+                todo.append(sub)
+    counts = collections.Counter(cls.__name__ for cls in seen)
+    assert [n for n, c in counts.items() if c > 1] == []
 
 
 def test_compose_unit_laws(S2, PT, p2):
