@@ -3,13 +3,18 @@ and actors.
 
 A right action of G on X is an anchor X -> G0 together with a
 multiplication table on the fibre product X x_{anchor, G0, r} G1; a left
-action uses G1 x_{s, G0, anchor} X.  Both orientations are stored
-natively and converted through inversion when needed.
+action uses G1 x_{s, G0, anchor} X.  The side is data that only this
+module reads: everything else uses an action's point-first view, chosen
+once per action.  A cell is (e, x, g) for the pair e of x and g,
+``apply(x, g)`` is x·g or g·x, and ``then(g1, g2)`` is the arrow that
+acts as g1 and then g2.  ``opposite`` turns an action into one on the
+other side through inversion.
 """
 
 from .site_core import (Mor, SiteError, compose, fibre_product,
-                        first_failure, is_cover, is_iso, is_surjective,
-                        pair_id, passed, valid_mor_table, witness_finding)
+                        first_failure, inverse, is_cover, is_iso,
+                        is_surjective, pair_id, passed, valid_mor_table,
+                        witness_finding)
 from .groupoid import Groupoid
 
 
@@ -17,25 +22,102 @@ class NotAnActor(SiteError):
     pass
 
 
+# side -> (how a pair orders (point, arrow), the id of the pair of a point
+# x and an arrow a, the point-first cells (e, x, a) of a pairing)
+_SIDES = {
+    "right": (lambda u, v: (u, v), pair_id,
+              lambda pairing: ((e, x, a) for e, (x, a) in pairing.items())),
+    "left": (lambda u, v: (v, u), lambda x, a: pair_id(a, x),
+             lambda pairing: ((e, x, a) for e, (a, x) in pairing.items())),
+}
+_OTHER = {"right": "left", "left": "right"}
+
+
+def action_pairs(g, anchor, side):
+    """The fibre product a multiplication is defined on: X x_{anchor, r}
+    G1 for a right action, G1 x_{s, anchor} X for a left one."""
+    order = _SIDES[side][0]
+    matched = order(g.r, g.s)[0]
+    return fibre_product(*order(anchor, matched))
+
+
+def _steps(g, order):
+    """For each arrow p, the arrows q that can act after it, each with
+    the arrow that acts as p then q."""
+    matched, lands = order(g.r, g.s)
+    by_matched = {}
+    for q in g.arrows():
+        by_matched.setdefault(matched(q), []).append(q)
+    return {p: [(q, g.mul(*order(p, q)))
+                for q in by_matched.get(lands(p), ())]
+            for p in g.arrows()}
+
+
 class Action:
     def __init__(self, g, X, anchor, mult, side, pairs=None):
-        assert side in ("left", "right")
         assert anchor.dom == X and anchor.cod == g.G0
+        self.order, self.key, self._cells = _SIDES[side]
         if pairs is None:
-            if side == "right":
-                pairs = fibre_product(anchor, g.r)
-            else:
-                pairs = fibre_product(g.s, anchor)
+            pairs = action_pairs(g, anchor, side)
         assert mult.dom == pairs.apex and mult.cod == X
         self.g, self.X, self.anchor = g, X, anchor
         self.mult, self.side, self.pairs = mult, side, pairs
+        # the end of an arrow over which the point it moves lands
+        self.lands = self.order(g.r, g.s)[1]
 
     def act(self, a, b):
         """Right: act(x, g); left: act(g, x)."""
         return self.mult(pair_id(a, b))
 
+    def apply(self, x, gel):
+        """x·gel for a right action, gel·x for a left one."""
+        return self.mult.table[self.key(x, gel)]
+
+    def cells(self, fp=None):
+        """(e, x, gel) for each pair e of the action fibre product, or of
+        another fibre product whose pairs are ordered like this action's."""
+        return self._cells((self.pairs if fp is None else fp).pairing)
+
+    def cell(self, e):
+        """(x, gel) of the pair e."""
+        return self.order(*self.pairs.pairing[e])
+
+    def then(self, p, q):
+        """The arrow that acts as p and then q."""
+        return self.g.mul(*self.order(p, q))
+
+    @property
+    def point(self):
+        """The projection of the action fibre product onto X."""
+        return self.order(self.pairs.pr1, self.pairs.pr2)[0]
+
+    def on(self, X, anchor, rule):
+        """An action of the same groupoid on the same side, on X."""
+        return build_action(self.g, X, anchor, self.side, rule)
+
     def __repr__(self):
         return "Action(%s, |X|=%d)" % (self.side, len(self.X))
+
+
+def build_action(g, X, anchor, side, rule):
+    """The action of g on X over anchor whose multiplication sends the
+    cell (x, gel) to rule(x, gel)."""
+    pairs = action_pairs(g, anchor, side)
+    tbl = {e: rule(x, gel) for e, x, gel in _SIDES[side][2](pairs.pairing)}
+    return Action(g, X, anchor, Mor(pairs.apex, X, tbl), side, pairs)
+
+
+def opposite(a):
+    """The action on the other side through inversion: g·x := x·g⁻¹ for
+    a right action, x·g := g⁻¹·x for a left one."""
+    i = a.g.i
+    return build_action(a.g, a.X, a.anchor, _OTHER[a.side],
+                        lambda x, gel: a.apply(x, i(gel)))
+
+
+def on_side(a, side):
+    """a, or its opposite, as an action on the given side."""
+    return a if a.side == side else opposite(a)
 
 
 def validate_action(a):
@@ -43,28 +125,18 @@ def validate_action(a):
     multiplication being epi, being a cover, or the shear map being
     invertible with the inversion formula as inverse."""
     g = a.g
-    if a.side == "right":
-        anchor_w = first_failure(
-            (e, a.anchor(a.mult(e)) == g.s(gel))
-            for e, (x, gel) in a.pairs.pairing.items())
-        assoc_w = first_failure(
-            ((x, g1, g2),
-             a.act(a.act(x, g1), g2) == a.act(x, g.mul(g1, g2)))
-            for x in a.X.elements for g1 in g.arrows() for g2 in g.arrows()
-            if a.anchor(x) == g.r(g1) and g.composable(g1, g2))
-        unit_w = first_failure(
-            (x, a.act(x, g.u(a.anchor(x))) == x) for x in a.X.elements)
-    else:
-        anchor_w = first_failure(
-            (e, a.anchor(a.mult(e)) == g.r(gel))
-            for e, (gel, x) in a.pairs.pairing.items())
-        assoc_w = first_failure(
-            ((g1, g2, x),
-             a.act(g1, a.act(g2, x)) == a.act(g.mul(g1, g2), x))
-            for x in a.X.elements for g1 in g.arrows() for g2 in g.arrows()
-            if a.anchor(x) == g.s(g2) and g.composable(g1, g2))
-        unit_w = first_failure(
-            (x, a.act(g.u(a.anchor(x)), x) == x) for x in a.X.elements)
+    steps = _steps(g, a.order)
+    anchor_w = first_failure(
+        (e, a.anchor(a.mult(e)) == a.lands(gel)) for e, x, gel in a.cells())
+    assoc_w = first_failure(
+        ((x, p, q), a.apply(a.mult(e), q) == a.apply(x, pq))
+        for e, x, p in a.cells() for q, pq in steps[p])
+    if isinstance(assoc_w, tuple) and a.side == "left":
+        # a left action reports (g1, g2, x) with g1·(g2·x) != (g1 g2)·x
+        x, p, q = assoc_w
+        assoc_w = (q, p, x)
+    unit_w = first_failure(
+        (x, a.apply(x, g.u(a.anchor(x))) == x) for x in a.X.elements)
     out = [witness_finding("anchor-compat", anchor_w),
            witness_finding("associativity", assoc_w),
            witness_finding("unit", unit_w)]
@@ -82,10 +154,7 @@ def validate_action(a):
         shear_ok = False
         try:
             sh, shinv = action_shear(a)
-            shear_ok = is_iso(sh)
-            if shear_ok:
-                from .site_core import inverse
-                shear_ok = inverse(sh) == shinv
+            shear_ok = is_iso(sh) and inverse(sh) == shinv
         except (AssertionError, KeyError):
             shear_ok = False
         out.append(witness_finding(
@@ -95,22 +164,15 @@ def validate_action(a):
 
 
 def action_shear(a):
-    """Right: (x, g) -> (x·g, g) with stated inverse (x, g) -> (x·g⁻¹, g);
-    left: (g, x) -> (g, g·x)."""
+    """(x, g) -> (x·g, g) onto the fibre product of the anchor with the
+    end where x·g lands, with stated inverse (x, g) -> (x·g⁻¹, g); for a
+    left action, (g, x) -> (g, g·x)."""
     g = a.g
-    if a.side == "right":
-        cod = fibre_product(a.anchor, g.s)
-        tbl = {e: cod.index[(a.mult(e), gel)]
-               for e, (x, gel) in a.pairs.pairing.items()}
-        inv_tbl = {e: a.pairs.index[(a.act(x, g.i(gel)), gel)]
-                   for e, (x, gel) in cod.pairing.items()}
-        return (Mor(a.pairs.apex, cod.apex, tbl),
-                Mor(cod.apex, a.pairs.apex, inv_tbl))
-    cod = fibre_product(g.r, a.anchor)
-    tbl = {e: cod.index[(gel, a.mult(e))]
-           for e, (gel, x) in a.pairs.pairing.items()}
-    inv_tbl = {e: a.pairs.index[(gel, a.act(g.i(gel), x))]
-               for e, (gel, x) in cod.pairing.items()}
+    cod = fibre_product(*a.order(a.anchor, a.lands))
+    tbl = {e: cod.index[a.order(a.mult(e), gel)]
+           for e, x, gel in a.cells()}
+    inv_tbl = {e: a.pairs.index[a.order(a.apply(x, g.i(gel)), gel)]
+               for e, x, gel in a.cells(cod)}
     return (Mor(a.pairs.apex, cod.apex, tbl),
             Mor(cod.apex, a.pairs.apex, inv_tbl))
 
@@ -119,32 +181,16 @@ def is_sheaf(a):
     return is_cover(a.anchor)
 
 
-def to_right(a):
-    """Convert a left action to the right action x·g := g⁻¹·x."""
-    assert a.side == "left"
-    g = a.g
-    pairs = fibre_product(a.anchor, g.r)
-    tbl = {e: a.act(g.i(gel), x) for e, (x, gel) in pairs.pairing.items()}
-    return Action(g, a.X, a.anchor, Mor(pairs.apex, a.X, tbl), "right",
-                  pairs)
-
-
-def to_left(a):
-    """Convert a right action to the left action g·x := x·g⁻¹."""
-    assert a.side == "right"
-    g = a.g
-    pairs = fibre_product(g.s, a.anchor)
-    tbl = {e: a.act(x, g.i(gel)) for e, (gel, x) in pairs.pairing.items()}
-    return Action(g, a.X, a.anchor, Mor(pairs.apex, a.X, tbl), "left",
-                  pairs)
-
-
 def canonical_action(g):
     """G acting on its own objects through the source of arrows."""
-    pairs = fibre_product(Mor.identity(g.G0), g.r)
-    tbl = {e: g.s(gel) for e, (x, gel) in pairs.pairing.items()}
-    return Action(g, g.G0, Mor.identity(g.G0),
-                  Mor(pairs.apex, g.G0, tbl), "right", pairs)
+    return build_action(g, g.G0, Mor.identity(g.G0), "right",
+                        lambda x, gel: g.s(gel))
+
+
+def translations(g):
+    """G acting on its own arrows by left and by right multiplication."""
+    return (Action(g, g.G1, g.r, g.m, "left", g.pairs),
+            Action(g, g.G1, g.s, g.m, "right", g.pairs))
 
 
 class GMap:
@@ -161,85 +207,43 @@ def validate_gmap(m):
     a, b, f = m.from_, m.to, m.f
     anchor_w = first_failure(
         (x, b.anchor(f(x)) == a.anchor(x)) for x in a.X.elements)
-    if a.side == "right":
-        eq_w = first_failure(
-            (e, f(a.mult(e)) == b.act(f(x), gel))
-            for e, (x, gel) in a.pairs.pairing.items())
-    else:
-        eq_w = first_failure(
-            (e, f(a.mult(e)) == b.act(gel, f(x)))
-            for e, (gel, x) in a.pairs.pairing.items())
+    eq_w = first_failure(
+        (e, f(a.mult(e)) == b.apply(f(x), gel)) for e, x, gel in a.cells())
     return [witness_finding("anchor-over", anchor_w),
             witness_finding("equivariance", eq_w)]
 
 
 def is_invariant(a, f):
     """f: X -> W collapses the action."""
-    if a.side == "right":
-        return all(f(a.mult(e)) == f(x)
-                   for e, (x, gel) in a.pairs.pairing.items())
-    return all(f(a.mult(e)) == f(x)
-               for e, (gel, x) in a.pairs.pairing.items())
+    return all(f(a.mult(e)) == f(x) for e, x, gel in a.cells())
 
 
 def transformation_groupoid(a):
-    """Objects X, arrows the action fibre product, range pr1, source the
-    multiplication."""
-    assert a.side == "right"
+    """Objects X and arrows the cells (x, g) of the action.  The range
+    and source of a cell are (x, x·g) for a right action and (g·x, x)
+    for a left one; the cell (x, g1) composed with the cell (x·g1, g2),
+    or (g1·x, g2), is (x, g1 then g2).  ``parts`` maps each arrow to its
+    (x, g)."""
     assert passed(validate_action(a))
     g = a.g
     G1t = a.pairs.apex
-    rt = a.pairs.pr1
-    st = a.mult
+    rt, st = a.order(a.point, a.mult)
     pairs_t = fibre_product(st, rt)
+    parts = {e: (x, gel) for e, x, gel in a.cells()}
     mtab = {}
-    for e, (e1, e2) in pairs_t.pairing.items():
-        x1, g1 = a.pairs.pairing[e1]
-        _, g2 = a.pairs.pairing[e2]
-        mtab[e] = a.pairs.index[(x1, g.mul(g1, g2))]
+    for e, first, second in a.cells(pairs_t):
+        x, p = parts[first]
+        mtab[e] = a.key(x, a.then(p, parts[second][1]))
     m = Mor(pairs_t.apex, G1t, mtab)
     u = Mor(a.X, G1t,
-            {x: a.pairs.index[(x, g.u(a.anchor(x)))] for x in a.X.elements})
-    itab = {e: a.pairs.index[(a.mult(e), g.i(gel))]
-            for e, (x, gel) in a.pairs.pairing.items()}
-    i = Mor(G1t, G1t, itab)
+            {x: a.key(x, g.u(a.anchor(x))) for x in a.X.elements})
+    i = Mor(G1t, G1t,
+            {e: a.key(a.mult(e), g.i(gel)) for e, x, gel in a.cells()})
     t = Groupoid(a.X, G1t, rt, st, m, u, i, pairs=pairs_t)
     from .groupoid import validate_groupoid
     report = validate_groupoid(t)
     assert passed(report), [f for f in report if not f.ok]
-    t.parts = a.pairs.pairing
-    t.pair_index = a.pairs.index
-    t.action = a
-    return t
-
-
-def left_transformation_groupoid(a):
-    """Arrows G1 x_{s,G0,anchor} X with range the multiplication and
-    source the second projection."""
-    assert a.side == "left"
-    assert passed(validate_action(a))
-    g = a.g
-    G1t = a.pairs.apex
-    rt = a.mult
-    st = a.pairs.pr2
-    pairs_t = fibre_product(st, rt)
-    mtab = {}
-    for e, (e1, e2) in pairs_t.pairing.items():
-        g1, _ = a.pairs.pairing[e1]
-        g2, x2 = a.pairs.pairing[e2]
-        mtab[e] = a.pairs.index[(g.mul(g1, g2), x2)]
-    m = Mor(pairs_t.apex, G1t, mtab)
-    u = Mor(a.X, G1t,
-            {x: a.pairs.index[(g.u(a.anchor(x)), x)] for x in a.X.elements})
-    itab = {e: a.pairs.index[(g.i(gel), a.mult(e))]
-            for e, (gel, x) in a.pairs.pairing.items()}
-    i = Mor(G1t, G1t, itab)
-    t = Groupoid(a.X, G1t, rt, st, m, u, i, pairs=pairs_t)
-    from .groupoid import validate_groupoid
-    report = validate_groupoid(t)
-    assert passed(report), [f for f in report if not f.ok]
-    t.parts = a.pairs.pairing
-    t.pair_index = a.pairs.index
+    t.parts = parts
     t.action = a
     return t
 
@@ -250,22 +254,13 @@ def action_fibre_product(f1, f2):
     assert f1.to is f2.to or (f1.to.X == f2.to.X
                               and f1.to.mult == f2.to.mult)
     a1, a2 = f1.from_, f2.from_
-    g = a1.g
     FP = fibre_product(f1.f, f2.f)
-    anchor = compose(a1.anchor, FP.pr1)
-    side = a1.side
-    if side == "right":
-        pairs = fibre_product(anchor, g.r)
-        tbl = {e: FP.index[(a1.act(FP.pairing[w][0], gel),
-                            a2.act(FP.pairing[w][1], gel))]
-               for e, (w, gel) in pairs.pairing.items()}
-    else:
-        pairs = fibre_product(g.s, anchor)
-        tbl = {e: FP.index[(a1.act(gel, FP.pairing[w][0]),
-                            a2.act(gel, FP.pairing[w][1]))]
-               for e, (gel, w) in pairs.pairing.items()}
-    diag = Action(g, FP.apex, anchor, Mor(pairs.apex, FP.apex, tbl),
-                  side, pairs)
+
+    def rule(w, gel):
+        w1, w2 = FP.pairing[w]
+        return FP.index[(a1.apply(w1, gel), a2.apply(w2, gel))]
+
+    diag = a1.on(FP.apex, compose(a1.anchor, FP.pr1), rule)
     assert passed(validate_action(diag))
     pr1 = GMap(diag, a1, FP.pr1)
     pr2 = GMap(diag, a2, FP.pr2)
@@ -324,9 +319,7 @@ def validate_bibundle(b):
 
 def unit_bibundle(g):
     """G acting on its own arrows from both sides."""
-    left = Action(g, g.G1, g.r, g.m, "left", g.pairs)
-    right = Action(g, g.G1, g.s, g.m, "right", g.pairs)
-    b = Bibundle(g, g, left, right)
+    b = Bibundle(g, g, *translations(g))
     assert passed(validate_bibundle(b))
     return b
 
@@ -406,8 +399,7 @@ def validate_actor(a):
 
 def left_mult_actor(g):
     """G acting on its own arrows by left multiplication."""
-    action = Action(g, g.G1, g.r, g.m, "left", g.pairs)
-    a = Actor(g, g, action)
+    a = Actor(g, g, translations(g)[0])
     assert passed(validate_actor(a))
     return a
 
@@ -418,15 +410,13 @@ def actor_to_pair(a):
     g·h = F(g, r(h))·h."""
     g, h = a.g, a.h
     r0 = Mor(h.G0, g.G0, {x: a.anchor(h.u(x)) for x in h.objects()})
-    bpairs = fibre_product(g.s, r0)
-    btab = {e: h.r(a.act(gel, h.u(x)))
-            for e, (gel, x) in bpairs.pairing.items()}
-    base = Action(g, h.G0, r0, Mor(bpairs.apex, h.G0, btab), "left", bpairs)
+    base = build_action(g, h.G0, r0, "left",
+                        lambda x, gel: h.r(a.act(gel, h.u(x))))
     assert passed(validate_action(base))
-    t = left_transformation_groupoid(base)
+    t = transformation_groupoid(base)
     from .morphism import Functor, validate_functor
     F1 = Mor(t.G1, h.G1, {e: a.act(gel, h.u(x))
-                          for e, (gel, x) in t.parts.items()})
+                          for e, (x, gel) in t.parts.items()})
     F = Functor(t, h, Mor.identity(h.G0), F1)
     assert passed(validate_functor(F))
     for e, (gel, hel) in a.action.pairs.pairing.items():
@@ -442,13 +432,8 @@ def actor_apply(a, x):
     g, h = a.g, a.h
     pair = actor_to_pair(a)
     r0 = pair["base"].anchor
-    anchor = compose(r0, x.anchor)
-    pairs = fibre_product(g.s, anchor)
-    tbl = {}
-    for e, (gel, y) in pairs.pairing.items():
-        hval = a.act(gel, h.u(x.anchor(y)))
-        tbl[e] = x.act(hval, y)
-    out = Action(g, x.X, anchor, Mor(pairs.apex, x.X, tbl), "left", pairs)
+    out = build_action(g, x.X, compose(r0, x.anchor), "left",
+                       lambda y, gel: x.apply(y, a.act(gel, h.u(x.anchor(y)))))
     assert passed(validate_action(out))
     return out
 
@@ -520,60 +505,42 @@ def actor_horizontal(psi, phi, b2):
     return Mor(k.G0, k.G1, tbl)
 
 
+
+
 def enumerate_actions(g, X, anchor, side="right"):
     """All actions of g on X with the given anchor, by backtracking over
     the multiplication table."""
-    if side == "right":
-        pairs = fibre_product(anchor, g.r)
-        def other(gel):
-            return g.s(gel)
-        def unit_key(x):
-            return pair_id(x, g.u(anchor(x)))
-    else:
-        pairs = fibre_product(g.s, anchor)
-        def other(gel):
-            return g.r(gel)
-        def unit_key(x):
-            return pair_id(g.u(anchor(x)), x)
-    elems = list(pairs.apex.elements)
+    order, key, cells = _SIDES[side]
+    pairs = action_pairs(g, anchor, side)
+    lands = order(g.r, g.s)[1]
+    steps = _steps(g, order)
+    cell = list(cells(pairs.pairing))
     cand = {}
-    for e in elems:
-        l, r = pairs.pairing[e]
-        gel = r if side == "right" else l
-        cand[e] = [y for y in X.elements if anchor(y) == other(gel)]
+    for e, x, p in cell:
+        cand[e] = [y for y in X.elements if anchor(y) == lands(p)]
         if not cand[e]:
             return
     assign = {}
     for x in X.elements:
-        e = unit_key(x)
+        e = key(x, g.u(anchor(x)))
         if x not in cand[e]:
             return
         assign[e] = x
-    free = [e for e in elems if e not in assign]
+    free = [e for e, x, p in cell if e not in assign]
+    # associativity: once the cell (x, p) is sent to y, the cells (y, q)
+    # and (x, p then q) must agree
+    links = {(e, y): [(key(y, q), key(x, pq)) for q, pq in steps[p]]
+             for e, x, p in cell for y in cand[e]}
 
     def consistent():
         # associativity closure on what is assigned so far
-        for e, val in assign.items():
-            l, r = pairs.pairing[e]
-            if side == "right":
-                x, g1 = l, r
-                for g2 in g.arrows():
-                    if not g.composable(g1, g2):
-                        continue
-                    e2 = pair_id(val, g2)
-                    e3 = pair_id(x, g.mul(g1, g2))
-                    if e2 in assign and e3 in assign and \
-                            assign[e2] != assign[e3]:
-                        return False
-            else:
-                g2, x = l, r
-                for g1 in g.arrows():
-                    if not g.composable(g1, g2):
-                        continue
-                    e2 = pair_id(g1, val)
-                    e3 = pair_id(g.mul(g1, g2), x)
-                    if e2 in assign and e3 in assign and \
-                            assign[e2] != assign[e3]:
+        get = assign.get
+        for ey in assign.items():
+            for e2, e3 in links[ey]:
+                v2 = get(e2)
+                if v2 is not None:
+                    v3 = get(e3)
+                    if v3 is not None and v2 != v3:
                         return False
         return True
 

@@ -7,8 +7,7 @@ for lattice closure, and stored via minimal open neighbourhoods.
 
 from itertools import permutations
 
-from .site_core import (Obj, Mor, SiteError, BackendMismatch, is_open_map,
-                        valid_mor_table)
+from .site_core import Obj, SiteError, BackendMismatch, is_open_map
 
 
 class DuplicateElement(SiteError):

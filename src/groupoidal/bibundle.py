@@ -14,11 +14,10 @@ map that is constant on orbits into a map out of the orbit space.
 from .site_core import (BoundaryMismatch, Mor, NotWellDefined, SiteError,
                         compose, descend, fibre_product, first_failure,
                         is_cover, is_iso, passed, witness_finding)
-from .action import (Action, Bibundle, NotAnActor, is_invariant,
-                     left_transformation_groupoid, to_left, to_right,
-                     transformation_groupoid,
-                     two_sided_transformation_groupoid, unit_bibundle,
-                     validate_action, validate_bibundle)
+from .action import (Bibundle, NotAnActor, build_action, is_invariant,
+                     on_side, opposite, transformation_groupoid,
+                     translations, two_sided_transformation_groupoid,
+                     unit_bibundle, validate_action, validate_bibundle)
 from .bundle import PrincipalBundle, check_principal, is_basic, orbit_space
 from .morphism import NotComposable
 
@@ -48,7 +47,7 @@ def classify(x):
     is_covering = is_functor and s_cover
     is_actor = is_basic(x.right)["flag"] and s_cover
     is_equivalence = is_covering and passed(
-        check_principal(to_right(x.left), x.s_anchor))
+        check_principal(x.left, x.s_anchor))
     flags = {"is_functor": is_functor, "is_covering": is_covering,
              "is_actor": is_actor, "is_equivalence": is_equivalence}
     assert not flags["is_equivalence"] or (is_functor and is_covering)
@@ -73,70 +72,54 @@ def validate_bibundle_map(x, y, f):
 
 def dual(x):
     """Exchange the anchors; h·x·g becomes g⁻¹·x·h⁻¹."""
-    g, h = x.g, x.h
-    lpairs = fibre_product(h.s, x.s_anchor)
-    ltab = {e: x.ract(xe, h.i(hel))
-            for e, (hel, xe) in lpairs.pairing.items()}
-    left = Action(h, x.X, x.s_anchor, Mor(lpairs.apex, x.X, ltab),
-                  "left", lpairs)
-    rpairs = fibre_product(x.r_anchor, g.r)
-    rtab = {e: x.lact(g.i(gel), xe)
-            for e, (xe, gel) in rpairs.pairing.items()}
-    right = Action(g, x.X, x.r_anchor, Mor(rpairs.apex, x.X, rtab),
-                   "right", rpairs)
-    out = Bibundle(h, g, left, right)
+    out = Bibundle(x.h, x.g, opposite(x.right), opposite(x.left))
     assert passed(validate_bibundle(out))
     return out
 
 
 def functor_to_bibundle(F, Y=None):
     """The bibundle G0 x_{F0, H0, r} H1 of a functor, with the optional
-    generalization that replaces the arrows of H by a left H-carrier."""
+    generalization that replaces the arrows of H by an H-carrier Y, read
+    as a left action."""
     from .morphism import functor_surjectivity_tests, validate_functor
     assert passed(validate_functor(F))
     g, h = F.src, F.dst
-    if Y is None:
-        y_anchor, y_lact = h.r, lambda hel, k: h.mul(hel, k)
-    else:
-        assert Y.side == "left" and Y.g == h
-        y_anchor, y_lact = Y.anchor, Y.act
-    carrier_of = h.G1 if Y is None else Y.X
-    FP = fibre_product(F.F0, y_anchor)
-    lpairs = fibre_product(g.s, FP.pr1)
-    ltab = {e: FP.index[(g.r(gel), y_lact(F.F1(gel), FP.pairing[w][1]))]
-            for e, (gel, w) in lpairs.pairing.items()}
-    left = Action(g, FP.apex, FP.pr1, Mor(lpairs.apex, FP.apex, ltab),
-                  "left", lpairs)
-    if Y is None:
-        s_anchor = compose(h.s, FP.pr2)
-        rpairs = fibre_product(s_anchor, h.r)
-        rtab = {e: FP.index[(FP.pairing[w][0],
-                             h.mul(FP.pairing[w][1], hel))]
-                for e, (w, hel) in rpairs.pairing.items()}
-        right = Action(h, FP.apex, s_anchor,
-                       Mor(rpairs.apex, FP.apex, rtab), "right", rpairs)
-        out = Bibundle(g, h, left, right)
-        assert passed(validate_bibundle(out))
-        out.F = F
-        out.fp = FP
-        flags = classify(out)
-        assert flags["is_functor"]
-        tests = functor_surjectivity_tests(F)
-        assert flags["is_covering"] == tests["essentially_surjective"]
-        assert flags["is_equivalence"] == (
-            tests["essentially_surjective"] and tests["fully_faithful"])
-        return out
-    # generalized pullback of a left H-carrier: just the induced G-action
-    assert passed(validate_action(left))
-    left.fp = FP
-    return left
+    generalized = Y is not None
+    Y = on_side(Y, "left") if generalized else translations(h)[0]
+    assert Y.g == h
+    FP = fibre_product(F.F0, Y.anchor)
+
+    def lrule(w, gel):
+        return FP.index[(g.r(gel), Y.apply(FP.pairing[w][1], F.F1(gel)))]
+
+    left = build_action(g, FP.apex, FP.pr1, "left", lrule)
+    if generalized:
+        # generalized pullback of an H-carrier: just the induced G-action
+        assert passed(validate_action(left))
+        left.fp = FP
+        return left
+
+    def rrule(w, hel):
+        x0, k = FP.pairing[w]
+        return FP.index[(x0, h.mul(k, hel))]
+
+    right = build_action(h, FP.apex, compose(h.s, FP.pr2), "right", rrule)
+    out = Bibundle(g, h, left, right)
+    assert passed(validate_bibundle(out))
+    out.F = F
+    out.fp = FP
+    flags = classify(out)
+    assert flags["is_functor"]
+    tests = functor_surjectivity_tests(F)
+    assert flags["is_covering"] == tests["essentially_surjective"]
+    assert flags["is_equivalence"] == (
+        tests["essentially_surjective"] and tests["fully_faithful"])
+    return out
 
 
 def actor_to_bibundle(a):
     """An actor as a bibundle on the arrows of its target."""
-    h = a.h
-    right = Action(h, h.G1, h.s, h.m, "right", h.pairs)
-    out = Bibundle(a.g, h, a.action, right)
+    out = Bibundle(a.g, a.h, a.action, translations(a.h)[1])
     assert passed(validate_bibundle(out))
     return out
 
@@ -190,16 +173,13 @@ def beta_ana_to_bibundle(a):
         index[(gel, xe, hel)] = e
     anchor = Mor(T2.apex, gx.G0,
                  {e: xe for e, (gel, xe, hel) in triples.items()})
-    pairs = fibre_product(anchor, gx.r)
-    mtab = {}
-    for e, (te, ae) in pairs.pairing.items():
-        g1, x1, hel = triples[te]
-        x1b, g2, x2 = gx.triples[ae]
-        assert x1b == x1
-        mtab[e] = index[(g.mul(g1, g2), x2,
-                         h.mul(h.i(a.F.F1(ae)), hel))]
-    act = Action(gx, T2.apex, anchor, Mor(pairs.apex, T2.apex, mtab),
-                 "right", pairs)
+
+    def mrule(te, ae):
+        g1, _, hel = triples[te]
+        _, g2, x2 = gx.triples[ae]
+        return index[(g.mul(g1, g2), x2, h.mul(h.i(a.F.F1(ae)), hel))]
+
+    act = build_action(gx, T2.apex, anchor, "right", mrule)
     assert passed(validate_action(act))
     coeq = orbit_space(act)
     Z = coeq.quotient
@@ -207,23 +187,19 @@ def beta_ana_to_bibundle(a):
     def cls(gel, xe, hel):
         return coeq.proj(index[(gel, xe, hel)])
 
+    def lrule(c, gel):
+        g1, xe, hel = triples[c]
+        return cls(g.mul(gel, g1), xe, hel)
+
+    def rrule(c, hel):
+        g1, xe, h1 = triples[c]
+        return cls(g1, xe, h.mul(h1, hel))
+
     l_anchor = descend(Z, g.G0, ((coeq.proj(e), g.r(gel))
                                  for e, (gel, xe, hel) in triples.items()))
-    lpairs = fibre_product(g.s, l_anchor)
-    ltab = {}
-    for e, (gel, c) in lpairs.pairing.items():
-        g1, xe, hel = triples[c]
-        ltab[e] = cls(g.mul(gel, g1), xe, hel)
-    left = Action(g, Z, l_anchor, Mor(lpairs.apex, Z, ltab), "left",
-                  lpairs)
+    left = build_action(g, Z, l_anchor, "left", lrule)
     r_anchor = Mor(Z, h.G0, {c: h.s(triples[c][2]) for c in Z.elements})
-    rpairs = fibre_product(r_anchor, h.r)
-    rtab = {}
-    for e, (c, hel) in rpairs.pairing.items():
-        g1, xe, h1 = triples[c]
-        rtab[e] = cls(g1, xe, h.mul(h1, hel))
-    right = Action(h, Z, r_anchor, Mor(rpairs.apex, Z, rtab), "right",
-                   rpairs)
+    right = build_action(h, Z, r_anchor, "right", rrule)
     out = Bibundle(g, h, left, right)
     assert passed(validate_bibundle(out))
     out.triples = triples
@@ -245,22 +221,16 @@ def cech_equivalence(p, q=None):
     g = cech_groupoid(p)
     h = unit_groupoid(q.dom) if is_iso(q) else cech_groupoid(q)
     FP = fibre_product(p, q)
-    lpairs = fibre_product(g.s, FP.pr1)
-    ltab = {}
-    for e, (ar, w) in lpairs.pairing.items():
-        x1, _ = g.kernel.pairing[ar]
-        _, y = FP.pairing[w]
-        ltab[e] = FP.index[(x1, y)]
-    left = Action(g, FP.apex, FP.pr1, Mor(lpairs.apex, FP.apex, ltab),
-                  "left", lpairs)
-    rpairs = fibre_product(FP.pr2, h.r)
-    rtab = {}
-    for e, (w, ar) in rpairs.pairing.items():
-        x, _ = FP.pairing[w]
+
+    def lrule(w, ar):
+        return FP.index[(g.kernel.pairing[ar][0], FP.pairing[w][1])]
+
+    def rrule(w, ar):
         y2 = h.s(ar) if h.G1 == h.G0 else h.kernel.pairing[ar][1]
-        rtab[e] = FP.index[(x, y2)]
-    right = Action(h, FP.apex, FP.pr2, Mor(rpairs.apex, FP.apex, rtab),
-                   "right", rpairs)
+        return FP.index[(FP.pairing[w][0], y2)]
+
+    left = build_action(g, FP.apex, FP.pr1, "left", lrule)
+    right = build_action(h, FP.apex, FP.pr2, "right", rrule)
     out = Bibundle(g, h, left, right)
     assert passed(validate_bibundle(out))
     assert classify(out)["is_equivalence"]
@@ -302,19 +272,46 @@ def roundtrip_ananat(a):
 
 
 def balanced_product(x, y):
-    """The fibre product X x_{H0} Y of a right H-action x and a left
-    H-action y, with the diagonal right action (x, y)·h = (x·h, h⁻¹·y)
-    whose orbit space is the balanced product X x_H Y.  Returns the fibre
-    product and the diagonal action."""
-    h = x.g
+    """The fibre product X x_{H0} Y of a right H-action x and an H-action
+    y, read as a left action, with the diagonal right action
+    (x, y)·h = (x·h, h⁻¹·y) whose orbit space is the balanced product
+    X x_H Y.  Returns the fibre product and the diagonal action."""
+    i = x.g.i
+    y = on_side(y, "left")
     FP = fibre_product(x.anchor, y.anchor)
-    anchor = compose(x.anchor, FP.pr1)
-    dpairs = fibre_product(anchor, h.r)
-    dtab = {e: FP.index[(x.act(FP.pairing[w][0], hel),
-                         y.act(h.i(hel), FP.pairing[w][1]))]
-            for e, (w, hel) in dpairs.pairing.items()}
-    return FP, Action(h, FP.apex, anchor, Mor(dpairs.apex, FP.apex, dtab),
-                      "right", dpairs)
+
+    def rule(w, hel):
+        xe, ye = FP.pairing[w]
+        return FP.index[(x.apply(xe, hel), y.apply(ye, i(hel)))]
+
+    return FP, x.on(FP.apex, compose(x.anchor, FP.pr1), rule)
+
+
+def descended_left(x, FP, coeq):
+    """The left action of x's G on the orbit space ``coeq`` of a balanced
+    product FP of x's right action: g·[xe, ye] = [g·xe, ye]."""
+    Z = coeq.quotient
+
+    def rule(c, gel):
+        xe, ye = FP.pairing[c]
+        return coeq.proj(FP.index[(x.lact(gel, xe), ye)])
+
+    l_anchor = Mor(Z, x.g.G0,
+                   {c: x.r_anchor(FP.pairing[c][0]) for c in Z.elements})
+    return x.left.on(Z, l_anchor, rule)
+
+
+def quotient_by_middle(x, y):
+    """The balanced product of x's right action with y, checked to be a
+    basic action, and x's left action descended to its orbit space.
+    Returns the fibre product, the ``is_basic`` result and the left
+    action; raises NotComposable when the diagonal action is not basic."""
+    FP, diag = balanced_product(x.right, y)
+    res = is_basic(diag)
+    if not res["flag"]:
+        raise NotComposable("middle action is not basic")
+    assert passed(validate_action(diag))
+    return FP, res, descended_left(x, FP, res["orbits"])
 
 
 def compose_bibundles(x, y):
@@ -325,37 +322,17 @@ def compose_bibundles(x, y):
     """
     if x.h != y.g:
         raise MiddleMismatch("middle groupoids differ")
-    g, k = x.g, y.h
-    FP, diag = balanced_product(x.right, y.left)
-    assert passed(validate_action(diag))
-    res = is_basic(diag)
-    if not res["flag"]:
-        raise NotComposable("middle action is not basic")
+    FP, res, left = quotient_by_middle(x, y.left)
     coeq = res["orbits"]
     Z = coeq.quotient
 
-    def cls(xe, ye):
-        return coeq.proj(FP.index[(xe, ye)])
+    def rule(c, kel):
+        xe, ye = FP.pairing[c]
+        return coeq.proj(FP.index[(xe, y.ract(ye, kel))])
 
-    l_anchor = Mor(Z, g.G0,
-                   {c: x.r_anchor(FP.pairing[c][0]) for c in Z.elements})
-    lpairs = fibre_product(g.s, l_anchor)
-    ltab = {}
-    for e, (gel, c) in lpairs.pairing.items():
-        xe, ye = FP.pairing[c]
-        ltab[e] = cls(x.lact(gel, xe), ye)
-    left = Action(g, Z, l_anchor, Mor(lpairs.apex, Z, ltab), "left",
-                  lpairs)
-    r_anchor = Mor(Z, k.G0,
+    r_anchor = Mor(Z, y.h.G0,
                    {c: y.s_anchor(FP.pairing[c][1]) for c in Z.elements})
-    rpairs = fibre_product(r_anchor, k.r)
-    rtab = {}
-    for e, (c, kel) in rpairs.pairing.items():
-        xe, ye = FP.pairing[c]
-        rtab[e] = cls(xe, y.ract(ye, kel))
-    right = Action(k, Z, r_anchor, Mor(rpairs.apex, Z, rtab), "right",
-                   rpairs)
-    out = Bibundle(g, k, left, right)
+    out = Bibundle(x.g, y.h, left, y.right.on(Z, r_anchor, rule))
     assert passed(validate_bibundle(out))
     out.middle = FP
     out.middle_proj = coeq.proj
@@ -423,11 +400,11 @@ def check_inverse(x):
         raise NotAnEquivalence("bibundle is not an equivalence")
     g, h = x.g, x.h
     xd = dual(x)
-    lb = PrincipalBundle(to_right(x.left), x.s_anchor)
+    lb = PrincipalBundle(x.left, x.s_anchor)
     rb = PrincipalBundle(x.right, x.r_anchor)
     c1 = compose_bibundles(x, xd)
     # the unique g with g·x2 = x1
-    iso1 = descend(c1.X, g.G1, ((c1.middle_proj(e), g.i(lb.solve(x2, x1)))
+    iso1 = descend(c1.X, g.G1, ((c1.middle_proj(e), lb.solve(x2, x1))
                                 for e, (x1, x2) in c1.middle.pairing.items()))
     ug = unit_bibundle(g)
     assert is_iso(iso1)
@@ -456,9 +433,9 @@ def decompose_actor(x):
     bundle = res["bundle"]
     p = bundle.proj
     K0 = bundle.Z
-    # X x_H X: the left form of the right action turns h⁻¹·x2 into x2·h,
-    # so the diagonal action is (x1, x2)·h = (x1·h, x2·h)
-    XX, diag = balanced_product(x.right, to_left(x.right))
+    # X x_H X: read as a left action, the right action turns h⁻¹·x2 into
+    # x2·h, so the diagonal action is (x1, x2)·h = (x1·h, x2·h)
+    XX, diag = balanced_product(x.right, x.right)
     assert passed(validate_action(diag))
     coeq = orbit_space(diag)
     K1 = coeq.quotient
@@ -488,25 +465,14 @@ def decompose_actor(x):
     report = validate_groupoid(K)
     assert passed(report), [f for f in report if not f.ok]
 
-    a_anchor = Mor(K1, g.G0, {c: x.r_anchor(decode(c)[0])
-                              for c in K1.elements})
-    apairs = fibre_product(g.s, a_anchor)
-    atab = {}
-    for e, (gel, c) in apairs.pairing.items():
+    def krule(xe, c):
         x1, x2 = decode(c)
-        atab[e] = cls(x.lact(gel, x1), x2)
-    act = Action(g, K1, a_anchor, Mor(apairs.apex, K1, atab), "left",
-                 apairs)
-    actor = Actor(g, K, act)
+        return x.ract(x1, bundle.solve(x2, xe))
+
+    actor = Actor(g, K, descended_left(x, XX, coeq))
     assert passed(validate_actor(actor))
 
-    lpairs = fibre_product(K.s, p)
-    ltab = {}
-    for e, (c, xe) in lpairs.pairing.items():
-        x1, x2 = decode(c)
-        hel = bundle.solve(x2, xe)
-        ltab[e] = x.ract(x1, hel)
-    leftK = Action(K, x.X, p, Mor(lpairs.apex, x.X, ltab), "left", lpairs)
+    leftK = build_action(K, x.X, p, "left", krule)
     equiv = Bibundle(K, h, leftK, x.right)
     assert passed(validate_bibundle(equiv))
     assert classify(equiv)["is_equivalence"]
@@ -529,8 +495,7 @@ def imprimitivity(x):
     res_r = is_basic(x.right)
     if not res_r["flag"]:
         raise NotBasic("right")
-    right_left = to_right(x.left)
-    res_l = is_basic(right_left)
+    res_l = is_basic(x.left)
     if not res_l["flag"]:
         raise NotBasic("left")
     ql = res_r["orbits"].proj          # X -> X/H
@@ -539,34 +504,19 @@ def imprimitivity(x):
 
     l_anchor = descend(XH, g.G0,
                        ((ql(xe), x.r_anchor(xe)) for xe in x.X.elements))
-    lpairs = fibre_product(g.s, l_anchor)
-    ltab = {e: ql(x.lact(gel, c)) for e, (gel, c) in lpairs.pairing.items()}
-    act_l = Action(g, XH, l_anchor, Mor(lpairs.apex, XH, ltab), "left",
-                   lpairs)
-    A = left_transformation_groupoid(act_l)
+    A = transformation_groupoid(x.left.on(
+        XH, l_anchor, lambda c, gel: ql(x.lact(gel, c))))
 
     r_anchor = descend(GX, h.G0,
                        ((qr(xe), x.s_anchor(xe)) for xe in x.X.elements))
-    rpairs = fibre_product(r_anchor, h.r)
-    rtab = {e: qr(x.ract(c, hel)) for e, (c, hel) in rpairs.pairing.items()}
-    act_r = Action(h, GX, r_anchor, Mor(rpairs.apex, GX, rtab), "right",
-                   rpairs)
-    B = transformation_groupoid(act_r)
+    B = transformation_groupoid(x.right.on(
+        GX, r_anchor, lambda c, hel: qr(x.ract(c, hel))))
 
-    alpairs = fibre_product(A.s, ql)
-    altab = {}
-    for e, (ae, xe) in alpairs.pairing.items():
-        gel, _ = A.parts[ae]
-        altab[e] = x.lact(gel, xe)
-    leftA = Action(A, x.X, ql, Mor(alpairs.apex, x.X, altab), "left",
-                   alpairs)
-    brpairs = fibre_product(qr, B.r)
-    brtab = {}
-    for e, (xe, be) in brpairs.pairing.items():
-        _, hel = B.parts[be]
-        brtab[e] = x.ract(xe, hel)
-    rightB = Action(B, x.X, qr, Mor(brpairs.apex, x.X, brtab), "right",
-                    brpairs)
+    # an arrow of A or B is a cell (orbit, arrow of G or H)
+    leftA = build_action(A, x.X, ql, "left",
+                         lambda xe, ae: x.lact(A.parts[ae][1], xe))
+    rightB = build_action(B, x.X, qr, "right",
+                          lambda xe, be: x.ract(xe, B.parts[be][1]))
     out = Bibundle(A, B, leftA, rightB)
     assert passed(validate_bibundle(out))
     assert classify(out)["is_equivalence"]
@@ -618,32 +568,17 @@ def composite_witness(x, y, w, m):
 
 
 def act_on(x, y):
-    """Push a left H-action through a bibundle actor to a left G-action
-    on the orbit carrier X x_H Y."""
+    """Push an H-action y, read as a left action, through a bibundle actor
+    to a left G-action on the orbit carrier X x_H Y."""
     flags = classify(x)
     if not flags["is_actor"]:
         raise NotAnActor("bibundle is not an actor")
-    g = x.g
-    if y.side == "right":
-        y = to_left(y)
-    assert y.g == x.h
-    FP, diag = balanced_product(x.right, y)
-    res = is_basic(diag)
-    assert res["flag"], "middle action is not basic"
-    coeq = res["orbits"]
-    Z = coeq.quotient
-    l_anchor = Mor(Z, g.G0, {c: x.r_anchor(FP.pairing[c][0])
-                             for c in Z.elements})
-    lpairs = fibre_product(g.s, l_anchor)
-    ltab = {}
-    for e, (gel, c) in lpairs.pairing.items():
-        xe, ye = FP.pairing[c]
-        ltab[e] = coeq.proj(FP.index[(x.lact(gel, xe), ye)])
-    out = Action(g, Z, l_anchor, Mor(lpairs.apex, Z, ltab), "left",
-                 lpairs)
+    if y.g != x.h:
+        raise MiddleMismatch("y is not an action of the actor's target")
+    FP, res, out = quotient_by_middle(x, y)
     assert passed(validate_action(out))
     out.middle = FP
-    out.middle_proj = coeq.proj
+    out.middle_proj = res["orbits"].proj
     return out
 
 

@@ -1,15 +1,15 @@
 """Principal bundles and orbit spaces.
 
-A right action is principal over a projection p when p is an invariant
-cover and the shear map (pr1, mult) onto the fibre product of p with
-itself is invertible; "basic" means principal over the quotient by the
-action.
+An action, of either side, is principal over a projection p when p is
+an invariant cover and the shear map (x, g) -> (x, x·g), or (x, g·x),
+onto the fibre product of p with itself is invertible; "basic" means
+principal over the quotient by the action.
 """
 
 from .site_core import (Finding, Mor, SiteError, coequalizer, compose,
                         descend, fibre_product, inverse, is_cover, is_iso,
                         passed)
-from .action import Action, is_invariant, transformation_groupoid
+from .action import is_invariant, transformation_groupoid
 
 
 class NotPrincipal(SiteError):
@@ -18,22 +18,19 @@ class NotPrincipal(SiteError):
 
 def orbit_space(a):
     """Coequalizer of the two maps out of the action fibre product."""
-    if a.side == "right":
-        return coequalizer(a.pairs.pr1, a.mult)
-    return coequalizer(a.pairs.pr2, a.mult)
+    return coequalizer(a.point, a.mult)
 
 
 def bundle_shear(a, proj):
-    """(x, g) -> (x, x·g) into the fibre product of proj with itself."""
-    assert a.side == "right"
+    """(x, g) -> (x, x·g), or (x, g·x), into the fibre product of proj
+    with itself."""
     PP = fibre_product(proj, proj)
-    tbl = {e: PP.index[(x, a.mult(e))]
-           for e, (x, gel) in a.pairs.pairing.items()}
+    tbl = {e: PP.index[(x, a.mult(e))] for e, x, gel in a.cells()}
     return Mor(a.pairs.apex, PP.apex, tbl), PP
 
 
 def check_principal(a, proj):
-    """Findings for principality of a right action over proj."""
+    """Findings for principality of an action over proj."""
     out = []
     assert proj.dom == a.X
     out.append(Finding("projection-cover", is_cover(proj), None))
@@ -48,7 +45,6 @@ def check_principal(a, proj):
 
 class PrincipalBundle:
     def __init__(self, action, proj):
-        assert action.side == "right"
         report = check_principal(action, proj)
         if not passed(report):
             raise NotPrincipal([f.check for f in report if not f.ok])
@@ -59,9 +55,10 @@ class PrincipalBundle:
         self.shear_inverse = inverse(self.shear)
 
     def solve(self, x1, x2):
-        """The unique arrow g with x1·g = x2 (requires equal fibres)."""
+        """The unique arrow g with x1·g = x2, or g·x1 = x2 (requires
+        equal fibres)."""
         e = self.shear_inverse(self.PP.index[(x1, x2)])
-        return self.action.pairs.pairing[e][1]
+        return self.action.cell(e)[1]
 
     def __repr__(self):
         return "PrincipalBundle(|X|=%d, |Z|=%d)" % (len(self.X), len(self.Z))
@@ -69,15 +66,13 @@ class PrincipalBundle:
 
 def is_basic(a):
     """Principal over the orbit space, with backend cross-checks."""
-    assert a.side == "right"
     coeq = orbit_space(a)
     report = check_principal(a, coeq.proj)
     flag = passed(report)
     bundle = PrincipalBundle(a, coeq.proj) if flag else None
     g = a.g
     free = all(gel == g.u(g.r(gel))
-               for e, (x, gel) in a.pairs.pairing.items()
-               if a.mult(e) == x)
+               for e, x, gel in a.cells() if a.mult(e) == x)
     cross = []
     if a.X.backend == "finset":
         cross.append(Finding("basic-iff-free", flag == free, None))
@@ -97,15 +92,13 @@ def is_basic(a):
 def pullback_bundle(b, f):
     """Pull a principal bundle back along f: Z' -> Z."""
     assert f.cod == b.Z
-    g = b.g
     FP = fibre_product(f, b.proj)
-    anchor = compose(b.action.anchor, FP.pr2)
-    pairs = fibre_product(anchor, g.r)
-    tbl = {e: FP.index[(FP.pairing[w][0],
-                        b.action.act(FP.pairing[w][1], gel))]
-           for e, (w, gel) in pairs.pairing.items()}
-    act = Action(g, FP.apex, anchor, Mor(pairs.apex, FP.apex, tbl),
-                 "right", pairs)
+
+    def rule(w, gel):
+        z, x = FP.pairing[w]
+        return FP.index[(z, b.action.apply(x, gel))]
+
+    act = b.action.on(FP.apex, compose(b.action.anchor, FP.pr2), rule)
     out = PrincipalBundle(act, FP.pr1)
     out.to_total = FP.pr2
     return out
@@ -121,7 +114,7 @@ def induced_base_map(f, b1, b2):
 def basic_witness_functor(a):
     """For a basic action, the identity-on-objects isomorphism from the
     transformation groupoid to the kernel-pair groupoid of the quotient
-    map, sending (x, g) to (x, x·g)."""
+    map, sending each arrow to the pair of its range and source."""
     from .groupoid import cech_groupoid
     from .morphism import Functor, validate_functor
     res = is_basic(a)
@@ -130,8 +123,7 @@ def basic_witness_functor(a):
     t = transformation_groupoid(a)
     c = cech_groupoid(b.proj)
     F1 = Mor(t.G1, c.G1,
-             {e: c.kernel.index[(x, a.mult(e))]
-              for e, (x, gel) in t.parts.items()})
+             {e: c.kernel.index[(t.r(e), t.s(e))] for e in t.arrows()})
     F = Functor(t, c, Mor.identity(a.X), F1)
     assert passed(validate_functor(F))
     assert is_iso(F1)

@@ -23,12 +23,12 @@ import os
 import re
 import sys
 
-from .site_core import (Mor, SiteError, axiom_harness, fibre_product,
-                        is_cover, pair_id, passed)
+from .site_core import Mor, SiteError, axiom_harness, is_cover, passed
 from .backends import all_objects, make_finset, make_finspace
 from .groupoid import (cech_groupoid, cyclic_groupoid, pair_groupoid,
                        unit_groupoid, validate_groupoid)
-from .action import Action, validate_action, validate_bibundle, unit_bibundle
+from .action import (Action, action_pairs, unit_bibundle, validate_action,
+                     validate_bibundle)
 from .bundle import orbit_space
 from .bibundle import (cech_equivalence, classify, compose_bibundles,
                        decompose_actor, dual, bibundle_to_anafunctor)
@@ -295,10 +295,7 @@ def build_model(model):
                     raise TypeMismatch(
                         "anchor of %s does not land in the objects of %s"
                         % (d.name, p[2]))
-            if side == "right":
-                pairs = fibre_product(anchor, g.r)
-            else:
-                pairs = fibre_product(g.s, anchor)
+            pairs = action_pairs(g, anchor, side)
             table = dict(p[4])
             missing = set(pairs.apex.elements) - set(table)
             if missing:

@@ -10,7 +10,7 @@ here.
 from .site_core import (Mor, SiteError, all_maps, compose, descend,
                         fibre_product, first_failure, identity, is_cover,
                         is_iso, pair_id, passed, witness_finding)
-from .groupoid import Groupoid, pullback_groupoid
+from .groupoid import pullback_groupoid
 
 
 class NotComposable(SiteError):

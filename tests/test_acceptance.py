@@ -21,7 +21,7 @@ from groupoidal.groupoid import (cech_groupoid, cyclic_groupoid,
 from groupoidal.morphism import (Functor, enumerate_functors,
                                  compose_functors, identity_functor,
                                  is_ana_equivalence)
-from groupoidal.action import (Action, Bibundle, enumerate_actions,
+from groupoidal.action import (Bibundle, build_action, enumerate_actions,
                                left_mult_actor, unit_bibundle,
                                validate_bibundle)
 from groupoidal.bundle import cech_action_reconstruction, is_basic
@@ -294,16 +294,8 @@ def test_criterion_9_imprimitivity():
     def add(x, gel):
         return str((int(x) + 2 * int(gel)) % 4)
 
-    lp = fibre_product(h2.s, anchor)
-    left = Action(h2, X, anchor,
-                  Mor(lp.apex, X, {e: add(x, gel)
-                                   for e, (gel, x) in lp.pairing.items()}),
-                  "left", lp)
-    rp = fibre_product(anchor, h2.r)
-    right = Action(h2, X, anchor,
-                   Mor(rp.apex, X, {e: add(x, gel)
-                                    for e, (x, gel) in rp.pairing.items()}),
-                   "right", rp)
+    left = build_action(h2, X, anchor, "left", add)
+    right = build_action(h2, X, anchor, "right", add)
     b = Bibundle(h2, h2, left, right)
     assert passed(validate_bibundle(b))
     out = imprimitivity(b)

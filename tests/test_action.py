@@ -1,19 +1,22 @@
 import pytest
 
-from groupoidal.site_core import (Mor, compose, fibre_product, identity,
-                                  pair_id, passed, terminal, to_terminal)
+from groupoidal.site_core import (Mor, all_maps, compose, fibre_product,
+                                  identity, pair_id, passed, terminal,
+                                  to_terminal)
 from groupoidal.backends import make_finset
 from groupoidal.groupoid import (cyclic_groupoid, pair_groupoid,
                                  unit_groupoid, validate_groupoid)
+from groupoidal.bundle import is_basic
 from groupoidal.action import (Action, Actor, Bibundle, GMap, NotAnActor,
                                action_fibre_product, actor_apply,
                                actor_horizontal, actor_to_pair,
-                               actor_two_arrow, canonical_action,
+                               actor_two_arrow, build_action,
+                               canonical_action,
                                compose_actors, enumerate_actions,
                                hmap_from_section, identity_actor,
                                is_invariant, is_sheaf,
-                               left_mult_actor, left_transformation_groupoid,
-                               section_from_hmap, to_left, to_right,
+                               left_mult_actor, opposite,
+                               section_from_hmap,
                                transformation_groupoid, two_sided_transformation_groupoid,
                                unit_bibundle, validate_action, validate_actor,
                                validate_bibundle, validate_gmap)
@@ -46,9 +49,9 @@ def test_canonical_action(CECH2):
 
 
 def test_left_right_conversion_roundtrip(SWAP):
-    l = to_left(SWAP)
+    l = opposite(SWAP)
     assert passed(validate_action(l))
-    back = to_right(l)
+    back = opposite(l)
     assert back.mult == SWAP.mult
     assert l.act("1", "a") == "b"
 
@@ -63,12 +66,12 @@ def test_transformation_groupoid_of_swap(SWAP):
 
 
 def test_left_transformation_groupoid(SWAP):
-    l = to_left(SWAP)
-    t = left_transformation_groupoid(l)
+    l = opposite(SWAP)
+    t = transformation_groupoid(l)
     assert passed(validate_groupoid(t))
     assert len(t.G1) == 4
     # range is the multiplication, source the carrier coordinate
-    for e, (gel, x) in t.parts.items():
+    for e, (x, gel) in t.parts.items():
         assert t.s(e) == x
         assert t.r(e) == l.act(gel, x)
 
@@ -179,7 +182,14 @@ def test_actor_horizontal_interchange(Z4):
     assert horiz.table == vert
 
 
-def test_enumerate_actions_counts(Z2, S2):
+SMALL_GROUPOIDS = ("Z2", "Z3", "Z4", "CECH2", "CECH3")
+
+
+def small_carriers():
+    return [make_finset(["p%d" % i for i in range(k)]) for k in (1, 2, 3, 4)]
+
+
+def test_enumerate_actions_counts(Z2, S2, request):
     anchor = Mor(S2, Z2.G0, {"a": "*", "b": "*"})
     acts = list(enumerate_actions(Z2, S2, anchor))
     # trivial and the exchange action
@@ -188,6 +198,67 @@ def test_enumerate_actions_counts(Z2, S2):
     assert len(tables) == 2
     lacts = list(enumerate_actions(Z2, S2, anchor, side="left"))
     assert len(lacts) == 2
+    # every action has an opposite, so both sides count the same
+    for name in SMALL_GROUPOIDS:
+        g = request.getfixturevalue(name)
+        for X in small_carriers():
+            for a in all_maps(X, g.G0):
+                assert (len(list(enumerate_actions(g, X, a, "right"))) ==
+                        len(list(enumerate_actions(g, X, a, "left"))))
+
+
+@pytest.mark.parametrize("name", SMALL_GROUPOIDS)
+def test_opposite_agrees_with_action(name, request):
+    """An action and its opposite give the same verdicts, orbit space
+    and transformation groupoid size: the consumers are side-blind."""
+    g = request.getfixturevalue(name)
+    checked = 0
+    for X in small_carriers():
+        for anchor in all_maps(X, g.G0):
+            for side in ("right", "left"):
+                for a in enumerate_actions(g, X, anchor, side):
+                    o = opposite(a)
+                    assert o.side != a.side
+                    assert opposite(o).mult == a.mult
+                    assert passed(validate_action(o)) == \
+                        passed(validate_action(a))
+                    ba, bo = is_basic(a), is_basic(o)
+                    assert ba["flag"] == bo["flag"]
+                    assert len(ba["orbits"].quotient) == \
+                        len(bo["orbits"].quotient)
+                    ta = transformation_groupoid(a)
+                    to = transformation_groupoid(o)
+                    assert passed(validate_groupoid(ta))
+                    assert passed(validate_groupoid(to))
+                    assert len(ta.G1) == len(to.G1)
+                    checked += 1
+    assert checked >= 10
+
+
+def test_associativity_witness_keeps_the_side():
+    """1 and 2 both act as one step of a 3-cycle: unital but not
+    associative.  A left action reports (g1, g2, x) with
+    g1·(g2·x) != (g1 g2)·x, a right one (x, g1, g2)."""
+    Z3 = cyclic_groupoid(3)
+    X = make_finset(["p", "q", "r"])
+    anchor = Mor(X, Z3.G0, {x: "*" for x in X.elements})
+    step = {"p": "q", "q": "r", "r": "p"}
+
+    def rule(x, gel):
+        return x if gel == "0" else step[x]
+
+    for side, witness in (("left", ("1", "1", "p")),
+                          ("right", ("p", "1", "1"))):
+        a = build_action(Z3, X, anchor, side, rule)
+        found = {f.check: f for f in validate_action(a)}
+        assert found["unit"].ok
+        assert found["associativity"].witness == witness
+        if side == "left":
+            g1, g2, x = witness
+            assert a.act(g1, a.act(g2, x)) != a.act(Z3.mul(g1, g2), x)
+        else:
+            x, g1, g2 = witness
+            assert a.act(a.act(x, g1), g2) != a.act(x, Z3.mul(g1, g2))
 
 
 def test_enumerate_actions_z3_on_three():

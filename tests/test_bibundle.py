@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import groupoidal
 from groupoidal import action, morphism
 from groupoidal.site_core import (Mor, compose, fibre_product, identity,
                                   is_cover, is_iso, pair_id, passed,
@@ -7,8 +12,8 @@ from groupoidal.site_core import (Mor, compose, fibre_product, identity,
 from groupoidal.backends import make_finset
 from groupoidal.groupoid import (cech_groupoid, cyclic_groupoid,
                                  pair_groupoid, unit_groupoid)
-from groupoidal.action import (Action, Bibundle, canonical_action, to_left,
-                               unit_bibundle, validate_bibundle)
+from groupoidal.action import (Bibundle, build_action, canonical_action,
+                               opposite, unit_bibundle, validate_bibundle)
 from groupoidal.morphism import (Functor, anafunctor_from_functor,
                                  exists_ananat, identity_anafunctor,
                                  validate_ananat)
@@ -53,16 +58,8 @@ def subgroup_bibundle():
     def add(x, gel):
         return str((int(x) + 2 * int(gel)) % 4)
 
-    lp = fibre_product(h2.s, anchor)
-    left = Action(h2, X, anchor,
-                  Mor(lp.apex, X, {e: add(x, gel)
-                                   for e, (gel, x) in lp.pairing.items()}),
-                  "left", lp)
-    rp = fibre_product(anchor, h2.r)
-    right = Action(h2, X, anchor,
-                   Mor(rp.apex, X, {e: add(x, gel)
-                                    for e, (x, gel) in rp.pairing.items()}),
-                   "right", rp)
+    left = build_action(h2, X, anchor, "left", add)
+    right = build_action(h2, X, anchor, "right", add)
     b = Bibundle(h2, h2, left, right)
     assert passed(validate_bibundle(b))
     return b
@@ -102,7 +99,7 @@ def test_generalized_functor_pullback(Z2, CECH2):
     """Pulling a left carrier back along a functor gives a left action on
     the fibre product."""
     F = object_inclusion_functor(CECH2)
-    Y = to_left(canonical_action(CECH2))
+    Y = opposite(canonical_action(CECH2))
     pulled = functor_to_bibundle(F, Y=Y)
     assert pulled.side == "left"
     assert len(pulled.X) == 1
@@ -162,14 +159,8 @@ def test_compose_requires_basic_middle(Z2):
     """A non-free middle action cannot be quotiented away."""
     X = make_finset(["p"])
     anchor = Mor(X, Z2.G0, {"p": "*"})
-    lp = fibre_product(Z2.s, anchor)
-    left = Action(Z2, X, anchor,
-                  Mor(lp.apex, X, {e: "p" for e in lp.apex.elements}),
-                  "left", lp)
-    rp = fibre_product(anchor, Z2.r)
-    right = Action(Z2, X, anchor,
-                   Mor(rp.apex, X, {e: "p" for e in rp.apex.elements}),
-                   "right", rp)
+    left = build_action(Z2, X, anchor, "left", lambda x, gel: "p")
+    right = build_action(Z2, X, anchor, "right", lambda x, gel: "p")
     triv = Bibundle(Z2, Z2, left, right)
     assert passed(validate_bibundle(triv))
     # middle acts trivially on the point-to-point pair: not free
@@ -237,14 +228,8 @@ def test_decompose_actor_rejects(Z2):
     # Z/2 acting trivially on a point: the right action is not basic
     X = make_finset(["p"])
     anchor = Mor(X, Z2.G0, {"p": "*"})
-    lp = fibre_product(Z2.s, anchor)
-    left = Action(Z2, X, anchor,
-                  Mor(lp.apex, X, {e: "p" for e in lp.apex.elements}),
-                  "left", lp)
-    rp = fibre_product(anchor, Z2.r)
-    right = Action(Z2, X, anchor,
-                   Mor(rp.apex, X, {e: "p" for e in rp.apex.elements}),
-                   "right", rp)
+    left = build_action(Z2, X, anchor, "left", lambda x, gel: "p")
+    right = build_action(Z2, X, anchor, "right", lambda x, gel: "p")
     with pytest.raises(NotAnActor):
         decompose_actor(Bibundle(Z2, Z2, left, right))
     with pytest.raises(action.NotAnActor):
@@ -262,14 +247,8 @@ def test_imprimitivity_subgroup():
 def test_imprimitivity_rejects_non_basic(Z2):
     X = make_finset(["p"])
     anchor = Mor(X, Z2.G0, {"p": "*"})
-    lp = fibre_product(Z2.s, anchor)
-    left = Action(Z2, X, anchor,
-                  Mor(lp.apex, X, {e: "p" for e in lp.apex.elements}),
-                  "left", lp)
-    rp = fibre_product(anchor, Z2.r)
-    right = Action(Z2, X, anchor,
-                   Mor(rp.apex, X, {e: "p" for e in rp.apex.elements}),
-                   "right", rp)
+    left = build_action(Z2, X, anchor, "left", lambda x, gel: "p")
+    right = build_action(Z2, X, anchor, "right", lambda x, gel: "p")
     with pytest.raises(NotBasic):
         imprimitivity(Bibundle(Z2, Z2, left, right))
 
@@ -286,12 +265,55 @@ def test_composite_witness(Z2):
 
 def test_act_on(Z2):
     u = unit_bibundle(Z2)
-    y = to_left(canonical_action(Z2))
+    y = opposite(canonical_action(Z2))
     out = act_on(u, y)
     # acting through the identity actor on the one-point base
     assert len(out.X) == 1
     assert passed((__import__("groupoidal.action", fromlist=["validate_action"])
                    .validate_action)(out))
+
+
+def test_right_actions_are_read_as_left(Z2, CECH2):
+    """A right action passed where a left one is wanted acts through its
+    opposite."""
+    u, y = unit_bibundle(Z2), canonical_action(Z2)
+    assert act_on(u, y).mult == act_on(u, opposite(y)).mult
+    F, Y = object_inclusion_functor(CECH2), canonical_action(CECH2)
+    assert functor_to_bibundle(F, Y=Y).mult == \
+        functor_to_bibundle(F, Y=opposite(Y)).mult
+
+
+ACT_ON_NON_BASIC_CASE = """
+from groupoidal import morphism
+from groupoidal.action import build_action, unit_bibundle
+from groupoidal.backends import make_finset
+from groupoidal.bibundle import act_on
+from groupoidal.groupoid import cyclic_groupoid
+from groupoidal.site_core import Mor
+
+z2 = cyclic_groupoid(2)
+Y = make_finset(["p", "q"])
+anchor = Mor(Y, z2.G0, {"p": "*", "q": "*"})
+# every arrow sends every point to p: not an action, and the diagonal
+# action on Z/2 x Y is not free
+y = build_action(z2, Y, anchor, "left", lambda y, gel: "p")
+try:
+    act_on(unit_bibundle(z2), y)
+except morphism.NotComposable:
+    print("NotComposable")
+"""
+
+
+def test_act_on_rejects_non_basic_middle_under_O():
+    """The middle-not-basic check of act_on must not rest on assert."""
+    src = os.path.dirname(os.path.dirname(groupoidal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for flags in ([], ["-O"]):
+        res = subprocess.run([sys.executable, *flags, "-c",
+                              ACT_ON_NON_BASIC_CASE], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "NotComposable"
 
 
 def test_bibundle_isomorphic_negative(Z2):
