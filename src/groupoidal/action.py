@@ -11,7 +11,7 @@ acts as g1 and then g2.  ``opposite`` turns an action into one on the
 other side through inversion.
 """
 
-from .site_core import (Mor, SiteError, compose, fibre_product,
+from .site_core import (Mor, SiteError, backtrack, compose, fibre_product,
                         first_failure, inverse, is_cover, is_iso,
                         is_surjective, pair_id, passed, valid_mor_table,
                         witness_finding)
@@ -41,16 +41,21 @@ def action_pairs(g, anchor, side):
     return fibre_product(*order(anchor, matched))
 
 
-def _steps(g, order):
+def _steps(g, side):
     """For each arrow p, the arrows q that can act after it, each with
-    the arrow that acts as p then q."""
-    matched, lands = order(g.r, g.s)
-    by_matched = {}
-    for q in g.arrows():
-        by_matched.setdefault(matched(q), []).append(q)
-    return {p: [(q, g.mul(*order(p, q)))
-                for q in by_matched.get(lands(p), ())]
-            for p in g.arrows()}
+    the arrow that acts as p then q.  Built once per groupoid and side,
+    and kept on the groupoid."""
+    memo = vars(g).setdefault("_action_steps", {})
+    if side not in memo:
+        order = _SIDES[side][0]
+        matched, lands = order(g.r, g.s)
+        by_matched = {}
+        for q in g.arrows():
+            by_matched.setdefault(matched(q), []).append(q)
+        memo[side] = {p: [(q, g.mul(*order(p, q)))
+                          for q in by_matched.get(lands(p), ())]
+                      for p in g.arrows()}
+    return memo[side]
 
 
 class Action:
@@ -125,7 +130,7 @@ def validate_action(a):
     multiplication being epi, being a cover, or the shear map being
     invertible with the inversion formula as inverse."""
     g = a.g
-    steps = _steps(g, a.order)
+    steps = _steps(g, a.side)
     anchor_w = first_failure(
         (e, a.anchor(a.mult(e)) == a.lands(gel)) for e, x, gel in a.cells())
     assoc_w = first_failure(
@@ -505,60 +510,45 @@ def actor_horizontal(psi, phi, b2):
     return Mor(k.G0, k.G1, tbl)
 
 
-
-
 def enumerate_actions(g, X, anchor, side="right"):
-    """All actions of g on X with the given anchor, by backtracking over
-    the multiplication table."""
+    """All actions of g on X with the given anchor: a backtracking search
+    over the multiplication table in which sending a cell (x, p) to y
+    forces the cells (y, q) and (x, p then q) to agree."""
     order, key, cells = _SIDES[side]
+    matched, lands = order(g.r, g.s)
+    over = {}
+    for y in X.elements:
+        over.setdefault(anchor(y), []).append(y)
+    # the cell (x, p) needs a point over the end where x·p lands
+    if any(lands(p) not in over for p in g.arrows() if matched(p) in over):
+        return
     pairs = action_pairs(g, anchor, side)
-    lands = order(g.r, g.s)[1]
-    steps = _steps(g, order)
+    steps = _steps(g, side)
     cell = list(cells(pairs.pairing))
-    cand = {}
+    cand = {e: over[lands(p)] for e, x, p in cell}
+    # the unit cell of x sends x to x; assigned first, they force most
+    units = {key(x, g.u(anchor(x))): x for x in X.elements}
+    cand.update((e, [x]) for e, x in units.items())
+    # the cells that must agree once e is sent to y, and for each cell
+    # the (e, y, other cell) links it is part of
+    links, watch = {}, {e: [] for e in cand}
     for e, x, p in cell:
-        cand[e] = [y for y in X.elements if anchor(y) == lands(p)]
-        if not cand[e]:
-            return
-    assign = {}
-    for x in X.elements:
-        e = key(x, g.u(anchor(x)))
-        if x not in cand[e]:
-            return
-        assign[e] = x
-    free = [e for e, x, p in cell if e not in assign]
-    # associativity: once the cell (x, p) is sent to y, the cells (y, q)
-    # and (x, p then q) must agree
-    links = {(e, y): [(key(y, q), key(x, pq)) for q, pq in steps[p]]
-             for e, x, p in cell for y in cand[e]}
+        for y in cand[e]:
+            links[e, y] = [(key(y, q), key(x, pq)) for q, pq in steps[p]]
+            for e2, e3 in links[e, y]:
+                watch[e2].append((e, y, e3))
+                watch[e3].append((e, y, e2))
 
-    def consistent():
-        # associativity closure on what is assigned so far
-        get = assign.get
-        for ey in assign.items():
-            for e2, e3 in links[ey]:
-                v2 = get(e2)
-                if v2 is not None:
-                    v3 = get(e3)
-                    if v3 is not None and v2 != v3:
-                        return False
-        return True
+    def implied(e, y, assign):
+        out = [(e3, assign[e2]) if e2 in assign else (e2, assign[e3])
+               for e2, e3 in links[e, y] if e2 in assign or e3 in assign]
+        out += [(other, y) for e1, y1, other in watch[e]
+                if assign.get(e1) == y1]
+        return out
 
-    def dfs(idx):
-        if idx == len(free):
-            if not valid_mor_table(pairs.apex, X, assign):
-                return
-            a = Action(g, X, anchor, Mor(pairs.apex, X, dict(assign)),
-                       side, pairs)
+    free = [e for e in cand if e not in units]
+    for assign in backtrack(list(units) + free, cand, implied):
+        if valid_mor_table(pairs.apex, X, assign):
+            a = Action(g, X, anchor, Mor(pairs.apex, X, assign), side, pairs)
             if passed(validate_action(a)):
                 yield a
-            return
-        e = free[idx]
-        for y in cand[e]:
-            assign[e] = y
-            if consistent():
-                yield from dfs(idx + 1)
-            del assign[e]
-
-    if consistent():
-        yield from dfs(0)

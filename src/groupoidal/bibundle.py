@@ -12,8 +12,9 @@ map that is constant on orbits into a map out of the orbit space.
 """
 
 from .site_core import (BoundaryMismatch, Mor, NotWellDefined, SiteError,
-                        compose, descend, fibre_product, first_failure,
-                        is_cover, is_iso, passed, witness_finding)
+                        backtrack, compose, descend, fibre_product,
+                        first_failure, is_cover, is_iso, passed,
+                        witness_finding)
 from .action import (Bibundle, NotAnActor, build_action, is_invariant,
                      on_side, opposite, transformation_groupoid,
                      translations, two_sided_transformation_groupoid,
@@ -584,7 +585,7 @@ def act_on(x, y):
 
 def bibundle_isomorphic(b1, b2):
     """An isomorphism of bibundles between the same pair of groupoids,
-    or None."""
+    or None.  Sending x to y sends g·x to g·y and x·h to y·h."""
     if b1.g != b2.g or b1.h != b2.h or len(b1.X) != len(b2.X):
         return None
     xs = list(b1.X.elements)
@@ -595,38 +596,22 @@ def bibundle_isomorphic(b1, b2):
                     and b1.s_anchor(xe) == b2.s_anchor(ye)]
         if not cand[xe]:
             return None
-    assign = {}
+    lmoves, rmoves = {xe: [] for xe in xs}, {xe: [] for xe in xs}
+    for gel, xe in b1.left.pairs.pairing.values():
+        lmoves[xe].append((gel, b1.lact(gel, xe)))
+    for xe, hel in b1.right.pairs.pairing.values():
+        rmoves[xe].append((hel, b1.ract(xe, hel)))
 
-    def ok_so_far():
-        for e, (gel, xe) in b1.left.pairs.pairing.items():
-            tgt = b1.lact(gel, xe)
-            if xe in assign and tgt in assign:
-                if b2.lact(gel, assign[xe]) != assign[tgt]:
-                    return False
-        for e, (xe, hel) in b1.right.pairs.pairing.items():
-            tgt = b1.ract(xe, hel)
-            if xe in assign and tgt in assign:
-                if b2.ract(assign[xe], hel) != assign[tgt]:
-                    return False
-        return True
+    def implied(xe, ye, assign):
+        if any(y == ye and x != xe for x, y in assign.items()):
+            return None
+        return ([(tgt, b2.lact(gel, ye)) for gel, tgt in lmoves[xe]]
+                + [(tgt, b2.ract(ye, hel)) for hel, tgt in rmoves[xe]])
 
-    def dfs(i, used):
-        if i == len(xs):
-            f = Mor(b1.X, b2.X, dict(assign))
-            if is_iso(f) and passed(validate_bibundle_map(b1, b2, f)):
-                yield f
-            return
-        xe = xs[i]
-        for ye in cand[xe]:
-            if ye in used:
-                continue
-            assign[xe] = ye
-            if ok_so_far():
-                yield from dfs(i + 1, used | {ye})
-            del assign[xe]
-
-    for f in dfs(0, frozenset()):
-        return f
+    for assign in backtrack(xs, cand, implied):
+        f = Mor(b1.X, b2.X, assign)
+        if is_iso(f) and passed(validate_bibundle_map(b1, b2, f)):
+            return f
     return None
 
 
@@ -639,11 +624,17 @@ def enumerate_bibundles(g, h, max_size=4):
     assert g.backend == "finset" and h.backend == "finset"
     for n in range(max_size + 1):
         X = make_finset(["y%d" % i for i in range(n)])
+        s_anchors = list(all_maps(X, h.G0))
+        # the right actions over each s-anchor, enumerated on first use
+        rights = [None] * len(s_anchors)
         for r_anchor in all_maps(X, g.G0):
-            for s_anchor in all_maps(X, h.G0):
-                for left in enumerate_actions(g, X, r_anchor, "left"):
-                    for right in enumerate_actions(h, X, s_anchor,
-                                                   "right"):
+            lefts = list(enumerate_actions(g, X, r_anchor, "left"))
+            for j, s_anchor in enumerate(s_anchors):
+                if lefts and rights[j] is None:
+                    rights[j] = list(enumerate_actions(h, X, s_anchor,
+                                                       "right"))
+                for left in lefts:
+                    for right in rights[j]:
                         b = Bibundle(g, h, left, right)
                         if passed(validate_bibundle(b)):
                             yield b

@@ -29,14 +29,15 @@ def bundle_shear(a, proj):
     return Mor(a.pairs.apex, PP.apex, tbl), PP
 
 
-def check_principal(a, proj):
-    """Findings for principality of an action over proj."""
+def check_principal(a, proj, shear=None):
+    """Findings for principality of an action over proj; ``shear`` is
+    bundle_shear(a, proj) when the caller has built it."""
     out = []
     assert proj.dom == a.X
     out.append(Finding("projection-cover", is_cover(proj), None))
     out.append(Finding("projection-invariant", is_invariant(a, proj), None))
     try:
-        sh, PP = bundle_shear(a, proj)
+        sh, PP = shear or bundle_shear(a, proj)
         out.append(Finding("shear-iso", is_iso(sh), None))
     except (KeyError, AssertionError) as exc:
         out.append(Finding("shear-iso", False, str(exc)))
@@ -44,14 +45,18 @@ def check_principal(a, proj):
 
 
 class PrincipalBundle:
-    def __init__(self, action, proj):
-        report = check_principal(action, proj)
-        if not passed(report):
-            raise NotPrincipal([f.check for f in report if not f.ok])
+    def __init__(self, action, proj, shear=None):
+        """``shear`` is bundle_shear(action, proj) for an action the caller
+        has found principal over proj; without it the bundle checks."""
+        if shear is None:
+            report = check_principal(action, proj)
+            if not passed(report):
+                raise NotPrincipal([f.check for f in report if not f.ok])
+            shear = bundle_shear(action, proj)
         self.action, self.proj = action, proj
         self.g = action.g
         self.X, self.Z = action.X, proj.cod
-        self.shear, self.PP = bundle_shear(action, proj)
+        self.shear, self.PP = shear
         self.shear_inverse = inverse(self.shear)
 
     def solve(self, x1, x2):
@@ -67,9 +72,11 @@ class PrincipalBundle:
 def is_basic(a):
     """Principal over the orbit space, with backend cross-checks."""
     coeq = orbit_space(a)
-    report = check_principal(a, coeq.proj)
+    # the orbit map is invariant, so the shear is always defined
+    shear = bundle_shear(a, coeq.proj)
+    report = check_principal(a, coeq.proj, shear)
     flag = passed(report)
-    bundle = PrincipalBundle(a, coeq.proj) if flag else None
+    bundle = PrincipalBundle(a, coeq.proj, shear) if flag else None
     g = a.g
     free = all(gel == g.u(g.r(gel))
                for e, x, gel in a.cells() if a.mult(e) == x)

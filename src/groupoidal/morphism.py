@@ -7,9 +7,9 @@ essentially surjective, with a constructed isomorphism witness) live
 here.
 """
 
-from .site_core import (Mor, SiteError, all_maps, compose, descend,
-                        fibre_product, first_failure, identity, is_cover,
-                        is_iso, pair_id, passed, witness_finding)
+from .site_core import (Mor, SiteError, all_maps, backtrack, compose,
+                        descend, fibre_product, first_failure, identity,
+                        is_cover, is_iso, pair_id, passed, witness_finding)
 from .groupoid import pullback_groupoid
 
 
@@ -419,72 +419,42 @@ def is_ana_equivalence(a):
 
 
 def enumerate_functors(g, h):
-    """All functors g -> h, by backtracking over arrow images."""
+    """All functors g -> h: for each object map, a backtracking search
+    over arrow images in which the images of two composable arrows force
+    the image of their product."""
     arrows = list(g.arrows())
+    # the composable triples (a, b, a·b) that each arrow is part of
+    touching = {c: [] for c in arrows}
+    for e, (a, b) in g.pairs.pairing.items():
+        triple = (a, b, g.m(e))
+        for c in dict.fromkeys(triple):
+            touching[c].append(triple)
+
+    def implied(c, v, assign):
+        return [(ab, h.mul(assign[a], assign[b]))
+                for a, b, ab in touching[c] if a in assign and b in assign]
+
     for F0 in all_maps(g.G0, h.G0):
-        cand = {}
-        feasible = True
-        for aarr in arrows:
-            cs = [b for b in h.arrows()
-                  if h.r(b) == F0(g.r(aarr)) and h.s(b) == F0(g.s(aarr))]
-            if not cs:
-                feasible = False
-                break
-            cand[aarr] = cs
-        if not feasible:
+        cand = {a: [b for b in h.arrows()
+                    if h.r(b) == F0(g.r(a)) and h.s(b) == F0(g.s(a))]
+                for a in arrows}
+        if not all(cand.values()):
             continue
-        assign = {}
         # units are forced
-        forced_ok = True
-        for x in g.objects():
-            ua = g.u(x)
-            ub = h.u(F0(x))
-            if ub not in cand[ua]:
-                forced_ok = False
-                break
-            assign[ua] = ub
-        if not forced_ok:
-            continue
-        free = [aarr for aarr in arrows if aarr not in assign]
-
-        def consistent(aarr, assign):
-            for a2, b2 in assign.items():
-                if g.composable(aarr, a2):
-                    prod = g.mul(aarr, a2)
-                    if prod in assign and \
-                            h.mul(assign[aarr], b2) != assign[prod]:
-                        return False
-                if g.composable(a2, aarr):
-                    prod = g.mul(a2, aarr)
-                    if prod in assign and \
-                            h.mul(b2, assign[aarr]) != assign[prod]:
-                        return False
-            if g.composable(aarr, aarr):
-                prod = g.mul(aarr, aarr)
-                if prod in assign and \
-                        h.mul(assign[aarr], assign[aarr]) != assign[prod]:
-                    return False
-            return True
-
-        def dfs(idx):
-            if idx == len(free):
-                F = Functor(g, h, F0, Mor(g.G1, h.G1, dict(assign)))
-                if passed(validate_functor(F)):
-                    yield F
-                return
-            aarr = free[idx]
-            for b in cand[aarr]:
-                assign[aarr] = b
-                if consistent(aarr, assign):
-                    yield from dfs(idx + 1)
-                del assign[aarr]
-
-        yield from dfs(0)
+        units = {g.u(x): h.u(F0(x)) for x in g.objects()}
+        cand.update((ua, [ub]) for ua, ub in units.items())
+        free = [a for a in arrows if a not in units]
+        for assign in backtrack(list(units) + free, cand, implied):
+            F = Functor(g, h, F0, Mor(g.G1, h.G1, assign))
+            if passed(validate_functor(F)):
+                yield F
 
 
 def exists_ananat(a1, a2):
     """Is there any 2-arrow between these parallel anafunctors?  (Every
-    2-arrow is invertible, so existence is mutual isomorphism.)"""
+    2-arrow is invertible, so existence is mutual isomorphism.)  Each
+    naturality square t(e1)·f1 = f2·t(e2) determines either corner from
+    the other."""
     h = a1.dst
     fp = fibre_product(a1.p, a2.p)
     elems = list(fp.apex.elements)
@@ -497,7 +467,7 @@ def exists_ananat(a1, a2):
             return None
         cand[e] = cs
 
-    constraints = []
+    squares = {e: [] for e in elems}
     for g in a1.src.arrows():
         rg, sg = a1.src.r(g), a1.src.s(g)
         for e1 in elems:
@@ -508,35 +478,16 @@ def exists_ananat(a1, a2):
                 x3, x4 = fp.pairing[e2]
                 if a1.p(x3) != sg:
                     continue
-                constraints.append(
-                    (e1, e2, a1.F1t(x1, g, x3), a2.F1t(x2, g, x4)))
+                f1, f2 = a1.F1t(x1, g, x3), a2.F1t(x2, g, x4)
+                # t(e2) = f2⁻¹·t(e1)·f1 and t(e1) = f2·t(e2)·f1⁻¹
+                squares[e1].append((e2, h.i(f2), f1))
+                squares[e2].append((e1, f2, h.i(f1)))
 
-    by_elem = {}
-    for idx, (e1, e2, f1, f2) in enumerate(constraints):
-        by_elem.setdefault(e1, []).append(idx)
-        by_elem.setdefault(e2, []).append(idx)
-    assign = {}
+    def implied(e, v, assign):
+        return [(other, h.mul(h.mul(left, v), right))
+                for other, left, right in squares[e]]
 
-    def check(idx):
-        e1, e2, f1, f2 = constraints[idx]
-        if e1 in assign and e2 in assign:
-            return h.mul(assign[e1], f1) == h.mul(f2, assign[e2])
-        return True
-
-    def dfs(pos):
-        if pos == len(elems):
-            return dict(assign)
-        e = elems[pos]
-        for v in cand[e]:
-            assign[e] = v
-            if all(check(i) for i in by_elem.get(e, ())):
-                got = dfs(pos + 1)
-                if got is not None:
-                    return got
-            del assign[e]
-        return None
-
-    got = dfs(0)
+    got = next(backtrack(elems, cand, implied), None)
     if got is None:
         return None
     t = AnaNat(a1, a2, Mor(fp.apex, h.G1, got), fp)

@@ -262,10 +262,7 @@ def fibre_product(f, g):
         apex = Obj("fintop", ids, nb)
     pr1 = Mor(apex, f.dom, {e: lr[0] for e, lr in pairing.items()})
     pr2 = Mor(apex, g.dom, {e: lr[1] for e, lr in pairing.items()})
-    fp = FibreProduct(apex, pr1, pr2, pairing)
-    if is_cover(g):
-        assert is_cover(pr1), "pullback of a cover must be a cover"
-    return fp
+    return FibreProduct(apex, pr1, pr2, pairing)
 
 
 def kernel_pair(f):
@@ -460,6 +457,60 @@ def first_failure(cases):
     except KeyError as exc:
         return "undefined composite at %s" % exc
     return None
+
+
+def backtrack(order, cand, implied):
+    """Every assignment of one of ``cand[v]`` to each variable v of
+    ``order`` that ``implied`` lets through, as fresh dicts, in the
+    lexicographic order of ``order`` and ``cand``.
+
+    After each assignment v = y, ``implied(v, y, assign)`` returns the
+    (variable, value) pairs it forces, or None on a conflict.  Forced
+    values are assigned at once and undone on backtrack; a forced value
+    outside the candidates or unlike the one already assigned is a
+    conflict.  When ``implied`` forces only what every wanted assignment
+    satisfies, the core prunes without reordering: it yields the same
+    assignments, in the same order, as plain backtracking whose leaves
+    run the same checks.
+    """
+    allowed = {v: set(cs) for v, cs in cand.items()}
+    assign = {}
+
+    def settle(v, y):
+        # assign v = y and everything it forces; the assigned variables,
+        # or None (with nothing left assigned) on a conflict
+        trail, todo = [], [(v, y)]
+        while todo:
+            v, y = todo.pop()
+            if v in assign:
+                if assign[v] == y:
+                    continue
+            elif y in allowed[v]:
+                assign[v] = y
+                trail.append(v)
+                forced = implied(v, y, assign)
+                if forced is not None:
+                    todo.extend(forced)
+                    continue
+            for w in trail:
+                del assign[w]
+            return None
+        return trail
+
+    def dfs(pos):
+        while pos < len(order) and order[pos] in assign:
+            pos += 1
+        if pos == len(order):
+            yield dict(assign)
+            return
+        for y in cand[order[pos]]:
+            trail = settle(order[pos], y)
+            if trail is not None:
+                yield from dfs(pos + 1)
+                for w in trail:
+                    del assign[w]
+
+    return dfs(0)
 
 
 class _Budget:

@@ -59,7 +59,7 @@ def test_is_basic_cross_checks(SWAP, Z2, S2):
     assert passed(res2["cross"])
 
 
-def test_is_basic_fintop():
+def sheet_swap():
     """Free Z/2-action on the doubled Sierpinski space, exchanging sheets."""
     Z2 = cyclic_groupoid(2, backend="fintop")
     from groupoidal.site_core import Obj
@@ -72,11 +72,41 @@ def test_is_basic_fintop():
     flip = {"0a": "0b", "0b": "0a", "1a": "1b", "1b": "1a"}
     tbl = {e: (x if gel == "0" else flip[x])
            for e, (x, gel) in pairs.pairing.items()}
-    a = Action(Z2, X, anchor, Mor(pairs.apex, X, tbl), "right", pairs)
+    return Action(Z2, X, anchor, Mor(pairs.apex, X, tbl), "right", pairs)
+
+
+def test_is_basic_fintop():
+    a = sheet_swap()
     assert passed(validate_action(a))
     res = is_basic(a)
     assert res["flag"] and passed(res["cross"])
     assert len(res["orbits"].quotient) == 2
+
+
+def counted(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(module, name)
+
+        def wrapper(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_is_basic_builds_the_shear_once(monkeypatch, SWAP):
+    """One principality check and one shear per call on finsets; on
+    fintop a second shear for the cross-check."""
+    import groupoidal.bundle as bundle
+    calls = counted(monkeypatch, bundle, ["check_principal", "bundle_shear"])
+    res = is_basic(SWAP)
+    assert res["flag"] and res["bundle"].solve("a", "b") == "1"
+    assert calls == {"check_principal": 1, "bundle_shear": 1}
+    calls.update(check_principal=0, bundle_shear=0)
+    res = is_basic(sheet_swap())
+    assert res["flag"] and passed(res["cross"])
+    assert calls == {"check_principal": 1, "bundle_shear": 2}
 
 
 def test_canonical_cech_action_is_basic(CECH3):

@@ -2,7 +2,8 @@
 
 An action's side is read only inside ``groupoidal.action``; the twin
 left/right functions that the point-first action view replaced stay
-gone; and no relative import in the package is left unused.
+gone; every backtracking search runs on ``site_core.backtrack``; and no
+relative import in the package is left unused.
 """
 
 import ast
@@ -36,6 +37,24 @@ def test_no_twin_side_functions():
              for node in ast.walk(parse(path))
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and node.name in gone]
+    assert found == []
+
+
+def test_searches_run_on_the_core():
+    """No function but the core defines its own search loop."""
+    loops = {"dfs", "consistent", "ok_so_far", "check"}
+    found = []
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if path.name == "site_core.py" and node.name == "backtrack":
+                continue
+            found += [(path.name, node.name, inner.name)
+                      for inner in ast.walk(node) if inner is not node
+                      and isinstance(inner, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef))
+                      and inner.name in loops]
     assert found == []
 
 

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
+
+import groupoidal
 
 from groupoidal.site_core import (BoundaryMismatch, Mor, NotWellDefined,
                                   Obj, SiteError, all_maps, axiom_harness,
@@ -205,6 +211,57 @@ def test_final_axiom_empty_exception():
     rep = axiom_harness(objs, mors, include_empty_in_28=True)
     bad = [f for f in rep if not f.ok]
     assert [f.check for f in bad] == ["covers-to-final"]
+
+
+BOGUS_COVER_CASE = """
+import groupoidal.site_core as sc
+from groupoidal.backends import all_finsets
+
+# a wrong cover predicate: surjections with at most two domain points
+sc.is_cover = lambda f: sc.is_surjective(f) and len(f.dom.elements) <= 2
+objs = all_finsets(3)[1:]
+mors = [f for a in objs for b in objs for f in sc.all_maps(a, b)]
+found = {f.check: f for f in sc.axiom_harness(objs, mors)}
+print(found["pullback-covers"].ok, found["pullback-covers"].witness)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_harness_reports_pullback_that_is_not_a_cover(flags):
+    """The pullback axiom is checked by the harness alone: a cover
+    predicate that breaks it is a failing finding with its witness, not
+    an error inside fibre_product, with or without -O."""
+    src = os.path.dirname(os.path.dirname(groupoidal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, *flags, "-c", BOGUS_COVER_CASE],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == ("False pr1 of {'x0': 'x0', 'x1': 'x0', "
+                                  "'x2': 'x0'} along cover {'x0': 'x0'}")
+
+
+_SITE_MAPS = {}
+
+
+def site_maps(backend):
+    """The covers and the maps by codomain between the objects of at most
+    three points of a backend."""
+    if backend not in _SITE_MAPS:
+        objs = all_finsets(3) if backend == "finset" else all_finspaces(3)
+        mors = [f for a in objs for b in objs for f in all_maps(a, b)]
+        by_cod = {}
+        for f in mors:
+            by_cod.setdefault(f.cod, []).append(f)
+        _SITE_MAPS[backend] = ([f for f in mors if is_cover(f)], by_cod)
+    return _SITE_MAPS[backend]
+
+
+@given(st.sampled_from(["finset", "fintop"]), st.data())
+def test_pullback_of_cover_is_cover(backend, data):
+    covers, by_cod = site_maps(backend)
+    g = data.draw(st.sampled_from(covers))
+    f = data.draw(st.sampled_from(by_cod[g.cod]))
+    assert is_cover(fibre_product(f, g).pr1)
 
 
 @given(st.integers(1, 4), st.data())
