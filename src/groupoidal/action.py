@@ -11,10 +11,10 @@ acts as g1 and then g2.  ``opposite`` turns an action into one on the
 other side through inversion.
 """
 
-from .site_core import (Mor, SiteError, backtrack, compose, fibre_product,
-                        first_failure, inverse, is_cover, is_iso,
-                        is_surjective, pair_id, passed, valid_mor_table,
-                        witness_finding)
+from .site_core import (Mor, NotAMorphism, SiteError, backtrack, compose,
+                        fibre_product, first_failure, inverse, is_cover,
+                        is_iso, is_surjective, pair_id, passed,
+                        valid_mor_table, witness_finding)
 from .groupoid import Groupoid
 
 
@@ -160,7 +160,7 @@ def validate_action(a):
         try:
             sh, shinv = action_shear(a)
             shear_ok = is_iso(sh) and inverse(sh) == shinv
-        except (AssertionError, KeyError):
+        except (AssertionError, KeyError, NotAMorphism):
             shear_ok = False
         out.append(witness_finding(
             "unit-vs-shear", None if unit_holds == shear_ok else
@@ -391,14 +391,12 @@ def validate_actor(a):
     g, h = a.g, a.h
     out.append(witness_finding("anchor-right-invariant", first_failure(
         ((h1, h2), a.anchor(h.mul(h1, h2)) == a.anchor(h1))
-        for h1 in h.arrows() for h2 in h.arrows()
-        if h.composable(h1, h2))))
+        for h1, h2 in h.pairs.pairing.values())))
     out.append(witness_finding("commutes-with-right-mult", first_failure(
         ((gel, h1, h2),
          a.act(gel, h.mul(h1, h2)) == h.mul(a.act(gel, h1), h2))
-        for gel in g.arrows() for h1 in h.arrows()
-        if a.anchor(h1) == g.s(gel)
-        for h2 in h.arrows() if h.composable(h1, h2))))
+        for gel in g.arrows() for h1, h2 in h.pairs.pairing.values()
+        if a.anchor(h1) == g.s(gel))))
     return out
 
 
@@ -435,8 +433,7 @@ def actor_apply(a, x):
     same carrier."""
     assert x.side == "left" and x.g == a.h
     g, h = a.g, a.h
-    pair = actor_to_pair(a)
-    r0 = pair["base"].anchor
+    r0 = Mor(h.G0, g.G0, {o: a.anchor(h.u(o)) for o in h.objects()})
     out = build_action(g, x.X, compose(r0, x.anchor), "left",
                        lambda y, gel: x.apply(y, a.act(gel, h.u(x.anchor(y)))))
     assert passed(validate_action(out))

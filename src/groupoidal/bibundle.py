@@ -11,10 +11,10 @@ H-action, whose orbit space is X x_H Y, and ``site_core.descend`` turns a
 map that is constant on orbits into a map out of the orbit space.
 """
 
-from .site_core import (BoundaryMismatch, Mor, NotWellDefined, SiteError,
-                        backtrack, compose, descend, fibre_product,
-                        first_failure, is_cover, is_iso, passed,
-                        witness_finding)
+from .site_core import (BoundaryMismatch, Mor, NotAMorphism, NotWellDefined,
+                        SiteError, backtrack, compose, descend,
+                        fibre_product, first_failure, is_cover, is_iso,
+                        passed, witness_finding)
 from .action import (Bibundle, NotAnActor, build_action, is_invariant,
                      on_side, opposite, transformation_groupoid,
                      translations, two_sided_transformation_groupoid,
@@ -648,13 +648,13 @@ def brute_force_quasi_inverse(x, cap=4):
     for q in enumerate_bibundles(h, g, cap):
         try:
             c1 = compose_bibundles(x, q)
-        except (NotComposable, AssertionError):
+        except (NotComposable, NotAMorphism, AssertionError):
             continue
         if bibundle_isomorphic(c1, ug) is None:
             continue
         try:
             c2 = compose_bibundles(q, x)
-        except (NotComposable, AssertionError):
+        except (NotComposable, NotAMorphism, AssertionError):
             continue
         if bibundle_isomorphic(c2, uh) is None:
             continue

@@ -6,9 +6,9 @@ onto the fibre product of p with itself is invertible; "basic" means
 principal over the quotient by the action.
 """
 
-from .site_core import (Finding, Mor, SiteError, coequalizer, compose,
-                        descend, fibre_product, inverse, is_cover, is_iso,
-                        passed)
+from .site_core import (Finding, Mor, NotAMorphism, SiteError, coequalizer,
+                        compose, descend, fibre_product, inverse, is_cover,
+                        is_iso, passed)
 from .action import is_invariant, transformation_groupoid
 
 
@@ -39,7 +39,7 @@ def check_principal(a, proj, shear=None):
     try:
         sh, PP = shear or bundle_shear(a, proj)
         out.append(Finding("shear-iso", is_iso(sh), None))
-    except (KeyError, AssertionError) as exc:
+    except (KeyError, NotAMorphism, AssertionError) as exc:
         out.append(Finding("shear-iso", False, str(exc)))
     return out
 

@@ -22,8 +22,10 @@ import json
 import os
 import re
 import sys
+from functools import partial
 
-from .site_core import Mor, SiteError, axiom_harness, is_cover, passed
+from .site_core import (Mor, NotAMorphism, SiteError, axiom_harness,
+                        is_cover, passed)
 from .backends import all_objects, make_finset, make_finspace
 from .groupoid import (cech_groupoid, cyclic_groupoid, pair_groupoid,
                        unit_groupoid, validate_groupoid)
@@ -51,6 +53,10 @@ class UnknownCommand(SiteError):
 
 
 class TypeMismatch(SiteError):
+    pass
+
+
+class BadEnvironment(SiteError):
     pass
 
 
@@ -245,20 +251,23 @@ def serialize_model(model):
     return "\n".join(out) + "\n"
 
 
+def _lookup(env, kinds, name, *want):
+    """The value declared as ``name``, of one of the kinds ``want``."""
+    if name not in env:
+        raise UnresolvedName(name)
+    if want and kinds[name] not in want:
+        raise TypeMismatch("%s is a %s, expected %s"
+                           % (name, kinds[name], "/".join(want)))
+    return env[name]
+
+
 def build_model(model):
     """Resolve declarations into concrete objects; returns name -> value
     and name -> kind maps."""
     env, kinds = {}, {}
+    get = partial(_lookup, env, kinds)
 
-    def get(name, *want):
-        if name not in env:
-            raise UnresolvedName(name)
-        if want and kinds[name] not in want:
-            raise TypeMismatch("%s is a %s, expected %s"
-                               % (name, kinds[name], "/".join(want)))
-        return env[name]
-
-    for d in model.declarations:
+    def build(d):
         p = d.payload
         if d.kind == "finset":
             val = make_finset(p[1], name=d.name)
@@ -267,13 +276,7 @@ def build_model(model):
         elif d.kind == "map":
             dom = get(p[1], "finset", "finspace")
             cod = get(p[2], "finset", "finspace")
-            table = dict(p[3])
-            missing = set(dom.elements) - set(table)
-            if missing:
-                raise ModelSyntaxError(
-                    "map %s missing image for %s"
-                    % (d.name, sorted(missing)[0]), d.line)
-            val = Mor(dom, cod, table)
+            val = Mor(dom, cod, dict(p[3]))
         elif d.kind == "groupoid":
             ctor, args = p[1], p[2]
             if ctor == "cech":
@@ -296,14 +299,9 @@ def build_model(model):
                         "anchor of %s does not land in the objects of %s"
                         % (d.name, p[2]))
             pairs = action_pairs(g, anchor, side)
-            table = dict(p[4])
-            missing = set(pairs.apex.elements) - set(table)
-            if missing:
-                raise ModelSyntaxError(
-                    "action %s missing entry for %s"
-                    % (d.name, sorted(missing)[0]), d.line)
             val = Action(g, anchor.dom, anchor,
-                         Mor(pairs.apex, anchor.dom, table), side, pairs)
+                         Mor(pairs.apex, anchor.dom, dict(p[4])), side,
+                         pairs)
         elif d.kind == "bibundle":
             ctor, args = p[1], p[2]
             if ctor == "equiv":
@@ -321,7 +319,14 @@ def build_model(model):
         else:
             val = horn_fill_inner2(get(p[2][0], "bibundle"),
                                    get(p[2][1], "bibundle"))
-        env[d.name] = val
+        return val
+
+    for d in model.declarations:
+        try:
+            env[d.name] = build(d)
+        except NotAMorphism as exc:
+            raise ModelSyntaxError("%s %s: %s" % (d.kind, d.name, exc),
+                                   d.line) from None
         kinds[d.name] = d.kind
     return env, kinds
 
@@ -371,23 +376,18 @@ def run_command(command, names, env=None, kinds=None, backend="finset",
     """Dispatch a command to the library; returns a Report dict."""
     env = env or {}
     kinds = kinds or {}
+    get = partial(_lookup, env, kinds)
     if max_size is None:
-        max_size = int(os.environ.get("GROUPOIDAL_MAX", "4"))
+        try:
+            max_size = int(os.environ.get("GROUPOIDAL_MAX", "4"))
+        except ValueError as exc:
+            raise BadEnvironment("GROUPOIDAL_MAX: %s" % exc) from None
     findings = []
-
-    def get(name, *want):
-        if name not in env:
-            raise UnresolvedName(name)
-        if want and kinds[name] not in want:
-            raise TypeMismatch("%s is a %s, expected %s"
-                               % (name, kinds[name], "/".join(want)))
-        return env[name]
 
     if command == "validate":
         for name in names:
-            if name not in env:
-                raise UnresolvedName(name)
-            findings += _validate_one(name, kinds[name], env[name])
+            val = get(name)
+            findings += _validate_one(name, kinds[name], val)
     elif command == "compose":
         x = get(names[0], "bibundle")
         y = get(names[1], "bibundle")

@@ -17,10 +17,6 @@ class NotComposable(SiteError):
     pass
 
 
-class NotASection(SiteError):
-    pass
-
-
 class Functor:
     def __init__(self, src, dst, F0, F1):
         assert F0.dom == src.G0 and F0.cod == dst.G0
@@ -53,8 +49,7 @@ def validate_functor(F):
             (a, h.s(F.F1(a)) == F.F0(g.s(a))) for a in g.arrows())),
         witness_finding("multiplicative", first_failure(
             ((a, b), F.F1(g.mul(a, b)) == h.mul(F.F1(a), F.F1(b)))
-            for a in g.arrows() for b in g.arrows()
-            if g.composable(a, b))),
+            for a, b in g.pairs.pairing.values())),
         witness_finding("unit-preserving", first_failure(
             (x, F.F1(g.u(x)) == h.u(F.F0(x))) for x in g.objects())),
     ]
@@ -326,15 +321,6 @@ def ananat_inverse(t):
     tbl = {e: h.inv(t.at(x1, x2)) for e, (x2, x1) in fp.pairing.items()}
     out = AnaNat(t.to, t.from_, Mor(fp.apex, h.G1, tbl), fp)
     assert passed(validate_ananat(out))
-    return out
-
-
-def descend_nat(psi, p, F1, F2):
-    """A transformation between functors pulled back along p factors
-    uniquely through p; return the downstairs transformation."""
-    out = NatTrans(F1, F2, descend(
-        p.cod, F1.dst.G1, ((p(x), psi.phi(x)) for x in p.dom.elements)))
-    assert passed(validate_nat(out))
     return out
 
 

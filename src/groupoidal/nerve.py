@@ -8,9 +8,9 @@ inner multiplications descend to isomorphisms from composites.
 
 from itertools import combinations_with_replacement, product
 
-from .site_core import (Mor, NotWellDefined, SiteError, descend,
-                        fibre_product, first_failure, is_cover, is_iso,
-                        pair_id, passed, witness_finding)
+from .site_core import (Mor, NotAMorphism, NotWellDefined, SiteError,
+                        descend, fibre_product, first_failure, is_cover,
+                        is_iso, pair_id, passed, witness_finding)
 from .action import Action, Bibundle, validate_bibundle
 from .bibundle import classify, compose_bibundles, validate_bibundle_map
 
@@ -274,7 +274,7 @@ def unique_inner3_check(sx, missing):
         tbl = dict(zip(keys, choice))
         try:
             mm = Mor(fp.apex, sx.XX[(i, k)], tbl)
-        except AssertionError:
+        except NotAMorphism:
             continue
         completed = dict(sx.m)
         completed[missing] = mm

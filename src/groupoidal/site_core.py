@@ -39,6 +39,10 @@ class NotWellDefined(SiteError):
     pass
 
 
+class NotAMorphism(SiteError):
+    pass
+
+
 PAIR_SEP = "|"
 
 
@@ -123,20 +127,26 @@ class Obj:
         return e in self.eset
 
 
-def valid_mor_table(dom, cod, table):
-    """Would ``table`` define a morphism dom -> cod?  (No exceptions.)"""
-    if set(table) != set(dom.elements):
-        return False
-    if not set(table.values()) <= cod.eset:
-        return False
+def _table_fault(dom, cod, table):
+    """Why ``table`` does not define a morphism dom -> cod, or None."""
+    if table.keys() != dom.eset:
+        return "map must be total on the domain, at %s" % min(
+            dom.eset ^ table.keys())
+    if not cod.eset.issuperset(table.values()):
+        return "images must land in the codomain"
     if dom.backend == "fintop":
         # continuity = monotonicity for the specialization preorder
         for x in dom.elements:
             nx = cod.nbhd[table[x]]
             for y in dom.nbhd[x]:
                 if table[y] not in nx:
-                    return False
-    return True
+                    return "map must be continuous"
+    return None
+
+
+def valid_mor_table(dom, cod, table):
+    """Would ``table`` define a morphism dom -> cod?  (No exceptions.)"""
+    return _table_fault(dom, cod, table) is None
 
 
 class Mor:
@@ -144,13 +154,9 @@ class Mor:
         if dom.backend != cod.backend:
             raise BackendMismatch("%s vs %s" % (dom.backend, cod.backend))
         table = {str(k): str(v) for k, v in table.items()}
-        assert set(table) == set(dom.elements), "map must be total on the domain"
-        assert set(table.values()) <= cod.eset, "images must land in the codomain"
-        if dom.backend == "fintop":
-            for x in dom.elements:
-                for y in dom.nbhd[x]:
-                    assert table[y] in cod.nbhd[table[x]], \
-                        "map must be continuous"
+        fault = _table_fault(dom, cod, table)
+        if fault:
+            raise NotAMorphism(fault)
         self.dom = dom
         self.cod = cod
         self.table = table
@@ -242,23 +248,26 @@ class FibreProduct:
 
 
 def fibre_product(f, g):
+    """The pullback of f: Y -> Z and g: U -> Z as a hash join: each y meets
+    only the bucket of points of U over f(y).  Pairs come in domain order."""
     if f.dom.backend != g.dom.backend:
         raise BackendMismatch("fibre product needs one backend")
     if f.cod != g.cod:
         raise BoundaryMismatch("fibre product legs must share a codomain")
-    pairs = [(y, u) for y in f.dom.elements for u in g.dom.elements
-             if f(y) == g(u)]
+    over = {}
+    for u in g.dom.elements:
+        over.setdefault(g(u), []).append(u)
+    pairs = [(y, u) for y in f.dom.elements for u in over.get(f(y), ())]
     ids = [pair_id(y, u) for y, u in pairs]
     assert len(set(ids)) == len(ids), "pair ids collide"
     pairing = dict(zip(ids, pairs))
     if f.dom.backend == "finset":
         apex = Obj("finset", ids)
     else:
-        nb = {}
-        for e, (y, u) in pairing.items():
-            nb[e] = frozenset(
-                pair_id(y2, u2) for (y2, u2) in pairs
-                if y2 in f.dom.nbhd[y] and u2 in g.dom.nbhd[u])
+        # N(y, u) is N(y) x N(u) cut down to the fibre product
+        nb = {e: frozenset(pair_id(y2, u2) for y2 in f.dom.nbhd[y]
+                           for u2 in g.dom.nbhd[u] if f(y2) == g(u2))
+              for e, (y, u) in pairing.items()}
         apex = Obj("fintop", ids, nb)
     pr1 = Mor(apex, f.dom, {e: lr[0] for e, lr in pairing.items()})
     pr2 = Mor(apex, g.dom, {e: lr[1] for e, lr in pairing.items()})

@@ -1,5 +1,6 @@
 import pytest
 
+import groupoidal.action as action_module
 from groupoidal.site_core import (Mor, all_maps, compose, fibre_product,
                                   identity, pair_id, passed, terminal,
                                   to_terminal)
@@ -140,6 +141,40 @@ def test_actor_apply_and_compose(Z2, Z4):
     assert c.action.mult == a.action.mult
     with pytest.raises(NotAnActor):
         compose_actors(left_mult_actor(Z4), a)
+
+
+def test_actor_apply_does_not_split_the_actor(CECH2, monkeypatch):
+    """actor_apply reads the base anchor off the actor directly."""
+    a = left_mult_actor(CECH2)
+    want = compose(actor_to_pair(a)["base"].anchor, a.action.anchor)
+
+    def refuse(_):
+        raise RuntimeError("actor_to_pair called")
+
+    monkeypatch.setattr(action_module, "actor_to_pair", refuse)
+    pushed = actor_apply(a, a.action)
+    assert pushed.anchor == want
+    assert pushed.mult == a.action.mult
+
+
+def test_validate_actor_witnesses(Z3):
+    """First failing cases of the two actor checks, walked from h.pairs."""
+    P = pair_groupoid(make_finset(["u", "v"]))
+    U = unit_groupoid(P.G0)
+    # the source is no anchor for an actor: it is not right-invariant
+    by_source = build_action(U, P.G1, P.s, "left", lambda x, gel: x)
+    rep = {f.check: f for f in validate_actor(Actor(U, P, by_source))}
+    assert rep["anchor-right-invariant"].witness == ("u|u", "u|v")
+    assert rep["commutes-with-right-mult"].witness == \
+        "undefined composite at 'u|u|v'"
+    # left multiplication changed at 1·2 and 2·0: failing cases exist for
+    # g = 1 and g = 2, and the one of g = 1 comes first
+    twist = {("1", "2"): "1", ("2", "0"): "0"}
+    twisted = build_action(Z3, Z3.G1, Z3.r, "left", lambda x, gel:
+                           twist.get((gel, x), Z3.mul(gel, x)))
+    rep = {f.check: f for f in validate_actor(Actor(Z3, Z3, twisted))}
+    assert rep["anchor-right-invariant"].ok
+    assert rep["commutes-with-right-mult"].witness == ("1", "0", "2")
 
 
 def test_section_hmap_round_trip(Z4):

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from groupoidal.cli import (ModelSyntaxError, TypeMismatch, UnknownCommand,
-                            UnresolvedName, build_model, format_report,
-                            main, parse_model, run_command, serialize_model)
+import groupoidal
+from groupoidal.cli import (BadEnvironment, ModelSyntaxError, TypeMismatch,
+                            UnknownCommand, UnresolvedName, build_model,
+                            format_report, main, parse_model, run_command,
+                            serialize_model)
 
 
 MODEL = """\
@@ -79,6 +84,46 @@ def test_build_model_type_mismatch():
     with pytest.raises(TypeMismatch):
         build_model(parse_model(
             "finset S = {a}\ngroupoid G = cech(S)"))
+
+
+SWAP_HEAD = ("finset PT = {x}\nfinset S2 = {a, b}\n"
+             "map aS2 : S2 -> PT { a->x, b->x }\ngroupoid Z2 = cyclic(2)\n")
+
+
+@pytest.mark.parametrize("text, line, why", [
+    ('finspace SIER = {0, 1} opens [[], ["1"], ["0", "1"]]\n'
+     "map swap : SIER -> SIER { 0->1, 1->0 }", 2, "continuous"),
+    (SWAP_HEAD + "action SWAP = right(Z2, aS2) "
+     "{ a|0->a, a|1->b, b|0->b, b|1->a, b|2->a }", 5, "domain, at b|2"),
+], ids=["discontinuous-map", "action-entry-off-its-cells"])
+def test_build_model_rejects_non_morphism(text, line, why):
+    with pytest.raises(ModelSyntaxError) as exc:
+        build_model(parse_model(text))
+    assert exc.value.line == line
+    assert why in str(exc.value)
+
+
+OFF_CODOMAIN = """\
+finset A = {a, b}
+finset PT = {x}
+map bad : A -> PT { a->zzz, b->x }
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_map_off_its_codomain_is_a_model_error(tmp_path, flags):
+    """Exit 2 with the declaration's line, with or without -O."""
+    model = tmp_path / "bad.gpd"
+    model.write_text(OFF_CODOMAIN)
+    src = os.path.dirname(os.path.dirname(groupoidal.__file__))
+    res = subprocess.run(
+        [sys.executable, *flags, "-m", "groupoidal.cli", "validate", "bad",
+         "--model", str(model)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.strip() == ("error: map bad: images must land in the "
+                                  "codomain (line 3, col 0)")
 
 
 def test_finspace_model():
@@ -186,3 +231,11 @@ def test_max_size_env(monkeypatch):
     monkeypatch.setenv("GROUPOIDAL_MAX", "2")
     rep = run_command("axioms", [], backend="finset")
     assert rep["status"] == "pass"
+
+
+def test_max_size_env_must_be_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("GROUPOIDAL_MAX", "x")
+    with pytest.raises(BadEnvironment, match="GROUPOIDAL_MAX"):
+        run_command("axioms", [], backend="finset")
+    assert main(["axioms"]) == 2
+    assert "GROUPOIDAL_MAX" in capsys.readouterr().err

@@ -147,3 +147,23 @@ def test_cech_requires_cover(S2):
     notonto = Mor(S2, S2, {"a": "a", "b": "a"})
     with pytest.raises(NotACover):
         cech_groupoid(notonto)
+
+
+def test_inversion_antihom_witness():
+    """The first failing composable pair, walked from g.pairs in a-major
+    order: a product outside the composable pairs, then a wrong value."""
+    P = pair_groupoid(make_finset(["u", "v"]))
+    g = Groupoid(P.G0, P.G1, P.r, P.s, P.m, P.u, identity(P.G1),
+                 pairs=P.pairs)
+    rep = {f.check: f for f in validate_groupoid(g)}
+    assert rep["inversion-antihom"].witness == \
+        "undefined composite at 'u|v|u|u'"
+    Z3 = cyclic_groupoid(3)
+    g = Groupoid(Z3.G0, Z3.G1, Z3.r, Z3.s, Z3.m, Z3.u,
+                 Mor(Z3.G1, Z3.G1, {"0": "0", "1": "1", "2": "1"}),
+                 pairs=Z3.pairs)
+    rep = {f.check: f for f in validate_groupoid(g)}
+    assert rep["inversion-antihom"].witness == ("1", "1")
+    assert [f.check for f in rep.values() if not f.ok] == [
+        "left-inverse", "right-inverse", "inversion-involutive",
+        "inversion-antihom"]

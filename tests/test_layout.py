@@ -2,8 +2,9 @@
 
 An action's side is read only inside ``groupoidal.action``; the twin
 left/right functions that the point-first action view replaced stay
-gone; every backtracking search runs on ``site_core.backtrack``; and no
-relative import in the package is left unused.
+gone; every backtracking search runs on ``site_core.backtrack``; no
+library code filters arrow pairs with ``composable``; and no relative
+import in the package is left unused.
 """
 
 import ast
@@ -56,6 +57,17 @@ def test_searches_run_on_the_core():
                                              ast.AsyncFunctionDef))
                       and inner.name in loops]
     assert found == []
+
+
+def test_no_composable_filter():
+    """Composable pairs are walked from ``g.pairs``, the fibre product of
+    s and r; the library never tests every pair of arrows."""
+    calls = [(path.name, node.lineno) for path in MODULES
+             for node in ast.walk(parse(path))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "composable"]
+    assert calls == []
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES

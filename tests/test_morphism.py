@@ -64,6 +64,21 @@ def test_validate_functor_reports_undefined_composite():
     assert rep["unit-preserving"].ok
 
 
+def test_validate_functor_multiplicative_witness(Z2, Z3):
+    """The first failing composable pair, in a-major order."""
+    g = pair_groupoid(make_finset(["u", "v"]))
+    bad = Functor(g, Z2, Mor(g.G0, Z2.G0, {"u": "*", "v": "*"}),
+                  Mor(g.G1, Z2.G1,
+                      {"u|u": "0", "u|v": "1", "v|u": "1", "v|v": "1"}))
+    rep = {f.check: f for f in validate_functor(bad)}
+    assert rep["multiplicative"].witness == ("u|v", "v|v")
+    assert rep["unit-preserving"].witness == "v"
+    square = Functor(Z3, Z3, identity(Z3.G0),
+                     Mor(Z3.G1, Z3.G1, {"0": "0", "1": "2", "2": "2"}))
+    rep = {f.check: f for f in validate_functor(square)}
+    assert [f.witness for f in rep.values() if not f.ok] == [("1", "1")]
+
+
 def test_nat_trans_on_cyclic(Z4):
     idF = identity_functor(Z4)
     # conjugation by any element of an abelian group is trivial, so any

@@ -3,18 +3,19 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import groupoidal
 
-from groupoidal.site_core import (BoundaryMismatch, Mor, NotWellDefined,
-                                  Obj, SiteError, all_maps, axiom_harness,
-                                  coequalizer, compose, copair, descend,
-                                  disjoint_union, fibre_product,
-                                  identity, inverse, is_cover, is_iso,
-                                  is_open_map, is_surjective, kernel_pair,
-                                  mor_product, obj_product, pair_id,
-                                  passed, terminal, to_terminal)
+from groupoidal.site_core import (BoundaryMismatch, Mor, NotAMorphism,
+                                  NotWellDefined, Obj, SiteError, all_maps,
+                                  axiom_harness, coequalizer, compose,
+                                  copair, descend, disjoint_union,
+                                  fibre_product, identity, inverse,
+                                  is_cover, is_iso, is_open_map,
+                                  is_surjective, kernel_pair, mor_product,
+                                  obj_product, pair_id, passed, terminal,
+                                  to_terminal)
 from groupoidal.backends import (all_finsets, all_finspaces, discrete,
                                  indiscrete, make_finset, make_finspace,
                                  sierpinski)
@@ -24,9 +25,9 @@ def test_mor_basics(S2, PT, p2):
     assert p2("a") == "*"
     assert p2.image(S2.elements) == {"*"}
     assert set(p2.fibre("*")) == {"a", "b"}
-    with pytest.raises(AssertionError):
+    with pytest.raises(NotAMorphism):
         Mor(S2, PT, {"a": "*"})          # partial table
-    with pytest.raises(AssertionError):
+    with pytest.raises(NotAMorphism):
         Mor(S2, PT, {"a": "*", "b": "?"})  # value outside codomain
 
 
@@ -287,3 +288,46 @@ def test_coequalizer_is_universal(n, data):
             for x in X.elements:
                 q = c.proj(x)
                 assert tbl.setdefault(q, h(x)) == h(x)
+
+
+def quadratic_fibre_product(f, g):
+    """The fibre product as first written: every pair of points is tested,
+    and each fintop neighbourhood scans every pair again.  The reference
+    for the bucketed ``fibre_product``; returns (apex, pairing)."""
+    pairs = [(y, u) for y in f.dom.elements for u in g.dom.elements
+             if f(y) == g(u)]
+    ids = [pair_id(y, u) for y, u in pairs]
+    pairing = dict(zip(ids, pairs))
+    if f.dom.backend == "finset":
+        return Obj("finset", ids), pairing
+    nb = {e: frozenset(pair_id(y2, u2) for (y2, u2) in pairs
+                       if y2 in f.dom.nbhd[y] and u2 in g.dom.nbhd[u])
+          for e, (y, u) in pairing.items()}
+    return Obj("fintop", ids, nb), pairing
+
+
+@pytest.fixture(scope="module")
+def small_objects():
+    """Every object of at most four points (fintop: every topology)."""
+    return {"finset": all_finsets(4),
+            "fintop": all_finspaces(4, up_to_homeo=False)}
+
+
+@given(st.sampled_from(["finset", "fintop"]), st.data())
+def test_fibre_product_matches_quadratic_oracle(small_objects, backend,
+                                                 data):
+    objs = small_objects[backend]
+    z = data.draw(st.sampled_from(objs))
+    legs = []
+    for _ in range(2):
+        maps = list(all_maps(data.draw(st.sampled_from(objs)), z))
+        assume(maps)
+        legs.append(data.draw(st.sampled_from(maps)))
+    f, g = legs
+    fp = fibre_product(f, g)
+    apex, pairing = quadratic_fibre_product(f, g)
+    assert fp.apex.elements == apex.elements
+    assert list(fp.pairing.items()) == list(pairing.items())
+    assert fp.pr1.table == {e: y for e, (y, u) in pairing.items()}
+    assert fp.pr2.table == {e: u for e, (y, u) in pairing.items()}
+    assert fp.apex.nbhd == apex.nbhd
