@@ -5,13 +5,10 @@ surjections.  Spaces are built from an explicit open-set family, checked
 for lattice closure, and stored via minimal open neighbourhoods.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
-from .site_core import Obj, SiteError, BackendMismatch, is_open_map
-
-
-class DuplicateElement(SiteError):
-    pass
+from .site_core import (Obj, SiteError, BackendMismatch, DuplicateElement,
+                        is_open_map)
 
 
 class NotATopology(SiteError):
@@ -19,9 +16,6 @@ class NotATopology(SiteError):
 
 
 def make_finset(elements, name=None):
-    elements = [str(e) for e in elements]
-    if len(set(elements)) != len(elements):
-        raise DuplicateElement("repeated id in %r" % (elements,))
     obj = Obj("finset", elements)
     obj.name = name
     return obj
@@ -119,7 +113,6 @@ def _all_topologies(elements):
     eset = frozenset(elements)
     proper = []
     for k in range(1, len(elements)):
-        from itertools import combinations
         proper.extend(frozenset(c) for c in combinations(elements, k))
     out = []
     for bits in range(1 << len(proper)):

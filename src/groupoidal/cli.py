@@ -24,8 +24,8 @@ import re
 import sys
 from functools import partial
 
-from .site_core import (Mor, NotAMorphism, SiteError, axiom_harness,
-                        is_cover, passed)
+from .site_core import (Mor, NotAMorphism, SiteError, all_maps,
+                        axiom_harness, is_cover, passed)
 from .backends import all_objects, make_finset, make_finspace
 from .groupoid import (cech_groupoid, cyclic_groupoid, pair_groupoid,
                        unit_groupoid, validate_groupoid)
@@ -435,7 +435,6 @@ def run_command(command, names, env=None, kinds=None, backend="finset",
         rep = validate_simplex(sx)
         findings.append(finding("simplex-valid", passed(rep)))
     elif command == "axioms":
-        from .site_core import all_maps
         objs = all_objects(backend, max_size)
         mors = [f for a in objs for b in objs for f in all_maps(a, b)]
         rep = axiom_harness(objs, mors)

@@ -12,6 +12,7 @@ randomness, carriers are tuples of string ids.
 """
 
 from collections import namedtuple
+from functools import cache
 from itertools import combinations, product
 
 
@@ -43,6 +44,10 @@ class NotAMorphism(SiteError):
     pass
 
 
+class DuplicateElement(SiteError):
+    pass
+
+
 PAIR_SEP = "|"
 
 
@@ -61,7 +66,8 @@ class Obj:
     def __init__(self, backend, elements, nbhd=None):
         assert backend in ("finset", "fintop")
         elements = tuple(str(e) for e in elements)
-        assert len(set(elements)) == len(elements), "duplicate element ids"
+        if len(set(elements)) != len(elements):
+            raise DuplicateElement("repeated id in %r" % (list(elements),))
         eset = frozenset(elements)
         if backend == "finset":
             assert nbhd is None
@@ -259,7 +265,6 @@ def fibre_product(f, g):
         over.setdefault(g(u), []).append(u)
     pairs = [(y, u) for y in f.dom.elements for u in over.get(f(y), ())]
     ids = [pair_id(y, u) for y, u in pairs]
-    assert len(set(ids)) == len(ids), "pair ids collide"
     pairing = dict(zip(ids, pairs))
     if f.dom.backend == "finset":
         apex = Obj("finset", ids)
@@ -405,8 +410,13 @@ def obj_product(a, b):
 
 def mor_product(f1, f2):
     """f1 x f2 between the binary products of domains and codomains."""
-    dom = obj_product(f1.dom, f2.dom)
-    cod = obj_product(f1.cod, f2.cod)
+    return _product_map(f1, f2, obj_product(f1.dom, f2.dom),
+                        obj_product(f1.cod, f2.cod))
+
+
+def _product_map(f1, f2, dom, cod):
+    """f1 x f2 from the product ``dom`` of the domains to the product
+    ``cod`` of the codomains."""
     table = {e: cod.index[(f1(l), f2(r))]
              for e, (l, r) in dom.pairing.items()}
     return Mor(dom.apex, cod.apex, table)
@@ -577,18 +587,27 @@ def axiom_harness(objs, mors, budget=2_000_000, include_empty_in_28=False):
     for f in mors:
         by_cod.setdefault(f.cod, []).append(f)
 
-    # pullbacks of covers exist and project to covers
-    w = None
-    for g in covers:
-        for f in by_cod.get(g.cod, ()):
-            bud.tick()
-            fp = fibre_product(f, g)
-            if not is_cover(fp.pr1):
-                w = "pr1 of %r along cover %r" % (f.table, g.table)
-                break
-        if w:
+    # One pullback of each map f along each cover g serves three axioms:
+    # pr1 is a cover; pr2 a cover implies f one (cover-local); pr1 a cover
+    # and pr2 an iso imply f an iso (iso-local, on the pullback of g along
+    # f, which is this one with its legs swapped).  Each axiom stops at
+    # its first witness and is ticked while it is open.
+    pb = local = iso_local = None
+    for f, g in ((f, g) for g in covers for f in by_cod.get(g.cod, ())):
+        bud.tick((pb is None) + (local is None) + (iso_local is None))
+        fp = fibre_product(f, g)
+        pr1_cover = is_cover(fp.pr1)
+        if pb is None and not pr1_cover:
+            pb = "pr1 of %r along cover %r" % (f.table, g.table)
+        if local is None and is_cover(fp.pr2) and not is_cover(f):
+            local = "locality fails for %r along %r" % (f.table, g.table)
+        if (iso_local is None and pr1_cover and is_iso(fp.pr2)
+                and not is_iso(f)):
+            iso_local = "iso-locality fails for %r along %r" % (f.table,
+                                                                g.table)
+        if pb and local and iso_local:
             break
-    done("pullback-covers", w)
+    done("pullback-covers", pb)
 
     # subcanonicity: a cover is the coequalizer of its kernel pair
     w = None
@@ -626,18 +645,7 @@ def axiom_harness(objs, mors, budget=2_000_000, include_empty_in_28=False):
             break
     done("subcanonical", w)
 
-    # cover property is local: pr2 cover and g cover imply f cover
-    w = None
-    for g in covers:
-        for f in by_cod.get(g.cod, ()):
-            bud.tick()
-            fp = fibre_product(f, g)
-            if is_cover(fp.pr2) and not is_cover(f):
-                w = "locality fails for %r along %r" % (f.table, g.table)
-                break
-        if w:
-            break
-    done("cover-local", w)
+    done("cover-local", local)
 
     # two-out-of-three: f∘p and p covers imply f cover
     w = None
@@ -664,27 +672,20 @@ def axiom_harness(objs, mors, budget=2_000_000, include_empty_in_28=False):
             break
     done("covers-to-final", w)
 
-    # being an isomorphism is local along covers
-    w = None
-    for g in covers:
-        for f in by_cod.get(g.cod, ()):
-            bud.tick()
-            fp = fibre_product(g, f)
-            if is_cover(fp.pr2) and is_iso(fp.pr1) and not is_iso(f):
-                w = "iso-locality fails for %r along %r" % (f.table, g.table)
-                break
-        if w:
-            break
-    done("iso-local", w)
+    done("iso-local", iso_local)
 
-    # binary products of covers are covers
+    # binary products of covers are covers; each product of two objects
+    # is built once
+    product = cache(obj_product)
     w = None
     for f1 in covers:
         for f2 in covers:
             if not f1.dom.elements or not f2.dom.elements:
                 continue
             bud.tick()
-            if not is_cover(mor_product(f1, f2)):
+            f12 = _product_map(f1, f2, product(f1.dom, f2.dom),
+                               product(f1.cod, f2.cod))
+            if not is_cover(f12):
                 w = "product of %r and %r" % (f1.table, f2.table)
                 break
         if w:

@@ -3,8 +3,10 @@
 An action's side is read only inside ``groupoidal.action``; the twin
 left/right functions that the point-first action view replaced stay
 gone; every backtracking search runs on ``site_core.backtrack``; no
-library code filters arrow pairs with ``composable``; and no relative
-import in the package is left unused.
+library code filters arrow pairs with ``composable``; the pretopology
+harness builds one fibre product per (cover, map) pair and no product map
+per pair of covers from scratch; and no relative import in the package is
+left unused.
 """
 
 import ast
@@ -68,6 +70,26 @@ def test_no_composable_filter():
              and isinstance(node.func, ast.Attribute)
              and node.func.attr == "composable"]
     assert calls == []
+
+
+def called(node, name):
+    """The lines of the calls of ``name`` under ``node``."""
+    return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name) and n.func.id == name]
+
+
+def test_harness_shares_pullbacks_and_products():
+    """``axiom_harness`` checks its three pullback axioms on one
+    ``fibre_product`` call, and builds no ``mor_product`` inside a loop
+    (each object product is built once)."""
+    harness = next(node for node in ast.walk(parse(PKG / "site_core.py"))
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "axiom_harness")
+    assert len(called(harness, "fibre_product")) == 1
+    loops = [n for n in ast.walk(harness) if isinstance(n, (ast.For,
+                                                             ast.While))]
+    assert [line for loop in loops
+            for line in called(loop, "mor_product")] == []
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES

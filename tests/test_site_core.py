@@ -241,6 +241,37 @@ def test_harness_reports_pullback_that_is_not_a_cover(flags):
                                   "'x2': 'x0'} along cover {'x0': 'x0'}")
 
 
+DUPLICATE_ID_CASE = """
+from groupoidal.site_core import DuplicateElement, fibre_product, to_terminal
+from groupoidal.backends import make_finset
+
+A = make_finset(["a|b", "a"])
+B = make_finset(["c", "b|c"])
+for build in (lambda: fibre_product(to_terminal(A), to_terminal(B)),
+              lambda: make_finset(["a", "a"])):
+    try:
+        build()
+    except DuplicateElement as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_duplicate_element_ids_are_a_typed_error(flags):
+    """Ids with the pair separator can make two pairs of a fibre product
+    share an id ('a|b' with 'c' and 'a' with 'b|c'); the apex, like any
+    object, rejects a repeated id with DuplicateElement, with or without
+    -O."""
+    src = os.path.dirname(os.path.dirname(groupoidal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, *flags, "-c", DUPLICATE_ID_CASE],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "repeated id in ['a|b|c', 'a|b|b|c', 'a|c', 'a|b|c']",
+        "repeated id in ['a', 'a']"]
+
+
 _SITE_MAPS = {}
 
 
@@ -331,3 +362,25 @@ def test_fibre_product_matches_quadratic_oracle(small_objects, backend,
     assert fp.pr1.table == {e: y for e, (y, u) in pairing.items()}
     assert fp.pr2.table == {e: u for e, (y, u) in pairing.items()}
     assert fp.apex.nbhd == apex.nbhd
+
+
+@given(st.sampled_from(["finset", "fintop"]), st.data())
+def test_mor_product_table(small_objects, backend, data):
+    """f1 x f2 sends (l, r) to (f1(l), f2(r)); a product of covers is a
+    cover.  Objects of at most three points."""
+    objs = [x for x in small_objects[backend] if len(x) <= 3]
+    legs = []
+    for _ in range(2):
+        maps = list(all_maps(data.draw(st.sampled_from(objs)),
+                             data.draw(st.sampled_from(objs))))
+        assume(maps)
+        legs.append(data.draw(st.sampled_from(maps)))
+    f1, f2 = legs
+    f12 = mor_product(f1, f2)
+    dom = obj_product(f1.dom, f2.dom)
+    cod = obj_product(f1.cod, f2.cod)
+    assert (f12.dom, f12.cod) == (dom.apex, cod.apex)
+    assert f12.table == {e: cod.index[(f1(l), f2(r))]
+                         for e, (l, r) in dom.pairing.items()}
+    if is_cover(f1) and is_cover(f2):
+        assert is_cover(f12)
