@@ -13,12 +13,20 @@ other side through inversion.
 
 from .site_core import (Mor, NotAMorphism, SiteError, backtrack, compose,
                         fibre_product, first_failure, inverse, is_cover,
-                        is_iso, is_surjective, pair_id, passed,
+                        is_iso, is_surjective, pair_id, passed, require,
                         valid_mor_table, witness_finding)
 from .groupoid import Groupoid
 
 
+class NotAnAction(SiteError):
+    pass
+
+
 class NotAnActor(SiteError):
+    pass
+
+
+class NotATranslation(SiteError):
     pass
 
 
@@ -160,7 +168,7 @@ def validate_action(a):
         try:
             sh, shinv = action_shear(a)
             shear_ok = is_iso(sh) and inverse(sh) == shinv
-        except (AssertionError, KeyError, NotAMorphism):
+        except (KeyError, NotAMorphism):
             shear_ok = False
         out.append(witness_finding(
             "unit-vs-shear", None if unit_holds == shear_ok else
@@ -228,8 +236,9 @@ def transformation_groupoid(a):
     and source of a cell are (x, x·g) for a right action and (g·x, x)
     for a left one; the cell (x, g1) composed with the cell (x·g1, g2),
     or (g1·x, g2), is (x, g1 then g2).  ``parts`` maps each arrow to its
-    (x, g)."""
-    assert passed(validate_action(a))
+    (x, g).  Raises NotAnAction, naming the failing checks, when ``a``
+    is not an action."""
+    require(validate_action(a), NotAnAction)
     g = a.g
     G1t = a.pairs.apex
     rt, st = a.order(a.point, a.mult)
@@ -245,9 +254,6 @@ def transformation_groupoid(a):
     i = Mor(G1t, G1t,
             {e: a.key(a.mult(e), g.i(gel)) for e, x, gel in a.cells()})
     t = Groupoid(a.X, G1t, rt, st, m, u, i, pairs=pairs_t)
-    from .groupoid import validate_groupoid
-    report = validate_groupoid(t)
-    assert passed(report), [f for f in report if not f.ok]
     t.parts = parts
     t.action = a
     return t
@@ -266,11 +272,7 @@ def action_fibre_product(f1, f2):
         return FP.index[(a1.apply(w1, gel), a2.apply(w2, gel))]
 
     diag = a1.on(FP.apex, compose(a1.anchor, FP.pr1), rule)
-    assert passed(validate_action(diag))
-    pr1 = GMap(diag, a1, FP.pr1)
-    pr2 = GMap(diag, a2, FP.pr2)
-    assert passed(validate_gmap(pr1)) and passed(validate_gmap(pr2))
-    return diag, pr1, pr2
+    return diag, GMap(diag, a1, FP.pr1), GMap(diag, a2, FP.pr2)
 
 
 class Bibundle:
@@ -324,9 +326,7 @@ def validate_bibundle(b):
 
 def unit_bibundle(g):
     """G acting on its own arrows from both sides."""
-    b = Bibundle(g, g, *translations(g))
-    assert passed(validate_bibundle(b))
-    return b
+    return Bibundle(g, g, *translations(g))
 
 
 def two_sided_transformation_groupoid(b):
@@ -359,9 +359,6 @@ def two_sided_transformation_groupoid(b):
             for e, (gel, x, hel) in triples.items()}
     i = Mor(G1t, G1t, itab)
     t = Groupoid(b.X, G1t, rt, st, m, u, i, pairs=pairs_t)
-    from .groupoid import validate_groupoid
-    report = validate_groupoid(t)
-    assert passed(report), [f for f in report if not f.ok]
     t.triples = triples
     t.triple_index = index
     return t
@@ -402,9 +399,7 @@ def validate_actor(a):
 
 def left_mult_actor(g):
     """G acting on its own arrows by left multiplication."""
-    a = Actor(g, g, translations(g)[0])
-    assert passed(validate_actor(a))
-    return a
+    return Actor(g, g, translations(g)[0])
 
 
 def actor_to_pair(a):
@@ -415,16 +410,11 @@ def actor_to_pair(a):
     r0 = Mor(h.G0, g.G0, {x: a.anchor(h.u(x)) for x in h.objects()})
     base = build_action(g, h.G0, r0, "left",
                         lambda x, gel: h.r(a.act(gel, h.u(x))))
-    assert passed(validate_action(base))
     t = transformation_groupoid(base)
-    from .morphism import Functor, validate_functor
+    from .morphism import Functor
     F1 = Mor(t.G1, h.G1, {e: a.act(gel, h.u(x))
                           for e, (x, gel) in t.parts.items()})
     F = Functor(t, h, Mor.identity(h.G0), F1)
-    assert passed(validate_functor(F))
-    for e, (gel, hel) in a.action.pairs.pairing.items():
-        rebuilt = h.mul(a.act(gel, h.u(h.r(hel))), hel)
-        assert a.act(gel, hel) == rebuilt, "reconstruction failed"
     return {"base": base, "functor": F, "transformation": t}
 
 
@@ -436,7 +426,6 @@ def actor_apply(a, x):
     r0 = Mor(h.G0, g.G0, {o: a.anchor(h.u(o)) for o in h.objects()})
     out = build_action(g, x.X, compose(r0, x.anchor), "left",
                        lambda y, gel: x.apply(y, a.act(gel, h.u(x.anchor(y)))))
-    assert passed(validate_action(out))
     return out
 
 
@@ -445,21 +434,7 @@ def compose_actors(b, a):
     (g·h)·k = g·(h·k)."""
     if a.h != b.g:
         raise NotAnActor("actor boundaries do not match")
-    action = actor_apply(a, b.action)
-    out = Actor(a.g, b.h, action)
-    assert passed(validate_actor(out))
-    g, h, k = a.g, a.h, b.h
-    for gel in g.arrows():
-        for hel in h.arrows():
-            if a.anchor(hel) != g.s(gel):
-                continue
-            for kel in k.arrows():
-                if b.anchor(kel) != h.s(hel):
-                    continue
-                lhs = b.act(a.act(gel, hel), kel)
-                rhs = out.act(gel, b.act(hel, kel))
-                assert lhs == rhs, "actor composition law failed"
-    return out
+    return Actor(a.g, b.h, actor_apply(a, b.action))
 
 
 def identity_actor(g):
@@ -472,10 +447,13 @@ def hmap_from_section(h, phi):
 
 
 def section_from_hmap(h, f):
-    """The unique section with f = left multiplication by it."""
+    """The unique section with f = left multiplication by it; raises
+    NotATranslation, naming an arrow where they differ, when there is
+    none."""
     phi = Mor(h.G0, h.G1, {x: f(h.u(x)) for x in h.objects()})
     for a in h.arrows():
-        assert f(a) == h.mul(phi(h.r(a)), a), "map is not a left translation"
+        if f(a) != h.mul(phi(h.r(a)), a):
+            raise NotATranslation("map is not a left translation at %s" % a)
     return phi
 
 

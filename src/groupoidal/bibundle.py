@@ -14,11 +14,11 @@ map that is constant on orbits into a map out of the orbit space.
 from .site_core import (BoundaryMismatch, Mor, NotAMorphism, NotWellDefined,
                         SiteError, backtrack, compose, descend,
                         fibre_product, first_failure, is_cover, is_iso,
-                        passed, witness_finding)
+                        passed, require, witness_finding)
 from .action import (Bibundle, NotAnActor, build_action, is_invariant,
                      on_side, opposite, transformation_groupoid,
                      translations, two_sided_transformation_groupoid,
-                     unit_bibundle, validate_action, validate_bibundle)
+                     unit_bibundle, validate_bibundle)
 from .bundle import PrincipalBundle, check_principal, is_basic, orbit_space
 from .morphism import NotComposable
 
@@ -49,10 +49,8 @@ def classify(x):
     is_actor = is_basic(x.right)["flag"] and s_cover
     is_equivalence = is_covering and passed(
         check_principal(x.left, x.s_anchor))
-    flags = {"is_functor": is_functor, "is_covering": is_covering,
-             "is_actor": is_actor, "is_equivalence": is_equivalence}
-    assert not flags["is_equivalence"] or (is_functor and is_covering)
-    return flags
+    return {"is_functor": is_functor, "is_covering": is_covering,
+            "is_actor": is_actor, "is_equivalence": is_equivalence}
 
 
 def validate_bibundle_map(x, y, f):
@@ -73,17 +71,16 @@ def validate_bibundle_map(x, y, f):
 
 def dual(x):
     """Exchange the anchors; h·x·g becomes g⁻¹·x·h⁻¹."""
-    out = Bibundle(x.h, x.g, opposite(x.right), opposite(x.left))
-    assert passed(validate_bibundle(out))
-    return out
+    return Bibundle(x.h, x.g, opposite(x.right), opposite(x.left))
 
 
 def functor_to_bibundle(F, Y=None):
     """The bibundle G0 x_{F0, H0, r} H1 of a functor, with the optional
     generalization that replaces the arrows of H by an H-carrier Y, read
-    as a left action."""
-    from .morphism import functor_surjectivity_tests, validate_functor
-    assert passed(validate_functor(F))
+    as a left action.  Raises NotAFunctor, naming the failing checks, when
+    ``F`` is not a functor."""
+    from .morphism import NotAFunctor, validate_functor
+    require(validate_functor(F), NotAFunctor)
     g, h = F.src, F.dst
     generalized = Y is not None
     Y = on_side(Y, "left") if generalized else translations(h)[0]
@@ -96,7 +93,6 @@ def functor_to_bibundle(F, Y=None):
     left = build_action(g, FP.apex, FP.pr1, "left", lrule)
     if generalized:
         # generalized pullback of an H-carrier: just the induced G-action
-        assert passed(validate_action(left))
         left.fp = FP
         return left
 
@@ -106,23 +102,14 @@ def functor_to_bibundle(F, Y=None):
 
     right = build_action(h, FP.apex, compose(h.s, FP.pr2), "right", rrule)
     out = Bibundle(g, h, left, right)
-    assert passed(validate_bibundle(out))
     out.F = F
     out.fp = FP
-    flags = classify(out)
-    assert flags["is_functor"]
-    tests = functor_surjectivity_tests(F)
-    assert flags["is_covering"] == tests["essentially_surjective"]
-    assert flags["is_equivalence"] == (
-        tests["essentially_surjective"] and tests["fully_faithful"])
     return out
 
 
 def actor_to_bibundle(a):
     """An actor as a bibundle on the arrows of its target."""
-    out = Bibundle(a.g, a.h, a.action, translations(a.h)[1])
-    assert passed(validate_bibundle(out))
-    return out
+    return Bibundle(a.g, a.h, a.action, translations(a.h)[1])
 
 
 def bibundle_to_anafunctor(x):
@@ -137,7 +124,7 @@ def bibundle_to_anafunctor(x):
     if not flags["is_functor"]:
         raise NotABibundleFunctor("right action not principal over r")
     from .groupoid import pullback_groupoid
-    from .morphism import Anafunctor, Functor, validate_functor
+    from .morphism import Anafunctor, Functor
     g, h = x.g, x.h
     bundle = PrincipalBundle(x.right, x.r_anchor)
     gx, hyper = pullback_groupoid(g, x.r_anchor)
@@ -146,15 +133,13 @@ def bibundle_to_anafunctor(x):
         xm = x.lact(g.i(gel), x1)
         f1tab[e] = bundle.solve(xm, x2)
     F = Functor(gx, h, x.s_anchor, Mor(gx.G1, h.G1, f1tab))
-    assert passed(validate_functor(F))
     ana = Anafunctor(g, h, x.r_anchor, F, gx, hyper)
     # two-sided transformation groupoid matches the pullback groupoid
     t = two_sided_transformation_groupoid(x)
     itab = {e: gx.triple_index[(x.lact(gel, xe), gel, x.ract(xe, hel))]
             for e, (gel, xe, hel) in t.triples.items()}
-    iso = Functor(t, gx, Mor.identity(x.X), Mor(t.G1, gx.G1, itab))
-    assert passed(validate_functor(iso)) and is_iso(iso.F1)
-    ana.two_sided_iso = iso
+    ana.two_sided_iso = Functor(t, gx, Mor.identity(x.X),
+                                Mor(t.G1, gx.G1, itab))
     ana.bundle = bundle
     return ana
 
@@ -181,7 +166,6 @@ def beta_ana_to_bibundle(a):
         return index[(g.mul(g1, g2), x2, h.mul(h.i(a.F.F1(ae)), hel))]
 
     act = build_action(gx, T2.apex, anchor, "right", mrule)
-    assert passed(validate_action(act))
     coeq = orbit_space(act)
     Z = coeq.quotient
 
@@ -202,7 +186,6 @@ def beta_ana_to_bibundle(a):
     r_anchor = Mor(Z, h.G0, {c: h.s(triples[c][2]) for c in Z.elements})
     right = build_action(h, Z, r_anchor, "right", rrule)
     out = Bibundle(g, h, left, right)
-    assert passed(validate_bibundle(out))
     out.triples = triples
     out.triple_index = index
     out.triple_proj = coeq.proj
@@ -232,10 +215,7 @@ def cech_equivalence(p, q=None):
 
     left = build_action(g, FP.apex, FP.pr1, "left", lrule)
     right = build_action(h, FP.apex, FP.pr2, "right", rrule)
-    out = Bibundle(g, h, left, right)
-    assert passed(validate_bibundle(out))
-    assert classify(out)["is_equivalence"]
-    return out
+    return Bibundle(g, h, left, right)
 
 
 def roundtrip_beta(x):
@@ -246,15 +226,13 @@ def roundtrip_beta(x):
     b = beta_ana_to_bibundle(ana)
     iso = descend(b.X, x.X, ((b.triple_proj(e), x.ract(x.lact(gel, xe), hel))
                              for e, (gel, xe, hel) in b.triples.items()))
-    assert is_iso(iso)
-    assert passed(validate_bibundle_map(b, x, iso))
     return {"beta": b, "iso": iso, "ana": ana}
 
 
 def roundtrip_ananat(a):
     """The canonical invertible 2-arrow from the anafunctor of the
     bibundle of `a` back to `a`."""
-    from .morphism import AnaNat, ananat_inverse, validate_ananat
+    from .morphism import AnaNat
     b = beta_ana_to_bibundle(a)
     a2 = bibundle_to_anafunctor(b)
     h = a.dst
@@ -264,12 +242,7 @@ def roundtrip_ananat(a):
         gel, xe, hel = b.triples[c]
         arrow = a.gx.triple_index[(xt, gel, xe)]
         tbl[e] = h.mul(a.F.F1(arrow), hel)
-    psi = AnaNat(a2, a, Mor(fp.apex, h.G1, tbl), fp)
-    rep = validate_ananat(psi)
-    assert passed(rep), [f for f in rep if not f.ok]
-    inv = ananat_inverse(psi)
-    assert passed(validate_ananat(inv))
-    return psi
+    return AnaNat(a2, a, Mor(fp.apex, h.G1, tbl), fp)
 
 
 def balanced_product(x, y):
@@ -311,7 +284,6 @@ def quotient_by_middle(x, y):
     res = is_basic(diag)
     if not res["flag"]:
         raise NotComposable("middle action is not basic")
-    assert passed(validate_action(diag))
     return FP, res, descended_left(x, FP, res["orbits"])
 
 
@@ -334,7 +306,6 @@ def compose_bibundles(x, y):
     r_anchor = Mor(Z, y.h.G0,
                    {c: y.s_anchor(FP.pairing[c][1]) for c in Z.elements})
     out = Bibundle(x.g, y.h, left, y.right.on(Z, r_anchor, rule))
-    assert passed(validate_bibundle(out))
     out.middle = FP
     out.middle_proj = coeq.proj
     out.middle_coeq = coeq
@@ -366,8 +337,6 @@ def associator(x, y, z):
          composite_class(c21, xe, composite_class(c2, ye, ze)))
         for e, (xe, ye) in c1.middle.pairing.items()
         for ze in z.X.elements if y.s_anchor(ye) == z.r_anchor(ze)))
-    assert is_iso(iso)
-    assert passed(validate_bibundle_map(c12, c21, iso))
     return {"iso": iso, "left": c12, "right": c21}
 
 
@@ -377,8 +346,6 @@ def left_unitor(x):
     c = compose_bibundles(u, x)
     iso = descend(c.X, x.X, ((c.middle_proj(e), x.lact(gel, xe))
                              for e, (gel, xe) in c.middle.pairing.items()))
-    assert is_iso(iso)
-    assert passed(validate_bibundle_map(c, x, iso))
     return {"iso": iso, "composite": c, "unit": u}
 
 
@@ -388,8 +355,6 @@ def right_unitor(x):
     c = compose_bibundles(x, u)
     iso = descend(c.X, x.X, ((c.middle_proj(e), x.ract(xe, hel))
                              for e, (xe, hel) in c.middle.pairing.items()))
-    assert is_iso(iso)
-    assert passed(validate_bibundle_map(c, x, iso))
     return {"iso": iso, "composite": c, "unit": u}
 
 
@@ -407,16 +372,10 @@ def check_inverse(x):
     # the unique g with g·x2 = x1
     iso1 = descend(c1.X, g.G1, ((c1.middle_proj(e), lb.solve(x2, x1))
                                 for e, (x1, x2) in c1.middle.pairing.items()))
-    ug = unit_bibundle(g)
-    assert is_iso(iso1)
-    assert passed(validate_bibundle_map(c1, ug, iso1))
     c2 = compose_bibundles(xd, x)
     # the unique h with x1·h = x2
     iso2 = descend(c2.X, h.G1, ((c2.middle_proj(e), rb.solve(x1, x2))
                                 for e, (x1, x2) in c2.middle.pairing.items()))
-    uh = unit_bibundle(h)
-    assert is_iso(iso2)
-    assert passed(validate_bibundle_map(c2, uh, iso2))
     return {"iso1": iso1, "iso2": iso2, "c1": c1, "c2": c2}
 
 
@@ -424,8 +383,8 @@ def decompose_actor(x):
     """Split a bibundle actor G–H into an actor onto an intermediate
     groupoid K built from H-orbits of carrier pairs, followed by a K–H
     bibundle equivalence carried by the original carrier."""
-    from .action import Actor, validate_actor
-    from .groupoid import Groupoid, validate_groupoid
+    from .action import Actor
+    from .groupoid import Groupoid
     flags = classify(x)
     if not flags["is_actor"]:
         raise NotAnActor("bibundle is not an actor")
@@ -437,7 +396,6 @@ def decompose_actor(x):
     # X x_H X: read as a left action, the right action turns h⁻¹·x2 into
     # x2·h, so the diagonal action is (x1, x2)·h = (x1·h, x2·h)
     XX, diag = balanced_product(x.right, x.right)
-    assert passed(validate_action(diag))
     coeq = orbit_space(diag)
     K1 = coeq.quotient
 
@@ -463,27 +421,19 @@ def decompose_actor(x):
     i = Mor(K1, K1, {c: cls(decode(c)[1], decode(c)[0])
                      for c in K1.elements})
     K = Groupoid(K0, K1, rK, sK, m, u, i, pairs=kpairs)
-    report = validate_groupoid(K)
-    assert passed(report), [f for f in report if not f.ok]
 
     def krule(xe, c):
         x1, x2 = decode(c)
         return x.ract(x1, bundle.solve(x2, xe))
 
     actor = Actor(g, K, descended_left(x, XX, coeq))
-    assert passed(validate_actor(actor))
-
     leftK = build_action(K, x.X, p, "left", krule)
     equiv = Bibundle(K, h, leftK, x.right)
-    assert passed(validate_bibundle(equiv))
-    assert classify(equiv)["is_equivalence"]
 
     actor_bib = actor_to_bibundle(actor)
     c = compose_bibundles(actor_bib, equiv)
     iso = descend(c.X, x.X, ((c.middle_proj(e), equiv.lact(ke, xe))
                              for e, (ke, xe) in c.middle.pairing.items()))
-    assert is_iso(iso)
-    assert passed(validate_bibundle_map(c, x, iso))
     return {"k": K, "actor": actor, "equiv": equiv,
             "actor_bibundle": actor_bib, "iso": iso, "composite": c}
 
@@ -519,8 +469,6 @@ def imprimitivity(x):
     rightB = build_action(B, x.X, qr, "right",
                           lambda xe, be: x.ract(xe, B.parts[be][1]))
     out = Bibundle(A, B, leftA, rightB)
-    assert passed(validate_bibundle(out))
-    assert classify(out)["is_equivalence"]
     out.A, out.B = A, B
     out.left_quotient, out.right_quotient = ql, qr
     return out
@@ -557,15 +505,7 @@ def composite_witness(x, y, w, m):
                                      for e in FP.apex.elements))
     except NotWellDefined:
         return False
-    if not is_iso(induced):
-        return False
-    assert is_cover(m)
-    WFP = fibre_product(x.r_anchor, w.r_anchor)
-    pairing_map = Mor(FP.apex, WFP.apex,
-                      {e: WFP.index[(FP.pairing[e][0], m(e))]
-                       for e in FP.apex.elements})
-    assert is_iso(pairing_map)
-    return True
+    return is_iso(induced)
 
 
 def act_on(x, y):
@@ -577,7 +517,6 @@ def act_on(x, y):
     if y.g != x.h:
         raise MiddleMismatch("y is not an action of the actor's target")
     FP, res, out = quotient_by_middle(x, y)
-    assert passed(validate_action(out))
     out.middle = FP
     out.middle_proj = res["orbits"].proj
     return out
@@ -648,13 +587,13 @@ def brute_force_quasi_inverse(x, cap=4):
     for q in enumerate_bibundles(h, g, cap):
         try:
             c1 = compose_bibundles(x, q)
-        except (NotComposable, NotAMorphism, AssertionError):
+        except (NotComposable, NotAMorphism):
             continue
         if bibundle_isomorphic(c1, ug) is None:
             continue
         try:
             c2 = compose_bibundles(q, x)
-        except (NotComposable, NotAMorphism, AssertionError):
+        except (NotComposable, NotAMorphism):
             continue
         if bibundle_isomorphic(c2, uh) is None:
             continue

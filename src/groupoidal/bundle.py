@@ -8,7 +8,7 @@ principal over the quotient by the action.
 
 from .site_core import (Finding, Mor, NotAMorphism, SiteError, coequalizer,
                         compose, descend, fibre_product, inverse, is_cover,
-                        is_iso, passed)
+                        is_iso, passed, require)
 from .action import is_invariant, transformation_groupoid
 
 
@@ -39,7 +39,7 @@ def check_principal(a, proj, shear=None):
     try:
         sh, PP = shear or bundle_shear(a, proj)
         out.append(Finding("shear-iso", is_iso(sh), None))
-    except (KeyError, NotAMorphism, AssertionError) as exc:
+    except (KeyError, NotAMorphism) as exc:
         out.append(Finding("shear-iso", False, str(exc)))
     return out
 
@@ -49,9 +49,7 @@ class PrincipalBundle:
         """``shear`` is bundle_shear(action, proj) for an action the caller
         has found principal over proj; without it the bundle checks."""
         if shear is None:
-            report = check_principal(action, proj)
-            if not passed(report):
-                raise NotPrincipal([f.check for f in report if not f.ok])
+            require(check_principal(action, proj), NotPrincipal)
             shear = bundle_shear(action, proj)
         self.action, self.proj = action, proj
         self.g = action.g
@@ -123,7 +121,7 @@ def basic_witness_functor(a):
     transformation groupoid to the kernel-pair groupoid of the quotient
     map, sending each arrow to the pair of its range and source."""
     from .groupoid import cech_groupoid
-    from .morphism import Functor, validate_functor
+    from .morphism import Functor
     res = is_basic(a)
     assert res["flag"], "action is not basic"
     b = res["bundle"]
@@ -131,10 +129,7 @@ def basic_witness_functor(a):
     c = cech_groupoid(b.proj)
     F1 = Mor(t.G1, c.G1,
              {e: c.kernel.index[(t.r(e), t.s(e))] for e in t.arrows()})
-    F = Functor(t, c, Mor.identity(a.X), F1)
-    assert passed(validate_functor(F))
-    assert is_iso(F1)
-    return F
+    return Functor(t, c, Mor.identity(a.X), F1)
 
 
 def cech_action_reconstruction(a, p):
@@ -146,5 +141,4 @@ def cech_action_reconstruction(a, p):
     FP = fibre_product(pz, p)
     tbl = {y: FP.index[(coeq.proj(y), a.anchor(y))] for y in a.X.elements}
     iso = Mor(a.X, FP.apex, tbl)
-    assert is_iso(iso)
     return {"iso": iso, "base": coeq, "fp": FP, "base_to_z": pz}

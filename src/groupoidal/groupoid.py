@@ -6,10 +6,11 @@ usual equations; multiplication lives on the canonical fibre product of
 in the domain of m.
 """
 
-from .site_core import (Mor, NotACover, NotAMorphism, SiteError, compose,
-                        descend, fibre_product, first_failure, identity,
-                        is_cover, is_iso, kernel_pair, pair_id, passed,
-                        terminal, to_terminal, witness_finding)
+from .site_core import (BoundaryMismatch, Mor, NotACover, NotAMorphism,
+                        SiteError, compose, descend, fibre_product,
+                        first_failure, identity, is_cover, is_iso,
+                        kernel_pair, pair_id, terminal, to_terminal,
+                        witness_finding)
 
 
 class NotAssociative(SiteError):
@@ -17,6 +18,18 @@ class NotAssociative(SiteError):
 
 
 class ShearNotIso(SiteError):
+    pass
+
+
+class BoundaryEquationFails(SiteError):
+    pass
+
+
+class UnitNotUnique(SiteError):
+    pass
+
+
+class InverseNotUnique(SiteError):
     pass
 
 
@@ -131,7 +144,7 @@ def validate_groupoid(g):
             "shear-right-iso", None if is_iso(sh1) else "not invertible"))
         out.append(witness_finding(
             "shear-left-iso", None if is_iso(sh2) else "not invertible"))
-    except (KeyError, NotAMorphism, AssertionError) as exc:
+    except (KeyError, NotAMorphism) as exc:
         out.append(witness_finding("shear-right-iso",
                                    "shear map undefined: %s" % exc))
     out.append(witness_finding(
@@ -153,13 +166,15 @@ def from_multiplication(G0, G1, r, s, m):
     if not is_cover(s):
         raise NotACover("s")
     pairs = fibre_product(s, r)
-    assert m.dom == pairs.apex and m.cod == G1
+    if m.dom != pairs.apex or m.cod != G1:
+        raise BoundaryMismatch("m must go from the composable pairs to G1")
 
     def mul(a, b):
         return m(pair_id(a, b))
 
     for e, (a, b) in pairs.pairing.items():
-        assert r(m(e)) == r(a) and s(m(e)) == s(b), "boundary equations fail"
+        if r(m(e)) != r(a) or s(m(e)) != s(b):
+            raise BoundaryEquationFails("boundary equations fail")
     by_range = {}
     for b in G1.elements:
         by_range.setdefault(r(b), []).append(b)
@@ -178,7 +193,8 @@ def from_multiplication(G0, G1, r, s, m):
     for gel in G1.elements:
         cands = [e for e in G1.elements
                  if s(e) == r(gel) and mul(e, gel) == gel]
-        assert len(cands) == 1, "left unit at %s not unique" % gel
+        if len(cands) != 1:
+            raise UnitNotUnique("left unit at %s not unique" % gel)
         left_unit[gel] = cands[0]
     # the unit candidate must descend along r
     u = descend(G0, G1, ((r(gel), left_unit[gel]) for gel in G1.elements))
@@ -187,15 +203,11 @@ def from_multiplication(G0, G1, r, s, m):
     for gel in G1.elements:
         cands = [h for h in G1.elements
                  if s(h) == r(gel) and mul(h, gel) == u(s(gel))]
-        assert len(cands) == 1, "inverse of %s not unique" % gel
+        if len(cands) != 1:
+            raise InverseNotUnique("inverse of %s not unique" % gel)
         itab[gel] = cands[0]
     i = Mor(G1, G1, itab)
-
-    g = Groupoid(G0, G1, r, s, m, u, i, pairs=pairs)
-    report = validate_groupoid(g)
-    assert passed(report), [f for f in report if not f.ok]
-    assert is_cover(m)
-    return g
+    return Groupoid(G0, G1, r, s, m, u, i, pairs=pairs)
 
 
 def unit_groupoid(X):
@@ -224,8 +236,6 @@ def cech_groupoid(p):
             {e: K.index[(x2, x1)] for e, (x1, x2) in K.pairing.items()})
     g = Groupoid(p.dom, K.apex, r, s, m, u, i, pairs=pairs)
     g.kernel = K
-    report = validate_groupoid(g)
-    assert passed(report), [f for f in report if not f.ok]
     return g
 
 
@@ -268,8 +278,6 @@ def pullback_groupoid(g, p):
     gx = Groupoid(p.dom, G1x, rx, sx, m, u, i, pairs=pairsx)
     gx.triples = triples
     gx.triple_index = index
-    report = validate_groupoid(gx)
-    assert passed(report), [f for f in report if not f.ok]
     from .morphism import Functor
     hyper = Functor(gx, g, p, Mor(G1x, g.G1,
                                   {e: t[1] for e, t in triples.items()}))
@@ -294,7 +302,4 @@ def cyclic_groupoid(n, backend="finset"):
     m = Mor(pairs.apex, G1, mtab)
     u = Mor(G0, G1, {"*": "0"})
     i = Mor(G1, G1, {x: str((-int(x)) % n) for x in names})
-    g = Groupoid(G0, G1, const, const, m, u, i, pairs=pairs)
-    report = validate_groupoid(g)
-    assert passed(report), [f for f in report if not f.ok]
-    return g
+    return Groupoid(G0, G1, const, const, m, u, i, pairs=pairs)

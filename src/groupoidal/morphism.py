@@ -9,11 +9,20 @@ here.
 
 from .site_core import (Mor, SiteError, all_maps, backtrack, compose,
                         descend, fibre_product, first_failure, identity,
-                        is_cover, is_iso, pair_id, passed, witness_finding)
+                        is_cover, is_iso, pair_id, passed, require,
+                        witness_finding)
 from .groupoid import pullback_groupoid
 
 
 class NotComposable(SiteError):
+    pass
+
+
+class NotAFunctor(SiteError):
+    pass
+
+
+class NotNatural(SiteError):
     pass
 
 
@@ -100,7 +109,9 @@ def identity_nat(F):
 
 
 def nat_inverse(t):
-    assert passed(validate_nat(t))
+    """The inverse transformation; raises NotNatural, naming the failing
+    checks, when ``t`` is not a natural transformation."""
+    require(validate_nat(t), NotNatural)
     return NatTrans(t.to, t.from_, compose(t.from_.dst.i, t.phi))
 
 
@@ -144,7 +155,6 @@ def ad_bisection(g, phi):
                  {a: g.mul(g.mul(phi(g.r(a)), a), g.i(phi(g.s(a))))
                   for a in g.arrows()})
         ad = Functor(g, g, r_phi, F1)
-        assert passed(validate_functor(ad))
     return {"is_section": is_section, "is_bisection": is_bisection, "ad": ad}
 
 
@@ -222,7 +232,6 @@ def compose_anafunctors(b, a):
         raise NotComposable("anafunctor boundaries do not match")
     FP = fibre_product(a.F.F0, b.p)
     p13 = compose(a.p, FP.pr1)
-    assert is_cover(p13)
     gx13, hyper13 = pullback_groupoid(a.src, p13)
     F0 = compose(b.F.F0, FP.pr2)
     table = {}
@@ -232,7 +241,6 @@ def compose_anafunctors(b, a):
         hmid = a.F1t(x1, g, x2)
         table[e] = b.F1t(y1, hmid, y2)
     F13 = Functor(gx13, b.dst, F0, Mor(gx13.G1, b.dst.G1, table))
-    assert passed(validate_functor(F13))
     out = Anafunctor(a.src, b.dst, p13, F13, gx13, hyper13)
     out.fp = FP
     out.factors = (a, b)
@@ -295,13 +303,7 @@ def validate_ananat(t):
 
 
 def identity_ananat(a):
-    fp = fibre_product(a.p, a.p)
-    phi = Mor(fp.apex, a.dst.G1,
-              {e: a.F1t(x1, a.src.u(a.p(x1)), x2)
-               for e, (x1, x2) in fp.pairing.items()})
-    t = AnaNat(a, a, phi, fp)
-    assert passed(validate_ananat(t))
-    return t
+    return iso_to_ananat(a, a, identity(a.X))
 
 
 def iso_to_ananat(a1, a2, phi):
@@ -310,18 +312,14 @@ def iso_to_ananat(a1, a2, phi):
     fp = fibre_product(a1.p, a2.p)
     tbl = {e: a2.F1t(x2, a2.src.u(a2.p(x2)), phi(x1))
            for e, (x1, x2) in fp.pairing.items()}
-    t = AnaNat(a1, a2, Mor(fp.apex, a1.dst.G1, tbl), fp)
-    assert passed(validate_ananat(t))
-    return t
+    return AnaNat(a1, a2, Mor(fp.apex, a1.dst.G1, tbl), fp)
 
 
 def ananat_inverse(t):
     h = t.from_.dst
     fp = fibre_product(t.to.p, t.from_.p)
     tbl = {e: h.inv(t.at(x1, x2)) for e, (x2, x1) in fp.pairing.items()}
-    out = AnaNat(t.to, t.from_, Mor(fp.apex, h.G1, tbl), fp)
-    assert passed(validate_ananat(out))
-    return out
+    return AnaNat(t.to, t.from_, Mor(fp.apex, h.G1, tbl), fp)
 
 
 def compose_ananat(mode, a, b):
@@ -334,12 +332,10 @@ def compose_ananat(mode, a, b):
         h = af1.dst
         mid = b.to
         fp = fibre_product(af1.p, af3.p)
-        out = AnaNat(af1, af3, descend(fp.apex, h.G1, (
+        return AnaNat(af1, af3, descend(fp.apex, h.G1, (
             (e, h.mul(a.at(x2, x3), b.at(x1, x2)))
             for e, (x1, x3) in fp.pairing.items()
             for x2 in mid.X.elements if mid.p(x2) == af1.p(x1))), fp)
-        assert passed(validate_ananat(out))
-        return out
     if mode == "horizontal":
         phi, psi = b, a
         c1 = compose_anafunctors(psi.from_, phi.from_)
@@ -358,22 +354,21 @@ def compose_ananat(mode, a, b):
                         yield e, k.mul(b2.F1t(y2, phi.at(x1, x2), y2p),
                                        psi.at(y1, y2p))
 
-        out = AnaNat(c1, c2, descend(fp.apex, k.G1, values()), fp)
-        assert passed(validate_ananat(out))
-        return out
+        return AnaNat(c1, c2, descend(fp.apex, k.G1, values()), fp)
     raise NotComposable("unknown mode %r" % (mode,))
 
 
 class AnaIso:
     """A common cover of both object spaces with an isomorphism of the
-    pulled-back groupoids that is the identity on objects."""
+    pulled-back groupoids that is the identity on objects.  Raises
+    NotAFunctor, naming the failing checks, when ``functor`` is not one."""
 
     def __init__(self, src, dst, p, q, functor):
         assert is_cover(p) and is_cover(q)
         assert p.dom == q.dom
         assert functor.F0 == identity(p.dom)
         assert is_iso(functor.F1)
-        assert passed(validate_functor(functor))
+        require(validate_functor(functor), NotAFunctor)
         self.src, self.dst, self.Z = src, dst, p.dom
         self.p, self.q, self.functor = p, q, functor
 
@@ -390,7 +385,6 @@ def is_ana_equivalence(a):
     Z = D.apex
     p2 = compose(a.p, D.pr1)
     q2 = Mor(Z, h.G0, {e: h.s(hh) for e, (x, hh) in D.pairing.items()})
-    assert is_cover(p2) and is_cover(q2)
     gz, _ = pullback_groupoid(g, p2)
     hz, _ = pullback_groupoid(h, q2)
     tbl = {}
@@ -476,9 +470,7 @@ def exists_ananat(a1, a2):
     got = next(backtrack(elems, cand, implied), None)
     if got is None:
         return None
-    t = AnaNat(a1, a2, Mor(fp.apex, h.G1, got), fp)
-    assert passed(validate_ananat(t))
-    return t
+    return AnaNat(a1, a2, Mor(fp.apex, h.G1, got), fp)
 
 
 def has_quasi_inverse(a, cap=4):

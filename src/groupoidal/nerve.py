@@ -138,7 +138,7 @@ def validate_simplex(sx):
         for key in keys:
             try:
                 ok, msg = make(*key), ""
-            except (SiteError, AssertionError) as exc:
+            except SiteError as exc:
                 ok, msg = False, str(exc)
             yield key + (msg,), ok
 
@@ -245,8 +245,6 @@ def horn_fill_inner2(x01, x12):
     sx = build_simplex([x01.g, x01.h, x12.h],
                        {(0, 1): x01, (1, 2): x12, (0, 2): c},
                        {(0, 1, 2): c.middle_proj})
-    report = validate_simplex(sx)
-    assert passed(report), [f for f in report if not f.ok]
     sx.composite = c
     return sx
 

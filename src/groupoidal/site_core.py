@@ -460,6 +460,14 @@ def passed(findings):
     return all(f.ok for f in findings)
 
 
+def require(findings, error):
+    """Raise ``error`` naming the failing checks of a validator's findings:
+    how a constructor rejects an argument that fails its validator."""
+    failing = [f.check for f in findings if not f.ok]
+    if failing:
+        raise error(failing)
+
+
 def witness_finding(check, witness):
     """The finding of a check that fails exactly when it has a witness."""
     return Finding(check, witness is None, witness)

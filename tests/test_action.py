@@ -9,6 +9,7 @@ from groupoidal.groupoid import (cyclic_groupoid, pair_groupoid,
                                  unit_groupoid, validate_groupoid)
 from groupoidal.bundle import is_basic
 from groupoidal.action import (Action, Actor, Bibundle, GMap, NotAnActor,
+                               NotATranslation,
                                action_fibre_product, actor_apply,
                                actor_horizontal, actor_to_pair,
                                actor_two_arrow, build_action,
@@ -127,7 +128,7 @@ def test_left_mult_actor_and_pair(Z4):
     assert passed(validate_actor(a))
     pair = actor_to_pair(a)
     assert passed(validate_action(pair["base"]))
-    # reconstruction g·h = F(g, r(h))·h is asserted inside actor_to_pair
+    # reconstruction g·h = F(g, r(h))·h is checked in test_postconditions.py
     t = pair["transformation"]
     assert len(t.G1) == 4
 
@@ -182,7 +183,7 @@ def test_section_hmap_round_trip(Z4):
     f = hmap_from_section(Z4, phi)
     assert section_from_hmap(Z4, f) == phi
     notrans = Mor(Z4.G1, Z4.G1, {"0": "0", "1": "0", "2": "0", "3": "0"})
-    with pytest.raises(AssertionError):
+    with pytest.raises(NotATranslation):
         section_from_hmap(Z4, notrans)
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +125,44 @@ def test_map_off_its_codomain_is_a_model_error(tmp_path, flags):
     assert res.returncode == 2, res.stderr
     assert res.stderr.strip() == ("error: map bad: images must land in the "
                                   "codomain (line 3, col 0)")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+README_COMMANDS = [["validate", "C2", "SWAP", "EQ"], ["compose", "EQ", "EQd"],
+                   ["equiv", "EQ"], ["decompose", "EQ"], ["orbit", "SWAP"],
+                   ["nerve", "EQ", "EQd"], ["axioms", "--max", "2"]]
+RUN_ALL = ("import json, sys\n"
+           "from groupoidal.cli import main\n"
+           "print([main(argv) for argv in json.loads(sys.argv[1])])\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_readme_reports_do_not_depend_on_O(tmp_path, flags):
+    """The --json report of each README command, run in a subprocess with
+    the given flags, equals the one this process writes; so the reports
+    are the same under -O as without it."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("# model.gpd\n")
+    model = tmp_path / "model.gpd"
+    model.write_text(text[start:text.index("```", start)])
+
+    def argvs(tag):
+        return [cmd + (["--model", str(model)] if cmd[0] != "axioms" else [])
+                + ["--json", str(tmp_path / ("%s-%s.json" % (tag, cmd[0])))]
+                for cmd in README_COMMANDS]
+
+    src = os.path.dirname(os.path.dirname(groupoidal.__file__))
+    res = subprocess.run(
+        [sys.executable, *flags, "-c", RUN_ALL, json.dumps(argvs("sub"))],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == str([0] * len(README_COMMANDS))
+    for argv in argvs("here"):
+        assert main(argv) == 0
+    for cmd in README_COMMANDS:
+        here = (tmp_path / ("here-%s.json" % cmd[0])).read_bytes()
+        assert (tmp_path / ("sub-%s.json" % cmd[0])).read_bytes() == here
 
 
 def test_finspace_model():

@@ -80,7 +80,7 @@ def test_from_multiplication_rejects_nonassociative():
     pairs = fibre_product(const, const)
     tbl = {pair_id(a, b): ("1" if (a, b) == ("1", "1") else b)
            for a in "01" for b in "01"}
-    with pytest.raises((NotAssociative, ShearNotIso, AssertionError)):
+    with pytest.raises((NotAssociative, ShearNotIso)):
         from_multiplication(pt, G1, const, const,
                             Mor(pairs.apex, G1, tbl))
 

@@ -5,8 +5,9 @@ left/right functions that the point-first action view replaced stay
 gone; every backtracking search runs on ``site_core.backtrack``; no
 library code filters arrow pairs with ``composable``; the pretopology
 harness builds one fibre product per (cover, map) pair and no product map
-per pair of covers from scratch; and no relative import in the package is
-left unused.
+per pair of covers from scratch; no relative import in the package is
+left unused; and no constructor re-checks its output with an ``assert``
+on a validator, nor does any code catch ``AssertionError``.
 """
 
 import ast
@@ -107,3 +108,31 @@ def test_relative_imports_are_used(path):
     unused = sorted((line, name) for name, line in imported.items()
                     if name not in used)
     assert unused == [], "%s: unused imports %s" % (path.name, unused)
+
+
+def names_in(node):
+    """The names and attribute names under ``node``."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name,
+                                                      ast.Attribute))}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_checks_and_no_assertion_handlers(path):
+    """Validators are the one place each invariant is checked, and a
+    verdict may not depend on ``assert``: no ``assert`` calls ``passed``
+    or a ``validate_*`` function, and no ``except`` names
+    ``AssertionError``."""
+    found = []
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Assert):
+            calls = {name for call in ast.walk(node.test)
+                     if isinstance(call, ast.Call)
+                     for name in names_in(call.func)}
+            if "passed" in calls or any(c.startswith("validate_")
+                                        for c in calls):
+                found.append(("assert", node.lineno))
+        if (isinstance(node, ast.ExceptHandler) and node.type is not None
+                and "AssertionError" in names_in(node.type)):
+            found.append(("except", node.lineno))
+    assert found == [], "%s: %s" % (path.name, found)

@@ -1,0 +1,590 @@
+"""The checks that constructors do not run on their own output.
+
+A constructor builds its value and returns it; the paper proves that the
+value is what the constructor claims.  Each check below is the one a
+constructor in ``src/`` used to run on every call, now run once over the
+``conftest.py`` fixtures and the acceptance battery's bibundles and
+composites, with the same validator or derived fact.  The last section
+covers the argument checks that stay in the library: they raise typed
+errors, so they hold under ``python -O`` too.
+"""
+
+import pytest
+
+from groupoidal import bibundle as bibundle_module
+from groupoidal import groupoid as groupoid_module
+from groupoidal.site_core import (Mor, all_maps, fibre_product, identity,
+                                  is_cover, is_iso, pair_id, passed,
+                                  terminal, to_terminal)
+from groupoidal.backends import make_finset
+from groupoidal.groupoid import (BoundaryEquationFails, BoundaryMismatch,
+                                 InverseNotUnique, UnitNotUnique,
+                                 cech_groupoid, cyclic_groupoid,
+                                 from_multiplication, pair_groupoid,
+                                 pullback_groupoid, unit_groupoid,
+                                 validate_groupoid)
+from groupoidal.action import (Action, GMap, NotAnAction,
+                               action_fibre_product, actor_apply,
+                               actor_to_pair, canonical_action,
+                               compose_actors, enumerate_actions,
+                               left_mult_actor, opposite,
+                               transformation_groupoid, translations,
+                               two_sided_transformation_groupoid,
+                               unit_bibundle, validate_action, validate_actor,
+                               validate_bibundle, validate_gmap)
+from groupoidal.bundle import (basic_witness_functor,
+                               cech_action_reconstruction, is_basic)
+from groupoidal.morphism import (AnaIso, Functor, NatTrans, NotAFunctor,
+                                 NotNatural, ad_bisection,
+                                 anafunctor_from_functor, ananat_inverse,
+                                 compose_anafunctors, compose_ananat,
+                                 enumerate_functors, exists_ananat,
+                                 functor_surjectivity_tests,
+                                 identity_anafunctor, identity_ananat,
+                                 identity_functor, is_ana_equivalence,
+                                 nat_inverse, validate_ananat,
+                                 validate_functor)
+from groupoidal.bibundle import (act_on, actor_to_bibundle, associator,
+                                 balanced_product, beta_ana_to_bibundle,
+                                 bibundle_to_anafunctor, cech_equivalence,
+                                 check_inverse, classify, compose_bibundles,
+                                 composite_witness, decompose_actor, dual,
+                                 functor_to_bibundle, imprimitivity,
+                                 left_unitor, right_unitor, roundtrip_ananat,
+                                 roundtrip_beta, validate_bibundle_map)
+from groupoidal.nerve import (NSimplex, horn_fill_inner2, restrict_simplex,
+                              simplex_from_bibundle, simplex_from_groupoid,
+                              unique_inner3_check, validate_simplex)
+
+from test_acceptance import battery, chains
+from test_bibundle import subgroup_bibundle
+from test_nerve import degenerate_3_simplex
+
+
+def recorded(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call's
+    arguments and result; returns the list of (args, result)."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def pool():
+    """The acceptance battery, its duals, the unit bibundles of its
+    groupoids and of Z/2 and Z/4, and their composites with their duals."""
+    out = dict(battery())
+    for name, b in list(out.items()):
+        out[name + "-dual"] = dual(b)
+    for g in [cyclic_groupoid(2), cyclic_groupoid(4)] + [
+            b.g for b in battery().values()]:
+        out.setdefault("unit-%r" % g, unit_bibundle(g))
+    for name, b in list(out.items()):
+        if not name.endswith("-dual"):
+            out[name + "-with-dual"] = compose_bibundles(b, dual(b))
+    return out
+
+
+def composable(pool, length):
+    return chains(list(pool.values()), length)
+
+
+# ------------------------------------------------------------ groupoid
+
+def built_groupoids(S2, S3, p2, p3, SIER):
+    """One or more groupoids from each groupoid constructor, on finite
+    sets and on finite spaces."""
+    out = [cyclic_groupoid(n) for n in (1, 2, 3, 4)]
+    out += [cyclic_groupoid(2, "fintop"), cech_groupoid(p2), cech_groupoid(p3),
+            pair_groupoid(S2), cech_groupoid(to_terminal(SIER))]
+    onto_s2 = Mor(S3, S2, {"c": "a", "d": "b", "e": "b"})
+    bases = [(cyclic_groupoid(2), to_terminal(S3)),
+             (cech_groupoid(p2), onto_s2),
+             (cech_groupoid(p2), identity(S2)),
+             (cyclic_groupoid(2, "fintop"), to_terminal(SIER))]
+    out += [pullback_groupoid(g, p)[0] for g, p in bases]
+    return out
+
+
+def test_groupoid_constructors_build_groupoids(S2, S3, p2, p3, SIER):
+    """cyclic_groupoid, cech_groupoid (and pair_groupoid), pullback_groupoid
+    and from_multiplication; from_multiplication's multiplication is a
+    cover."""
+    built = built_groupoids(S2, S3, p2, p3, SIER)
+    rebuilt = [from_multiplication(g.G0, g.G1, g.r, g.s, g.m) for g in built]
+    for g in built + rebuilt:
+        assert passed(validate_groupoid(g)), [
+            f for f in validate_groupoid(g) if not f.ok]
+    assert all(is_cover(g.m) for g in rebuilt)
+
+
+def nerve_simplices(Z2, S2, EQ23):
+    """The simplices that tests/test_nerve.py validates."""
+    u = unit_bibundle(Z2)
+    fill = horn_fill_inner2(u, u)
+    edge = restrict_simplex([0, 1], fill)
+    out = [simplex_from_groupoid(Z2), simplex_from_bibundle(u),
+           simplex_from_bibundle(EQ23), fill,
+           horn_fill_inner2(EQ23, dual(EQ23)),
+           restrict_simplex([0, 0, 1], edge),
+           restrict_simplex([0, 0, 0, 0], simplex_from_groupoid(Z2)),
+           degenerate_3_simplex(Z2), degenerate_3_simplex(pair_groupoid(S2))]
+    out += [restrict_simplex(phi, fill) for phi in ([0, 1], [1, 2], [0, 2])]
+    return out
+
+
+def test_from_multiplication_on_simplex_diagonals(monkeypatch, Z2, S2, EQ23):
+    """Every groupoid that validate_simplex recovers from a diagonal,
+    also on the candidate completions of the inner 3-horns, is a
+    groupoid."""
+    calls = recorded(monkeypatch, groupoid_module, "from_multiplication")
+    simplices = nerve_simplices(Z2, S2, EQ23)
+    for sx in simplices:
+        assert passed(validate_simplex(sx))
+    for sx in (s for s in simplices if s.n == 3):
+        for missing in ((0, 1, 3), (0, 2, 3)):
+            m = dict(sx.m)
+            m.pop(missing)
+            horn = NSimplex(3, sx.X, sx.XX, sx.r, sx.s, m)
+            assert len(unique_inner3_check(horn, missing)["fillers"]) == 1
+    returned = {g for _, g in calls}
+    assert len(returned) >= 3
+    for g in returned:
+        assert passed(validate_groupoid(g)) and is_cover(g.m)
+
+
+# ------------------------------------------------------------ action
+
+def actions(Z2, CECH2, SWAP, SIER):
+    out = [SWAP, opposite(SWAP)]
+    for g in (Z2, CECH2, cyclic_groupoid(3), cech_groupoid(to_terminal(SIER))):
+        out += [canonical_action(g), *translations(g)]
+    X = make_finset(["x0", "x1", "x2"])
+    for anchor in all_maps(X, CECH2.G0):
+        out += [a for side in ("left", "right")
+                for a in enumerate_actions(CECH2, X, anchor, side)]
+    return out
+
+
+def test_transformation_groupoids(Z2, CECH2, SWAP, SIER, pool):
+    for a in actions(Z2, CECH2, SWAP, SIER):
+        assert passed(validate_groupoid(transformation_groupoid(a)))
+    for b in pool.values():
+        t = two_sided_transformation_groupoid(b)
+        assert passed(validate_groupoid(t))
+
+
+def test_action_fibre_product(SWAP, S2, Z2, CECH2):
+    maps = [GMap(SWAP, SWAP, identity(S2)),
+            GMap(SWAP, SWAP, Mor(S2, S2, {"a": "b", "b": "a"}))]
+    canon = canonical_action(CECH2)
+    maps.append(GMap(canon, canon, identity(CECH2.G0)))
+    for f1 in maps:
+        for f2 in maps:
+            if f1.to is not f2.to:
+                continue
+            diag, pr1, pr2 = action_fibre_product(f1, f2)
+            assert passed(validate_action(diag))
+            assert passed(validate_gmap(pr1)) and passed(validate_gmap(pr2))
+
+
+def actors(Z2, Z4, CECH2):
+    out = [left_mult_actor(g) for g in (Z2, Z4, CECH2, cyclic_groupoid(3))]
+    out += [decompose_actor(actor_to_bibundle(a))["actor"] for a in list(out)]
+    return out
+
+
+def test_unit_bibundles_and_left_mult_actors(Z2, Z4, CECH2, CECH3):
+    for g in (Z2, Z4, CECH2, CECH3, cyclic_groupoid(2, "fintop")):
+        assert passed(validate_bibundle(unit_bibundle(g)))
+        assert passed(validate_actor(left_mult_actor(g)))
+
+
+def test_actor_to_pair(Z2, Z4, CECH2):
+    """The base action and the functor are valid, and the actor is
+    recovered as g·h = F(g, r(h))·h."""
+    for a in actors(Z2, Z4, CECH2):
+        pair = actor_to_pair(a)
+        assert passed(validate_action(pair["base"]))
+        assert passed(validate_functor(pair["functor"]))
+        h = a.h
+        for gel, hel in a.action.pairs.pairing.values():
+            assert a.act(gel, hel) == h.mul(a.act(gel, h.u(h.r(hel))), hel)
+
+
+def test_actor_apply_and_compose_actors(Z2, Z4, CECH2):
+    """Pushed actions are actions; a composite actor is an actor and
+    satisfies (g·h)·k = g·(h·k)."""
+    every = actors(Z2, Z4, CECH2)
+    for a in every:
+        for x in (translations(a.h)[0], opposite(canonical_action(a.h))):
+            assert passed(validate_action(actor_apply(a, x)))
+    pairs = [(b, a) for a in every for b in every if a.h == b.g]
+    assert len(pairs) > 4
+    for b, a in pairs:
+        out = compose_actors(b, a)
+        assert passed(validate_actor(out))
+        g, h, k = a.g, a.h, b.h
+        for gel in g.arrows():
+            for hel in h.arrows():
+                if a.anchor(hel) != g.s(gel):
+                    continue
+                for kel in k.arrows():
+                    if b.anchor(kel) == h.s(hel):
+                        assert (b.act(a.act(gel, hel), kel)
+                                == out.act(gel, b.act(hel, kel)))
+
+
+# ------------------------------------------------------------ bibundle
+
+def small_functors(Z2, CECH2):
+    pt = unit_groupoid(terminal("finset"))
+    gs = (pt, Z2, CECH2)
+    return [F for g in gs for h in gs for F in enumerate_functors(g, h)]
+
+
+def test_functor_to_bibundle(Z2, CECH2):
+    """A bibundle, a bibundle functor, covering exactly when F is
+    essentially surjective and an equivalence exactly when F is also
+    fully faithful; the generalized pullback is an action."""
+    functors = small_functors(Z2, CECH2)
+    assert len(functors) > 10
+    for F in functors:
+        b = functor_to_bibundle(F)
+        assert passed(validate_bibundle(b))
+        flags, tests = classify(b), functor_surjectivity_tests(F)
+        assert flags["is_functor"]
+        assert flags["is_covering"] == tests["essentially_surjective"]
+        assert flags["is_equivalence"] == (tests["essentially_surjective"]
+                                           and tests["fully_faithful"])
+        for Y in (canonical_action(F.dst), translations(F.dst)[0]):
+            assert passed(validate_action(functor_to_bibundle(F, Y=Y)))
+
+
+def test_duals_and_composites(pool, Z2, Z4, CECH2):
+    """dual, actor_to_bibundle and compose_bibundles build bibundles; a
+    composite's middle action is an action."""
+    for b in pool.values():
+        assert passed(validate_bibundle(dual(b)))
+    for x, y in composable(pool, 2):
+        c = compose_bibundles(x, y)
+        assert passed(validate_bibundle(c))
+        assert passed(validate_action(c.middle_bundle.action))
+    for a in actors(Z2, Z4, CECH2):
+        assert passed(validate_bibundle(actor_to_bibundle(a)))
+
+
+def test_cech_equivalences(p2, p3, SIER):
+    covers = [(p2, None), (p2, p3), (p3, p2), (p2, p2),
+              (to_terminal(SIER), None)]
+    for p, q in covers:
+        b = cech_equivalence(p, q)
+        assert passed(validate_bibundle(b))
+        assert classify(b)["is_equivalence"]
+
+
+def functor_bibundles(pool):
+    return {name: b for name, b in pool.items()
+            if classify(b)["is_functor"]}
+
+
+def test_anafunctor_round_trips(monkeypatch, pool):
+    """bibundle_to_anafunctor: the functor and the two-sided iso are
+    functors, the latter an iso on arrows; beta_ana_to_bibundle: the
+    action it takes orbits of is an action and the result a bibundle;
+    roundtrip_beta: an iso of bibundles; roundtrip_ananat: a 2-arrow with
+    an inverse."""
+    orbits = recorded(monkeypatch, bibundle_module, "orbit_space")
+    named = functor_bibundles(pool)
+    assert len(named) > 8
+    for name, x in named.items():
+        ana = bibundle_to_anafunctor(x)
+        assert passed(validate_functor(ana.F)), name
+        assert passed(validate_functor(ana.two_sided_iso)), name
+        assert is_iso(ana.two_sided_iso.F1), name
+        assert passed(validate_bibundle(beta_ana_to_bibundle(ana))), name
+        out = roundtrip_beta(x)
+        assert is_iso(out["iso"]), name
+        assert passed(validate_bibundle_map(out["beta"], x, out["iso"])), name
+        psi = roundtrip_ananat(ana)
+        assert passed(validate_ananat(psi)), name
+        assert passed(validate_ananat(ananat_inverse(psi))), name
+    assert len(orbits) >= 3 * len(named)
+    for (act,), _ in orbits:
+        assert passed(validate_action(act))
+
+
+def test_associators_and_unitors(pool):
+    for x, y, z in composable(pool, 3):
+        out = associator(x, y, z)
+        assert is_iso(out["iso"])
+        assert passed(validate_bibundle_map(out["left"], out["right"],
+                                            out["iso"]))
+    for x in pool.values():
+        for out in (left_unitor(x), right_unitor(x)):
+            assert is_iso(out["iso"])
+            assert passed(validate_bibundle_map(out["composite"], x,
+                                                out["iso"]))
+
+
+def test_check_inverse(pool):
+    equivalences = [b for b in pool.values()
+                    if classify(b)["is_equivalence"]]
+    assert len(equivalences) > 6
+    for x in equivalences:
+        out = check_inverse(x)
+        for key, c, g in (("iso1", "c1", x.g), ("iso2", "c2", x.h)):
+            assert is_iso(out[key])
+            assert passed(validate_bibundle_map(out[c], unit_bibundle(g),
+                                                out[key]))
+
+
+def test_decompose_actor(pool, Z4):
+    xs = [b for b in pool.values() if classify(b)["is_actor"]]
+    xs.append(actor_to_bibundle(left_mult_actor(Z4)))
+    assert len(xs) > 6
+    for x in xs:
+        out = decompose_actor(x)
+        diag = balanced_product(x.right, x.right)[1]
+        assert passed(validate_action(diag))
+        assert passed(validate_groupoid(out["k"]))
+        assert passed(validate_actor(out["actor"]))
+        assert passed(validate_bibundle(out["equiv"]))
+        assert classify(out["equiv"])["is_equivalence"]
+        assert is_iso(out["iso"])
+        assert passed(validate_bibundle_map(out["composite"], x, out["iso"]))
+
+
+def test_imprimitivity(pool):
+    xs = [subgroup_bibundle()] + [
+        b for b in pool.values()
+        if is_basic(b.left)["flag"] and is_basic(b.right)["flag"]]
+    assert len(xs) > 4
+    for x in xs:
+        out = imprimitivity(x)
+        assert passed(validate_bibundle(out))
+        assert classify(out)["is_equivalence"]
+
+
+def test_composite_witness(pool):
+    """A map that presents w as the composite is a cover; when x is a
+    bibundle functor it pairs with x's anchor into an iso onto
+    X x_{G0} W."""
+    count = 0
+    for x, y in composable(pool, 2):
+        w = compose_bibundles(x, y)
+        m = w.middle_proj
+        assert composite_witness(x, y, w, m)
+        assert is_cover(m)
+        if not classify(x)["is_functor"]:
+            continue
+        count += 1
+        FP = w.middle
+        WFP = fibre_product(x.r_anchor, w.r_anchor)
+        pairing = Mor(FP.apex, WFP.apex,
+                      {e: WFP.index[(FP.pairing[e][0], m(e))]
+                       for e in FP.apex.elements})
+        assert is_iso(pairing)
+    assert count > 10
+
+
+def test_act_on(pool):
+    xs = [b for b in pool.values() if classify(b)["is_actor"]]
+    assert len(xs) > 6
+    for x in xs:
+        for y in (translations(x.h)[0], canonical_action(x.h)):
+            out = act_on(x, y)
+            assert passed(validate_action(out))
+            assert passed(validate_action(balanced_product(x.right, y)[1]))
+
+
+# ------------------------------------------------------------ morphism
+
+def anafunctors(pool, Z2, CECH2):
+    out = [bibundle_to_anafunctor(b) for b in functor_bibundles(pool).values()]
+    out += [identity_anafunctor(g) for g in (Z2, CECH2)]
+    out += [anafunctor_from_functor(F) for F in small_functors(Z2, CECH2)]
+    return out
+
+
+def test_ad_bisection(S3, CECH2, Z4):
+    for g in (pair_groupoid(S3), CECH2, Z4):
+        for phi in all_maps(g.G0, g.G1):
+            res = ad_bisection(g, phi)
+            if res["is_section"]:
+                assert passed(validate_functor(res["ad"]))
+
+
+def test_compose_anafunctors(pool, Z2, CECH2):
+    every = anafunctors(pool, Z2, CECH2)
+    count = 0
+    for a in every:
+        for b in every:
+            if a.dst != b.src:
+                continue
+            c = compose_anafunctors(b, a)
+            assert is_cover(c.p)
+            assert passed(validate_functor(c.F))
+            count += 1
+    assert count > 20
+
+
+def test_ananats(pool, Z2, CECH2):
+    """identity_ananat (through iso_to_ananat), exists_ananat,
+    ananat_inverse and both compositions of compose_ananat build
+    2-arrows."""
+    every = anafunctors(pool, Z2, CECH2)
+    for a in every:
+        assert passed(validate_ananat(identity_ananat(a)))
+    found = []
+    for a1 in every:
+        for a2 in every:
+            if (a1.src, a1.dst) != (a2.src, a2.dst):
+                continue
+            t = exists_ananat(a1, a2)
+            if t is None:
+                continue
+            found.append(t)
+            assert passed(validate_ananat(t))
+            inv = ananat_inverse(t)
+            assert passed(validate_ananat(inv))
+            assert passed(validate_ananat(compose_ananat("vertical", inv, t)))
+    assert len(found) > 10
+    for phi in found:
+        before = identity_ananat(identity_anafunctor(phi.from_.src))
+        after = identity_ananat(identity_anafunctor(phi.from_.dst))
+        for psi, inner in ((after, phi), (phi, before)):
+            out = compose_ananat("horizontal", psi, inner)
+            assert passed(validate_ananat(out))
+
+
+def test_ana_equivalence_witness_covers(pool, Z2, CECH2):
+    count = 0
+    for a in anafunctors(pool, Z2, CECH2):
+        w = is_ana_equivalence(a)["witness"]
+        if w is not None:
+            count += 1
+            assert is_cover(w.p) and is_cover(w.q)
+    assert count > 5
+
+
+# ------------------------------------------------------------ bundle
+
+def test_basic_witness_functor(Z2, CECH2, SWAP, SIER):
+    basic = [a for a in actions(Z2, CECH2, SWAP, SIER)
+             if is_basic(a)["flag"]]
+    assert len(basic) > 10
+    for a in basic:
+        F = basic_witness_functor(a)
+        assert passed(validate_functor(F))
+        assert is_iso(F.F1)
+
+
+def test_cech_action_reconstruction(p2, p3, S2, S3):
+    count = 0
+    for p in (p2, p3, Mor(S3, S2, {"c": "a", "d": "b", "e": "b"})):
+        g = cech_groupoid(p)
+        X = make_finset(["y0", "y1", "y2", "y3"])
+        for anchor in all_maps(X, g.G0):
+            for a in enumerate_actions(g, X, anchor):
+                count += 1
+                assert is_iso(cech_action_reconstruction(a, p)["iso"])
+    assert count > 10
+
+
+# ------------------------------------------------------------ nerve
+
+def test_horn_fill_inner2(pool):
+    count = 0
+    for x, y in composable(pool, 2):
+        if classify(x)["is_functor"] and classify(y)["is_functor"]:
+            count += 1
+            assert passed(validate_simplex(horn_fill_inner2(x, y)))
+    assert count > 10
+
+
+# ------------------------------------------- argument checks that stay
+
+def test_transformation_groupoid_rejects_a_non_action(Z2, S2):
+    anchor = Mor(S2, Z2.G0, {"a": "*", "b": "*"})
+    pairs = fibre_product(anchor, Z2.r)
+    bad = Action(Z2, S2, anchor, Mor(pairs.apex, S2, {
+        e: "a" for e in pairs.apex.elements}), "right", pairs)
+    with pytest.raises(NotAnAction, match="unit"):
+        transformation_groupoid(bad)
+
+
+def test_functor_to_bibundle_rejects_a_non_functor(Z2, Z4):
+    # 1 -> 1 does not preserve 1 + 1 = 0 from Z/2 to Z/4
+    bad = Functor(Z2, Z4, identity(Z2.G0),
+                  Mor(Z2.G1, Z4.G1, {"0": "0", "1": "1"}))
+    with pytest.raises(NotAFunctor, match="multiplicative"):
+        functor_to_bibundle(bad)
+
+
+def test_nat_inverse_rejects_a_non_natural_map(CECH2):
+    idF = identity_functor(CECH2)
+    # the arrow a -> a at both objects has the wrong boundary at b
+    a = CECH2.kernel.index[("a", "a")]
+    with pytest.raises(NotNatural, match="anchor"):
+        nat_inverse(NatTrans(idF, idF, Mor(CECH2.G0, CECH2.G1,
+                                           {"a": a, "b": a})))
+
+
+def test_ana_iso_rejects_a_non_functor(Z2):
+    w = is_ana_equivalence(identity_anafunctor(Z2))["witness"]
+    F1 = w.functor.F1
+    swapped = Mor(F1.dom, F1.cod, dict(zip(F1.dom.elements, reversed(
+        [F1(e) for e in F1.dom.elements]))))
+    bad = Functor(w.functor.src, w.functor.dst, w.functor.F0, swapped)
+    with pytest.raises(NotAFunctor, match="unit-preserving"):
+        AnaIso(w.src, w.dst, w.p, w.q, bad)
+
+
+def loops(tbl):
+    """One object and the arrows 0 and 1, multiplied by ``tbl``."""
+    pt = terminal("finset")
+    G1 = make_finset(["0", "1"])
+    const = Mor(G1, pt, {"0": "*", "1": "*"})
+    pairs = fibre_product(const, const)
+    return pt, G1, const, const, Mor(pairs.apex, G1, {
+        pair_id(a, b): tbl(a, b) for a in "01" for b in "01"})
+
+
+def walking_arrow():
+    """Two objects and one arrow f between them: a category that is not
+    a groupoid, with unique units and no inverse of f."""
+    G0 = make_finset(["x", "y"])
+    G1 = make_finset(["1x", "1y", "f"])
+    r = Mor(G1, G0, {"1x": "x", "1y": "y", "f": "y"})
+    s = Mor(G1, G0, {"1x": "x", "1y": "y", "f": "x"})
+    pairs = fibre_product(s, r)
+    m = Mor(pairs.apex, G1, {e: (b if a.startswith("1") else a)
+                             for e, (a, b) in pairs.pairing.items()})
+    return G0, G1, r, s, m
+
+
+def test_from_multiplication_typed_errors(monkeypatch):
+    """A wrong domain and failing boundary equations are rejected before
+    the shear check; with the shear check passed over, so are a unit and
+    an inverse that are not unique."""
+    pt, G1, r, s, m = loops(lambda a, b: b)
+    with pytest.raises(BoundaryMismatch):
+        from_multiplication(pt, G1, r, s, Mor(G1, G1, identity(G1).table))
+    G0, H1, hr, hs, hm = walking_arrow()
+    with pytest.raises(BoundaryEquationFails):
+        from_multiplication(G0, H1, hr, hs, Mor(hm.dom, H1, {
+            e: "f" for e in hm.dom.elements}))
+    monkeypatch.setattr(groupoid_module, "is_iso", lambda f: True)
+    # x·y = y: every arrow is a left unit of every arrow
+    with pytest.raises(UnitNotUnique):
+        from_multiplication(pt, G1, r, s, m)
+    with pytest.raises(InverseNotUnique):
+        from_multiplication(G0, H1, hr, hs, hm)
