@@ -14,8 +14,8 @@ other side through inversion.
 from .site_core import (Mor, NotAMorphism, SiteError, backtrack, compose,
                         fibre_product, first_failure, inverse, is_cover,
                         is_iso, is_surjective, pair_id, passed, require,
-                        valid_mor_table, witness_finding)
-from .groupoid import Groupoid
+                        triple_product, valid_mor_table, witness_finding)
+from .groupoid import build_groupoid
 
 
 class NotAnAction(SiteError):
@@ -240,20 +240,17 @@ def transformation_groupoid(a):
     is not an action."""
     require(validate_action(a), NotAnAction)
     g = a.g
-    G1t = a.pairs.apex
-    rt, st = a.order(a.point, a.mult)
-    pairs_t = fibre_product(st, rt)
     parts = {e: (x, gel) for e, x, gel in a.cells()}
-    mtab = {}
-    for e, first, second in a.cells(pairs_t):
+
+    def mul(e1, e2):
+        first, second = a.order(e1, e2)
         x, p = parts[first]
-        mtab[e] = a.key(x, a.then(p, parts[second][1]))
-    m = Mor(pairs_t.apex, G1t, mtab)
-    u = Mor(a.X, G1t,
-            {x: a.key(x, g.u(a.anchor(x))) for x in a.X.elements})
-    i = Mor(G1t, G1t,
-            {e: a.key(a.mult(e), g.i(gel)) for e, x, gel in a.cells()})
-    t = Groupoid(a.X, G1t, rt, st, m, u, i, pairs=pairs_t)
+        return a.key(x, a.then(p, parts[second][1]))
+
+    t = build_groupoid(
+        a.X, a.pairs.apex, *a.order(a.point, a.mult), mul,
+        lambda x: a.key(x, g.u(a.anchor(x))),
+        lambda e: a.key(a.mult(e), g.i(parts[e][1])))
     t.parts = parts
     t.action = a
     return t
@@ -332,33 +329,24 @@ def unit_bibundle(g):
 def two_sided_transformation_groupoid(b):
     """Arrows G1 x X x H1; range acts on the left, source on the right."""
     g, h = b.g, b.h
-    T1 = fibre_product(g.s, b.r_anchor)
-    T2 = fibre_product(compose(b.s_anchor, T1.pr2), h.r)
-    triples = {}
-    for e, (a, hel) in T2.pairing.items():
-        gel, x = T1.pairing[a]
-        triples[e] = (gel, x, hel)
-    index = {t: e for e, t in triples.items()}
-    G1t = T2.apex
-    rt = Mor(G1t, b.X, {e: b.lact(gel, x)
-                        for e, (gel, x, hel) in triples.items()})
-    st = Mor(G1t, b.X, {e: b.ract(x, hel)
-                        for e, (gel, x, hel) in triples.items()})
-    pairs_t = fibre_product(st, rt)
-    mtab = {}
-    for e, (e1, e2) in pairs_t.pairing.items():
+    G1t, triples, index = triple_product(g.s, b.r_anchor, b.s_anchor, h.r)
+
+    def mul(e1, e2):
         g1, x1, h1 = triples[e1]
         g2, x2, h2 = triples[e2]
-        mtab[e] = index[(g.mul(g1, g2), b.lact(g.i(g2), x1),
-                         h.mul(h1, h2))]
-    m = Mor(pairs_t.apex, G1t, mtab)
-    u = Mor(b.X, G1t,
-            {x: index[(g.u(b.r_anchor(x)), x, h.u(b.s_anchor(x)))]
-             for x in b.X.elements})
-    itab = {e: index[(g.i(gel), b.ract(b.lact(gel, x), hel), h.i(hel))]
-            for e, (gel, x, hel) in triples.items()}
-    i = Mor(G1t, G1t, itab)
-    t = Groupoid(b.X, G1t, rt, st, m, u, i, pairs=pairs_t)
+        return index[(g.mul(g1, g2), b.lact(g.i(g2), x1), h.mul(h1, h2))]
+
+    def inv(e):
+        gel, x, hel = triples[e]
+        return index[(g.i(gel), b.ract(b.lact(gel, x), hel), h.i(hel))]
+
+    t = build_groupoid(
+        b.X, G1t, Mor(G1t, b.X, {e: b.lact(gel, x)
+                                 for e, (gel, x, hel) in triples.items()}),
+        Mor(G1t, b.X, {e: b.ract(x, hel)
+                       for e, (gel, x, hel) in triples.items()}),
+        mul, lambda x: index[(g.u(b.r_anchor(x)), x, h.u(b.s_anchor(x)))],
+        inv)
     t.triples = triples
     t.triple_index = index
     return t

@@ -14,12 +14,13 @@ map that is constant on orbits into a map out of the orbit space.
 from .site_core import (BoundaryMismatch, Mor, NotAMorphism, NotWellDefined,
                         SiteError, backtrack, compose, descend,
                         fibre_product, first_failure, is_cover, is_iso,
-                        passed, require, witness_finding)
+                        passed, require, triple_product, witness_finding)
 from .action import (Bibundle, NotAnActor, build_action, is_invariant,
                      on_side, opposite, transformation_groupoid,
                      translations, two_sided_transformation_groupoid,
                      unit_bibundle, validate_bibundle)
-from .bundle import PrincipalBundle, check_principal, is_basic, orbit_space
+from .bundle import (NotBasic, NotPrincipal, PrincipalBundle, check_principal,
+                     is_basic, orbit_space)
 from .morphism import NotComposable
 
 
@@ -35,10 +36,6 @@ class NotAnEquivalence(SiteError):
     pass
 
 
-class NotBasic(SiteError):
-    pass
-
-
 def classify(x):
     """The four flags of a bibundle: functor, covering, actor,
     equivalence."""
@@ -46,11 +43,18 @@ def classify(x):
     s_cover = is_cover(x.s_anchor)
     is_functor = right_principal_over_r
     is_covering = is_functor and s_cover
-    is_actor = is_basic(x.right)["flag"] and s_cover
+    is_actor = actor_orbits(x) is not None
     is_equivalence = is_covering and passed(
         check_principal(x.left, x.s_anchor))
     return {"is_functor": is_functor, "is_covering": is_covering,
             "is_actor": is_actor, "is_equivalence": is_equivalence}
+
+
+def actor_orbits(x):
+    """``is_basic`` of x's right action when x is an actor (that action
+    basic and the source anchor a cover), else None."""
+    res = is_basic(x.right)
+    return res if res["flag"] and is_cover(x.s_anchor) else None
 
 
 def validate_bibundle_map(x, y, f):
@@ -120,13 +124,14 @@ def bibundle_to_anafunctor(x):
     two-sided transformation groupoid is built and attached as
     ``two_sided_iso``.
     """
-    flags = classify(x)
-    if not flags["is_functor"]:
-        raise NotABibundleFunctor("right action not principal over r")
+    try:
+        bundle = PrincipalBundle(x.right, x.r_anchor)
+    except NotPrincipal:
+        raise NotABibundleFunctor(
+            "right action not principal over r") from None
     from .groupoid import pullback_groupoid
     from .morphism import Anafunctor, Functor
     g, h = x.g, x.h
-    bundle = PrincipalBundle(x.right, x.r_anchor)
     gx, hyper = pullback_groupoid(g, x.r_anchor)
     f1tab = {}
     for e, (x1, gel, x2) in gx.triples.items():
@@ -150,22 +155,15 @@ def beta_ana_to_bibundle(a):
     the surviving outer G- and H-actions."""
     g, h = a.src, a.dst
     gx = a.gx
-    T1 = fibre_product(g.s, a.p)
-    T2 = fibre_product(compose(a.F.F0, T1.pr2), h.r)
-    triples, index = {}, {}
-    for e, (w, hel) in T2.pairing.items():
-        gel, xe = T1.pairing[w]
-        triples[e] = (gel, xe, hel)
-        index[(gel, xe, hel)] = e
-    anchor = Mor(T2.apex, gx.G0,
-                 {e: xe for e, (gel, xe, hel) in triples.items()})
+    T, triples, index = triple_product(g.s, a.p, a.F.F0, h.r)
+    anchor = Mor(T, gx.G0, {e: xe for e, (gel, xe, hel) in triples.items()})
 
     def mrule(te, ae):
         g1, _, hel = triples[te]
         _, g2, x2 = gx.triples[ae]
         return index[(g.mul(g1, g2), x2, h.mul(h.i(a.F.F1(ae)), hel))]
 
-    act = build_action(gx, T2.apex, anchor, "right", mrule)
+    act = build_action(gx, T, anchor, "right", mrule)
     coeq = orbit_space(act)
     Z = coeq.quotient
 
@@ -361,13 +359,13 @@ def right_unitor(x):
 def check_inverse(x):
     """For an equivalence, the canonical isomorphisms x∘x* ≅ G1 and
     x*∘x ≅ H1 by solving the principal-bundle equations."""
-    flags = classify(x)
-    if not flags["is_equivalence"]:
-        raise NotAnEquivalence("bibundle is not an equivalence")
+    try:
+        rb = PrincipalBundle(x.right, x.r_anchor)
+        lb = PrincipalBundle(x.left, x.s_anchor)
+    except NotPrincipal:
+        raise NotAnEquivalence("bibundle is not an equivalence") from None
     g, h = x.g, x.h
     xd = dual(x)
-    lb = PrincipalBundle(x.left, x.s_anchor)
-    rb = PrincipalBundle(x.right, x.r_anchor)
     c1 = compose_bibundles(x, xd)
     # the unique g with g·x2 = x1
     iso1 = descend(c1.X, g.G1, ((c1.middle_proj(e), lb.solve(x2, x1))
@@ -384,12 +382,11 @@ def decompose_actor(x):
     groupoid K built from H-orbits of carrier pairs, followed by a K–H
     bibundle equivalence carried by the original carrier."""
     from .action import Actor
-    from .groupoid import Groupoid
-    flags = classify(x)
-    if not flags["is_actor"]:
-        raise NotAnActor("bibundle is not an actor")
+    from .groupoid import build_groupoid
     g, h = x.g, x.h
-    res = is_basic(x.right)
+    res = actor_orbits(x)
+    if res is None:
+        raise NotAnActor("bibundle is not an actor")
     bundle = res["bundle"]
     p = bundle.proj
     K0 = bundle.Z
@@ -405,22 +402,17 @@ def decompose_actor(x):
     def decode(c):
         return XX.pairing[c]
 
-    rK = Mor(K1, K0, {c: p(decode(c)[0]) for c in K1.elements})
-    sK = Mor(K1, K0, {c: p(decode(c)[1]) for c in K1.elements})
-    kpairs = fibre_product(sK, rK)
-    mtab = {}
-    for e, (a, b) in kpairs.pairing.items():
+    def mul(a, b):
         x1, x2 = decode(a)
         y1, y2 = decode(b)
-        hel = bundle.solve(y1, x2)
-        mtab[e] = cls(x1, x.ract(y2, hel))
-    m = Mor(kpairs.apex, K1, mtab)
+        return cls(x1, x.ract(y2, bundle.solve(y1, x2)))
+
     rep_of_obj = {p(xe): xe for xe in x.X.elements}
-    u = Mor(K0, K1, {c: cls(rep_of_obj[c], rep_of_obj[c])
-                     for c in K0.elements})
-    i = Mor(K1, K1, {c: cls(decode(c)[1], decode(c)[0])
-                     for c in K1.elements})
-    K = Groupoid(K0, K1, rK, sK, m, u, i, pairs=kpairs)
+    K = build_groupoid(
+        K0, K1, Mor(K1, K0, {c: p(decode(c)[0]) for c in K1.elements}),
+        Mor(K1, K0, {c: p(decode(c)[1]) for c in K1.elements}), mul,
+        lambda c: cls(rep_of_obj[c], rep_of_obj[c]),
+        lambda c: cls(*decode(c)[::-1]))
 
     def krule(xe, c):
         x1, x2 = decode(c)
@@ -511,8 +503,7 @@ def composite_witness(x, y, w, m):
 def act_on(x, y):
     """Push an H-action y, read as a left action, through a bibundle actor
     to a left G-action on the orbit carrier X x_H Y."""
-    flags = classify(x)
-    if not flags["is_actor"]:
+    if actor_orbits(x) is None:
         raise NotAnActor("bibundle is not an actor")
     if y.g != x.h:
         raise MiddleMismatch("y is not an action of the actor's target")

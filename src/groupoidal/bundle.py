@@ -16,6 +16,10 @@ class NotPrincipal(SiteError):
     pass
 
 
+class NotBasic(SiteError):
+    pass
+
+
 def orbit_space(a):
     """Coequalizer of the two maps out of the action fibre product."""
     return coequalizer(a.point, a.mult)
@@ -84,10 +88,7 @@ def is_basic(a):
     else:
         # freeness plus continuity of the shear inverse plus the quotient
         # map being a cover
-        alt = free
-        if alt:
-            sh, PP = bundle_shear(a, coeq.proj)
-            alt = is_iso(sh) and is_cover(coeq.proj)
+        alt = free and is_iso(shear[0]) and is_cover(coeq.proj)
         cross.append(Finding("basic-iff-free-and-continuous",
                              flag == alt, None))
     return {"flag": flag, "bundle": bundle, "orbits": coeq,
@@ -119,11 +120,13 @@ def induced_base_map(f, b1, b2):
 def basic_witness_functor(a):
     """For a basic action, the identity-on-objects isomorphism from the
     transformation groupoid to the kernel-pair groupoid of the quotient
-    map, sending each arrow to the pair of its range and source."""
+    map, sending each arrow to the pair of its range and source.  Raises
+    NotBasic when ``a`` is not basic."""
     from .groupoid import cech_groupoid
     from .morphism import Functor
     res = is_basic(a)
-    assert res["flag"], "action is not basic"
+    if not res["flag"]:
+        raise NotBasic("action is not basic")
     b = res["bundle"]
     t = transformation_groupoid(a)
     c = cech_groupoid(b.proj)

@@ -6,10 +6,10 @@ usual equations; multiplication lives on the canonical fibre product of
 in the domain of m.
 """
 
-from .site_core import (BoundaryMismatch, Mor, NotACover, NotAMorphism,
-                        SiteError, compose, descend, fibre_product,
-                        first_failure, identity, is_cover, is_iso,
-                        kernel_pair, pair_id, terminal, to_terminal,
+from .site_core import (BoundaryMismatch, Mor, NotACover, NotAMorphism, Obj,
+                        SiteError, descend, fibre_product, first_failure,
+                        identity, is_cover, is_iso, kernel_pair, pair_id,
+                        terminal, to_terminal, triple_product,
                         witness_finding)
 
 
@@ -210,12 +210,23 @@ def from_multiplication(G0, G1, r, s, m):
     return Groupoid(G0, G1, r, s, m, u, i, pairs=pairs)
 
 
+def build_groupoid(G0, G1, r, s, mul, unit, inv):
+    """The groupoid whose multiplication sends each composable pair
+    (a, b) to mul(a, b), whose unit sends each object x to unit(x) and
+    whose inversion sends each arrow a to inv(a)."""
+    pairs = fibre_product(s, r)
+    m = Mor(pairs.apex, G1, {e: mul(a, b) for e, (a, b)
+                             in pairs.pairing.items()})
+    u = Mor(G0, G1, {x: unit(x) for x in G0.elements})
+    i = Mor(G1, G1, {a: inv(a) for a in G1.elements})
+    return Groupoid(G0, G1, r, s, m, u, i, pairs=pairs)
+
+
 def unit_groupoid(X):
     """All arrows are units: G1 = G0 = X."""
     idx = identity(X)
-    pairs = fibre_product(idx, idx)
-    m = Mor(pairs.apex, X, {e: lr[0] for e, lr in pairs.pairing.items()})
-    return Groupoid(X, X, idx, idx, m, idx, idx, pairs=pairs)
+    return build_groupoid(X, X, idx, idx, lambda a, b: a, lambda x: x,
+                          lambda a: a)
 
 
 def cech_groupoid(p):
@@ -223,18 +234,10 @@ def cech_groupoid(p):
     if not is_cover(p):
         raise NotACover("p")
     K = kernel_pair(p)
-    r, s = K.pr1, K.pr2
-    pairs = fibre_product(s, r)
-    mtab = {}
-    for e, (a, b) in pairs.pairing.items():
-        x1, _ = K.pairing[a]
-        _, x3 = K.pairing[b]
-        mtab[e] = K.index[(x1, x3)]
-    m = Mor(pairs.apex, K.apex, mtab)
-    u = Mor(p.dom, K.apex, {x: K.index[(x, x)] for x in p.dom.elements})
-    i = Mor(K.apex, K.apex,
-            {e: K.index[(x2, x1)] for e, (x1, x2) in K.pairing.items()})
-    g = Groupoid(p.dom, K.apex, r, s, m, u, i, pairs=pairs)
+    g = build_groupoid(
+        p.dom, K.apex, K.pr1, K.pr2,
+        lambda a, b: K.index[(K.pairing[a][0], K.pairing[b][1])],
+        lambda x: K.index[(x, x)], lambda e: K.index[K.pairing[e][::-1]])
     g.kernel = K
     return g
 
@@ -253,29 +256,21 @@ def pullback_groupoid(g, p):
     """
     if not is_cover(p):
         raise NotACover("p")
-    A = fibre_product(p, g.r)
-    sA = compose(g.s, A.pr2)
-    B = fibre_product(sA, p)
-    triples = {}
-    for e, (a, y) in B.pairing.items():
-        x, h = A.pairing[a]
-        triples[e] = (x, h, y)
-    index = {t: e for e, t in triples.items()}
-    G1x = B.apex
-    rx = compose(A.pr1, B.pr1)
-    sx = B.pr2
-    pairsx = fibre_product(sx, rx)
-    mtab = {}
-    for e, (t1, t2) in pairsx.pairing.items():
+    G1x, triples, index = triple_product(p, g.r, g.s, p)
+
+    def mul(t1, t2):
         x1, h1, _ = triples[t1]
         _, h2, y2 = triples[t2]
-        mtab[e] = index[(x1, g.mul(h1, h2), y2)]
-    m = Mor(pairsx.apex, G1x, mtab)
-    u = Mor(p.dom, G1x,
-            {x: index[(x, g.unit(p(x)), x)] for x in p.dom.elements})
-    i = Mor(G1x, G1x,
-            {e: index[(y, g.inv(h), x)] for e, (x, h, y) in triples.items()})
-    gx = Groupoid(p.dom, G1x, rx, sx, m, u, i, pairs=pairsx)
+        return index[(x1, g.mul(h1, h2), y2)]
+
+    def inv(e):
+        x, h, y = triples[e]
+        return index[(y, g.inv(h), x)]
+
+    gx = build_groupoid(
+        p.dom, G1x, Mor(G1x, p.dom, {e: t[0] for e, t in triples.items()}),
+        Mor(G1x, p.dom, {e: t[2] for e, t in triples.items()}), mul,
+        lambda x: index[(x, g.unit(p(x)), x)], inv)
     gx.triples = triples
     gx.triple_index = index
     from .morphism import Functor
@@ -290,16 +285,10 @@ def cyclic_groupoid(n, backend="finset"):
     G0 = terminal(backend)
     names = [str(k) for k in range(n)]
     if backend == "finset":
-        from .site_core import Obj
         G1 = Obj("finset", names)
     else:
-        from .site_core import Obj
         G1 = Obj("fintop", names, {x: frozenset([x]) for x in names})
     const = Mor(G1, G0, {x: "*" for x in names})
-    pairs = fibre_product(const, const)
-    mtab = {e: str((int(a) + int(b)) % n)
-            for e, (a, b) in pairs.pairing.items()}
-    m = Mor(pairs.apex, G1, mtab)
-    u = Mor(G0, G1, {"*": "0"})
-    i = Mor(G1, G1, {x: str((-int(x)) % n) for x in names})
-    return Groupoid(G0, G1, const, const, m, u, i, pairs=pairs)
+    return build_groupoid(G0, G1, const, const,
+                          lambda a, b: str((int(a) + int(b)) % n),
+                          lambda x: "0", lambda a: str((-int(a)) % n))

@@ -175,7 +175,8 @@ def bisection_inverse(g, phi):
 def functor_surjectivity_tests(F):
     """Essential surjectivity: (x, h) -> s(h) on G0 x_{H0} H1 is a cover.
     Full faithfulness: g -> (r(g), F1(g), s(g)) into the arrow span is an
-    isomorphism."""
+    isomorphism.  Returns both flags, both maps and the fibre product
+    ``D`` = G0 x_{H0} H1."""
     g, h = F.src, F.dst
     D = fibre_product(F.F0, h.r)
     es_map = Mor(D.apex, h.G0,
@@ -186,7 +187,7 @@ def functor_surjectivity_tests(F):
                   for a in g.arrows()})
     return {"essentially_surjective": is_cover(es_map),
             "fully_faithful": is_iso(ff_map),
-            "es_map": es_map, "ff_map": ff_map}
+            "es_map": es_map, "ff_map": ff_map, "D": D}
 
 
 class Anafunctor:
@@ -381,10 +382,9 @@ def is_ana_equivalence(a):
     if not flag:
         return {"flag": False, "witness": None, "tests": tests}
     g, h = a.src, a.dst
-    D = fibre_product(a.F.F0, h.r)
+    D, q2 = tests["D"], tests["es_map"]
     Z = D.apex
     p2 = compose(a.p, D.pr1)
-    q2 = Mor(Z, h.G0, {e: h.s(hh) for e, (x, hh) in D.pairing.items()})
     gz, _ = pullback_groupoid(g, p2)
     hz, _ = pullback_groupoid(h, q2)
     tbl = {}

@@ -283,6 +283,16 @@ def kernel_pair(f):
     return fibre_product(f, f)
 
 
+def triple_product(f, g, h, k):
+    """A x_{f,g} B x_{h,k} C for f: A -> Z, g: B -> Z, h: B -> W and
+    k: C -> W: the apex, the triple (a, b, c) of each of its elements,
+    and the reverse index."""
+    AB = fibre_product(f, g)
+    ABC = fibre_product(compose(h, AB.pr2), k)
+    triples = {e: AB.pairing[ab] + (c,) for e, (ab, c) in ABC.pairing.items()}
+    return ABC.apex, triples, {t: e for e, t in triples.items()}
+
+
 class UnionFind:
     def __init__(self, xs):
         self.parent = {x: x for x in xs}
@@ -544,10 +554,31 @@ class _Budget:
     def __init__(self, n):
         self.left = n
 
-    def tick(self, k=1):
-        self.left -= k
+    def tick(self):
+        self.left -= 1
         if self.left < 0:
             raise BudgetExceeded("axiom harness budget exhausted")
+
+    def each(self, cases):
+        """The cases, with one tick before each."""
+        for case in cases:
+            self.tick()
+            yield case
+
+
+def _index(maps, key):
+    """The maps grouped by ``key``, each group in the order of ``maps``."""
+    out = {}
+    for f in maps:
+        out.setdefault(key(f), []).append(f)
+    return out
+
+
+def _check(check, cases):
+    """The finding of one axiom from its (witness, ok) cases: a witness
+    is a template and its values, formatted for the first failing case."""
+    w = first_failure(cases)
+    return witness_finding(check, None if w is None else w[0] % w[1:])
 
 
 def axiom_harness(objs, mors, budget=2_000_000, include_empty_in_28=False):
@@ -556,172 +587,119 @@ def axiom_harness(objs, mors, budget=2_000_000, include_empty_in_28=False):
     Returns a list of Finding records, one per axiom, with a concrete
     witness on failure.  ``budget`` bounds the number of instances
     examined.  The final-object axiom is checked on nonempty objects
-    only unless ``include_empty_in_28`` is set.
+    only unless ``include_empty_in_28`` is set.  Each axiom is one
+    ``first_failure`` over cases that tick the budget through
+    ``_Budget.each``, and finds composable maps through indexes by
+    domain and codomain.
     """
     objs = list(objs)
     mors = list(mors)
     bud = _Budget(budget)
-    findings = []
-
-    def done(check, witness=None):
-        findings.append(Finding(check, witness is None, witness))
-
     covers = [f for f in mors if is_cover(f)]
-
-    # isomorphisms are covers
-    w = None
-    for f in mors:
-        bud.tick()
-        if is_iso(f) and not is_cover(f):
-            w = "iso %r is not a cover" % (f.table,)
-            break
-    done("iso-covers", w)
-
-    # composites of covers are covers
-    w = None
-    for f in covers:
-        for g in covers:
-            if g.cod != f.dom:
-                continue
-            bud.tick()
-            if not is_cover(compose(f, g)):
-                w = "composite of %r and %r" % (f.table, g.table)
-                break
-        if w:
-            break
-    done("compose-covers", w)
-
-    by_cod = {}
-    for f in mors:
-        by_cod.setdefault(f.cod, []).append(f)
+    by_dom = _index(mors, lambda f: f.dom)
+    by_cod = _index(mors, lambda f: f.cod)
+    by_ends = _index(mors, lambda f: (f.dom, f.cod))
+    covers_by_cod = _index(covers, lambda f: f.cod)
 
     # One pullback of each map f along each cover g serves three axioms:
     # pr1 is a cover; pr2 a cover implies f one (cover-local); pr1 a cover
     # and pr2 an iso imply f an iso (iso-local, on the pullback of g along
-    # f, which is this one with its legs swapped).  Each axiom stops at
-    # its first witness and is ticked while it is open.
-    pb = local = iso_local = None
-    for f, g in ((f, g) for g in covers for f in by_cod.get(g.cod, ())):
-        bud.tick((pb is None) + (local is None) + (iso_local is None))
-        fp = fibre_product(f, g)
-        pr1_cover = is_cover(fp.pr1)
-        if pb is None and not pr1_cover:
-            pb = "pr1 of %r along cover %r" % (f.table, g.table)
-        if local is None and is_cover(fp.pr2) and not is_cover(f):
-            local = "locality fails for %r along %r" % (f.table, g.table)
-        if (iso_local is None and pr1_cover and is_iso(fp.pr2)
-                and not is_iso(f)):
-            iso_local = "iso-locality fails for %r along %r" % (f.table,
-                                                                g.table)
-        if pb and local and iso_local:
-            break
-    done("pullback-covers", pb)
+    # f, which is this one with its legs swapped).  Each pullback is built
+    # once, by the first axiom that reaches its pair.
+    along = [(f, g) for g in covers for f in by_cod.get(g.cod, ())]
 
-    # subcanonicity: a cover is the coequalizer of its kernel pair
-    w = None
-    small = [x for x in objs if len(x) <= 3]
-    for f in covers:
-        bud.tick()
-        kp = kernel_pair(f)
-        co = coequalizer(kp.pr1, kp.pr2)
-        induced = {}
-        for x in f.dom.elements:
-            induced[co.proj(x)] = f(x)
-        q = Mor(co.quotient, f.cod, induced)
-        if not is_iso(q):
-            w = "kernel-pair quotient of %r not iso to the base" % (f.table,)
-            break
-        # factorization bijection against small test objects
-        for wobj in small:
-            bud.tick()
-            equalized = [h for h in all_maps(f.dom, wobj)
-                         if all(h(kp.pr1(e)) == h(kp.pr2(e))
-                                for e in kp.apex.elements)]
-            through = {frozenset(compose(h, f).table.items())
-                       for h in all_maps(f.cod, wobj)}
-            if len(through) != len(equalized):
-                w = "factorization count mismatch for %r into %r" % (
-                    f.table, list(wobj.elements))
-                break
-            for h in equalized:
-                if frozenset(h.table.items()) not in through:
-                    w = "equalized map %r does not factor" % (h.table,)
-                    break
-            if w:
-                break
-        if w:
-            break
-    done("subcanonical", w)
+    @cache
+    def pulled(k):
+        # pr1 a cover, pr2 a cover, pr2 an iso
+        fp = fibre_product(*along[k])
+        return is_cover(fp.pr1), is_cover(fp.pr2), is_iso(fp.pr2)
 
-    done("cover-local", local)
+    def pullback_cases(template, holds):
+        for k in bud.each(range(len(along))):
+            f, g = along[k]
+            yield (template, f.table, g.table), holds(f, *pulled(k))
 
-    # two-out-of-three: f∘p and p covers imply f cover
-    w = None
-    for p in covers:
-        for f in mors:
-            if f.dom != p.cod:
-                continue
-            bud.tick()
-            if is_cover(compose(f, p)) and not is_cover(f):
-                w = "f=%r, p=%r" % (f.table, p.table)
-                break
-        if w:
-            break
-    done("two-out-of-three", w)
-
-    # every map to the final object is a cover (nonempty carriers)
-    w = None
-    for x in objs:
-        if not x.elements and not include_empty_in_28:
-            continue
-        bud.tick()
-        if not is_cover(to_terminal(x)):
-            w = "map %r -> {*} is not a cover" % (list(x.elements),)
-            break
-    done("covers-to-final", w)
-
-    done("iso-local", iso_local)
+    # subcanonicity: a cover is the coequalizer of its kernel pair, and
+    # the maps out of its domain that equalize the kernel pair are the
+    # maps that factor through it, on small test objects
+    def subcanonical_cases():
+        small = [x for x in objs if len(x) <= 3]
+        for f in bud.each(covers):
+            kp = kernel_pair(f)
+            co = coequalizer(kp.pr1, kp.pr2)
+            q = descend(co.quotient, f.cod,
+                        ((co.proj(x), f(x)) for x in f.dom.elements))
+            yield (("kernel-pair quotient of %r not iso to the base",
+                    f.table), is_iso(q))
+            for wobj in bud.each(small):
+                equalized = [h for h in all_maps(f.dom, wobj)
+                             if all(h(kp.pr1(e)) == h(kp.pr2(e))
+                                    for e in kp.apex.elements)]
+                through = {frozenset(compose(h, f).table.items())
+                           for h in all_maps(f.cod, wobj)}
+                yield (("factorization count mismatch for %r into %r",
+                        f.table, list(wobj.elements)),
+                       len(through) == len(equalized))
+                for h in equalized:
+                    yield (("equalized map %r does not factor", h.table),
+                           frozenset(h.table.items()) in through)
 
     # binary products of covers are covers; each product of two objects
     # is built once
     product = cache(obj_product)
-    w = None
-    for f1 in covers:
-        for f2 in covers:
-            if not f1.dom.elements or not f2.dom.elements:
-                continue
-            bud.tick()
-            f12 = _product_map(f1, f2, product(f1.dom, f2.dom),
-                               product(f1.cod, f2.cod))
-            if not is_cover(f12):
-                w = "product of %r and %r" % (f1.table, f2.table)
-                break
-        if w:
-            break
-    done("product-covers", w)
+    inhabited = [f for f in covers if f.dom.elements]
 
     # saturation report: look for f with a section-like p making f∘p a
     # cover while f itself is not.  Constructed from fold maps out of
     # coproducts; a witness is expected for fintop, none for finset.
-    witness = None
-    for a in objs:
-        if witness:
-            break
-        for b in objs:
-            if witness:
-                break
-            if not b.elements:
-                continue
-            for f0 in mors:
-                if f0.dom != a or f0.cod != b:
-                    continue
-                bud.tick()
-                total, inl, inr = disjoint_union(a, b)
-                f = copair(f0, identity(b), total, inl, inr)
-                if is_cover(compose(f, inr)) and not is_cover(f):
-                    witness = "fold of %r with the identity on %r" % (
-                        f0.table, list(b.elements))
-                    break
+    def fold_cases():
+        for a in objs:
+            for b in [b for b in objs if b.elements]:
+                for f0 in bud.each(by_ends.get((a, b), ())):
+                    total, inl, inr = disjoint_union(a, b)
+                    f = copair(f0, identity(b), total, inl, inr)
+                    yield (("fold of %r with the identity on %r", f0.table,
+                            list(b.elements)),
+                           not (is_cover(compose(f, inr)) and not is_cover(f)))
+
+    findings = [
+        _check("iso-covers", (
+            (("iso %r is not a cover", f.table),
+             not (is_iso(f) and not is_cover(f))) for f in bud.each(mors))),
+        _check("compose-covers", (
+            (("composite of %r and %r", f.table, g.table),
+             is_cover(compose(f, g)))
+            for f, g in bud.each((f, g) for f in covers
+                                 for g in covers_by_cod.get(f.dom, ())))),
+        _check("pullback-covers", pullback_cases(
+            "pr1 of %r along cover %r", lambda f, c1, c2, i2: c1)),
+        _check("subcanonical", subcanonical_cases()),
+        _check("cover-local", pullback_cases(
+            "locality fails for %r along %r",
+            lambda f, c1, c2, i2: not (c2 and not is_cover(f)))),
+        # two-out-of-three: f∘p and p covers imply f cover
+        _check("two-out-of-three", (
+            (("f=%r, p=%r", f.table, p.table),
+             not (is_cover(compose(f, p)) and not is_cover(f)))
+            for p, f in bud.each((p, f) for p in covers
+                                 for f in by_dom.get(p.cod, ())))),
+        # every map to the final object is a cover (nonempty carriers)
+        _check("covers-to-final", (
+            (("map %r -> {*} is not a cover", list(x.elements)),
+             is_cover(to_terminal(x)))
+            for x in bud.each(x for x in objs
+                              if x.elements or include_empty_in_28))),
+        _check("iso-local", pullback_cases(
+            "iso-locality fails for %r along %r",
+            lambda f, c1, c2, i2: not (c1 and i2 and not is_iso(f)))),
+        _check("product-covers", (
+            (("product of %r and %r", f1.table, f2.table),
+             is_cover(_product_map(f1, f2, product(f1.dom, f2.dom),
+                                   product(f1.cod, f2.cod))))
+            for f1, f2 in bud.each((f1, f2) for f1 in inhabited
+                                   for f2 in inhabited))),
+    ]
+    fold = _check("saturation-witness", fold_cases())
     findings.append(Finding("saturation-witness", True,
-                            witness or "no witness: class is saturated"))
+                            fold.witness or "no witness: class is saturated"))
     return findings

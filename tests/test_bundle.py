@@ -96,8 +96,8 @@ def counted(monkeypatch, module, names):
 
 
 def test_is_basic_builds_the_shear_once(monkeypatch, SWAP):
-    """One principality check and one shear per call on finsets; on
-    fintop a second shear for the cross-check."""
+    """One principality check and one shear per call, on finsets and on
+    fintop, where the cross-check reuses the shear."""
     import groupoidal.bundle as bundle
     calls = counted(monkeypatch, bundle, ["check_principal", "bundle_shear"])
     res = is_basic(SWAP)
@@ -106,7 +106,7 @@ def test_is_basic_builds_the_shear_once(monkeypatch, SWAP):
     calls.update(check_principal=0, bundle_shear=0)
     res = is_basic(sheet_swap())
     assert res["flag"] and passed(res["cross"])
-    assert calls == {"check_principal": 1, "bundle_shear": 2}
+    assert calls == {"check_principal": 1, "bundle_shear": 1}
 
 
 def test_canonical_cech_action_is_basic(CECH3):
@@ -178,6 +178,33 @@ def test_induced_base_map_rejects_non_equivariant_map_under_O():
                          env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "NotWellDefined"
+
+
+NOT_BASIC_CASE = """
+from groupoidal.action import build_action
+from groupoidal.backends import make_finset
+from groupoidal.bundle import NotBasic, basic_witness_functor
+from groupoidal.groupoid import cyclic_groupoid
+from groupoidal.site_core import to_terminal
+z2, pt = cyclic_groupoid(2), make_finset(["x"])
+a = build_action(z2, pt, to_terminal(pt), "right", lambda x, gel: x)
+try:
+    basic_witness_functor(a)
+except NotBasic:
+    print("NotBasic")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_basic_witness_functor_rejects_non_basic(flags):
+    """The trivial Z/2-action on one point is not free, so not basic:
+    NotBasic, with or without -O."""
+    src = os.path.dirname(os.path.dirname(groupoidal.__file__))
+    res = subprocess.run([sys.executable, *flags, "-c", NOT_BASIC_CASE],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "NotBasic"
 
 
 def test_basic_witness_functor(SWAP):

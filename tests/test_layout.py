@@ -5,9 +5,12 @@ left/right functions that the point-first action view replaced stay
 gone; every backtracking search runs on ``site_core.backtrack``; no
 library code filters arrow pairs with ``composable``; the pretopology
 harness builds one fibre product per (cover, map) pair and no product map
-per pair of covers from scratch; no relative import in the package is
-left unused; and no constructor re-checks its output with an ``assert``
-on a validator, nor does any code catch ``AssertionError``.
+per pair of covers from scratch, and finds composable maps through
+indexes rather than by comparing ends; every groupoid but the given
+multiplication of ``from_multiplication`` is built by ``build_groupoid``;
+no relative import in the package is left unused; and no constructor
+re-checks its output with an ``assert`` on a validator, nor does any code
+catch ``AssertionError``.
 """
 
 import ast
@@ -91,6 +94,33 @@ def test_harness_shares_pullbacks_and_products():
                                                              ast.While))]
     assert [line for loop in loops
             for line in called(loop, "mor_product")] == []
+
+
+def test_harness_compares_no_ends():
+    """``axiom_harness`` looks composable maps up in its indexes by
+    domain and codomain; it compares no ``.dom`` or ``.cod`` with ``==``
+    or ``!=``."""
+    harness = next(node for node in ast.walk(parse(PKG / "site_core.py"))
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "axiom_harness")
+    found = [node.lineno for node in ast.walk(harness)
+             if isinstance(node, ast.Compare)
+             and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+             and any(isinstance(side, ast.Attribute)
+                     and side.attr in ("dom", "cod")
+                     for side in [node.left, *node.comparators])]
+    assert found == []
+
+
+def test_groupoids_are_built_in_one_module():
+    """Outside ``groupoidal.groupoid`` no code calls ``Groupoid(``: every
+    other constructor goes through ``build_groupoid``."""
+    calls = [(path.name, node.lineno) for path in MODULES
+             if path.name != "groupoid.py"
+             for node in ast.walk(parse(path))
+             if isinstance(node, ast.Call)
+             and "Groupoid" in names_in(node.func)]
+    assert calls == []
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES

@@ -15,7 +15,7 @@ from groupoidal.site_core import (BoundaryMismatch, Mor, NotAMorphism,
                                   is_cover, is_iso, is_open_map,
                                   is_surjective, kernel_pair, mor_product,
                                   obj_product, pair_id, passed, terminal,
-                                  to_terminal)
+                                  to_terminal, triple_product)
 from groupoidal.backends import (all_finsets, all_finspaces, discrete,
                                  indiscrete, make_finset, make_finspace,
                                  sierpinski)
@@ -125,6 +125,16 @@ def test_fibre_product_fintop_neighbourhoods():
         for e2 in n:
             x2, y2 = fp.pairing[e2]
             assert x2 in sier.nbhd[x] and y2 in sier.nbhd[y]
+
+
+def test_triple_product_lists_every_triple(S2, S3, PT, p2, p3):
+    """S2 x_PT S3 x_S3 S3 over the identity: each element's triple, the
+    reverse index, in the order of the iterated fibre products."""
+    apex, triples, index = triple_product(p2, p3, identity(S3), identity(S3))
+    assert list(triples) == list(apex.elements)
+    assert list(triples.values()) == [(x, y, y) for x in S2.elements
+                                      for y in S3.elements]
+    assert index == {t: e for e, t in triples.items()}
 
 
 def test_kernel_pair_is_cech_square(p2):
