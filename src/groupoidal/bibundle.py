@@ -199,7 +199,8 @@ def cech_equivalence(p, q=None):
     from .site_core import identity
     if q is None:
         q = identity(p.cod)
-    assert p.cod == q.cod
+    if p.cod != q.cod:
+        raise BoundaryMismatch("the two covers must share a codomain")
     g = cech_groupoid(p)
     h = unit_groupoid(q.dom) if is_iso(q) else cech_groupoid(q)
     FP = fibre_product(p, q)

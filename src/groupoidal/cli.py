@@ -6,14 +6,15 @@ Grammar (one declaration per line, ``#`` starts a comment)::
     finset S2 = {a, b}
     finspace SIER = {0, 1} opens [[], [1], [0, 1]]
     map p2 : S2 -> PT { a->x, b->x }
-    groupoid C2 = cech(p2)          # also unit(NAME), cyclic(N), pair(NAME)
+    groupoid C2 = cech(p2)
     action SWAP = right(Z2, aS2) { a|0->a, a|1->b, b|0->b, b|1->a }
-    bibundle E = equiv(p2)          # also equiv(p, q), unit(G), dual(B),
-                                    #      compose(B1, B2)
+    bibundle E = equiv(p2)
     anafunctor A = of(E)
     simplex T = horn2(E1, E2)
 
-Commands: validate, compose, equiv, decompose, orbit, nerve, axioms.
+Tables define the language: ``SYNTAX`` (how each kind is written),
+``CONSTRUCTORS`` (what each constructor takes and which library function
+builds it), ``FINDINGS`` (what ``validate`` reports) and ``COMMANDS``.
 Findings carry the reference strings mandated by the report format.
 """
 
@@ -22,7 +23,10 @@ import json
 import os
 import re
 import sys
+from collections import namedtuple
+from dataclasses import dataclass, field
 from functools import partial
+from types import SimpleNamespace
 
 from .site_core import (Mor, NotAMorphism, SiteError, all_maps,
                         axiom_harness, is_cover, passed)
@@ -35,13 +39,7 @@ from .bundle import orbit_space
 from .bibundle import (cech_equivalence, classify, compose_bibundles,
                        decompose_actor, dual, bibundle_to_anafunctor)
 from .nerve import horn_fill_inner2, validate_simplex
-from .morphism import is_ana_equivalence
-
-
-class ModelSyntaxError(SiteError):
-    def __init__(self, msg, line, col=0):
-        super().__init__("%s (line %d, col %d)" % (msg, line, col))
-        self.line, self.col = line, col
+from .morphism import is_ana_equivalence, validate_functor
 
 
 class UnresolvedName(SiteError):
@@ -84,177 +82,189 @@ PAPER_REFS = {
 
 
 NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-RE_FINSET = re.compile(r"finset\s+(%s)\s*=\s*\{([^}]*)\}\s*$" % NAME)
-RE_FINSPACE = re.compile(
-    r"finspace\s+(%s)\s*=\s*\{([^}]*)\}\s*opens\s*\[(.*)\]\s*$" % NAME)
-RE_MAP = re.compile(
-    r"map\s+(%s)\s*:\s*(%s)\s*->\s*(%s)\s*\{([^}]*)\}\s*$"
-    % (NAME, NAME, NAME))
-RE_GROUPOID = re.compile(
-    r"groupoid\s+(%s)\s*=\s*(cech|unit|cyclic|pair)\(([^)]*)\)\s*$" % NAME)
-RE_ACTION = re.compile(
-    r"action\s+(%s)\s*=\s*(left|right)\((%s)\s*,\s*(%s)\)\s*\{([^}]*)\}\s*$"
-    % (NAME, NAME, NAME))
-RE_BIBUNDLE = re.compile(
-    r"bibundle\s+(%s)\s*=\s*(equiv|unit|dual|compose)\(([^)]*)\)\s*$"
-    % NAME)
-RE_ANAFUNCTOR = re.compile(
-    r"anafunctor\s+(%s)\s*=\s*of\((%s)\)\s*$" % (NAME, NAME))
-RE_SIMPLEX = re.compile(
-    r"simplex\s+(%s)\s*=\s*horn2\((%s)\s*,\s*(%s)\)\s*$"
-    % (NAME, NAME, NAME))
 
 
+class ModelSyntaxError(SiteError):
+    def __init__(self, msg, line, col=0):
+        super().__init__("%s (line %d, col %d)" % (msg, line, col))
+        self.line, self.col = line, col
+
+
+# Argument kinds: the kinds a name may have (ANY: every kind), or INTEGER.
+SPACE, MAP, GROUPOID = ("finset", "finspace"), ("map",), ("groupoid",)
+ACTION, BIBUNDLE, INTEGER, ANY = ("action",), ("bibundle",), ("integer",), ()
+
+
+def _items(text, col):
+    """(item, column) of each item of a list that starts at column col."""
+    return [(m.group(), col + m.start())
+            for m in re.finditer(r"[^,\s](?:[^,]*[^,\s])?", text)]
+
+
+def _table(text, col, line):
+    table = {}
+    for item, c in _items(text, col):
+        key, arrow, value = (p.strip() for p in item.partition("->"))
+        if not arrow or key in table:
+            raise ModelSyntaxError("entry %r %s" % (item, "repeats its key"
+                                   if arrow else "missing '->'"), line, c)
+        table[key] = value
+    return table
+
+
+def _opens(text, col, line):
+    try:
+        opens = json.loads("[" + text + "]")
+    except json.JSONDecodeError as exc:
+        raise ModelSyntaxError("bad opens list: %s" % exc, line, col)
+    if not all(isinstance(u, list) for u in opens):
+        raise ModelSyntaxError("an open set is not a list", line, col)
+    return tuple(tuple(str(x) for x in u) for u in opens)
+
+
+# The bodies a declaration may carry: field -> (parse(text, col, line),
+# write(value)).  A constructor gets its body fields as keyword arguments.
+FIELDS = {
+    "elements": (lambda text, *_: tuple(i for i, c in _items(text, 0)),
+                 ", ".join),
+    "opens": (_opens, lambda v: ", ".join(json.dumps(list(u)) for u in v)),
+    "table": (_table, lambda v: ", ".join("%s->%s" % kv for kv in v.items())),
+}
+
+
+# kind -> (pattern after "KIND NAME", template that writes it back).  A
+# map's arguments are its ends; a template gets the arguments one by one
+# and as the list ``args``.
+CALL = r"=\s*(?P<ctor>%s)\((?P<args>[^)]*)\)" % NAME
+SET = r"(?P<args>)=\s*\{(?P<elements>[^}]*)\}"
+TABLE = r"\s*\{(?P<table>[^}]*)\}"
+SYNTAX = {kind: (re.compile(r"\s*%s\s+(?P<name>%s)\s*%s\s*$"
+                            % (kind, NAME, pattern)),
+                 "%s {name} %s" % (kind, template))
+          for kind, pattern, template in [
+              ("finset", SET, "= {{{elements}}}"),
+              ("finspace", SET + r"\s*opens\s*\[(?P<opens>.*)\]",
+               "= {{{elements}}} opens [{opens}]"),
+              ("map", r":\s*(?P<args>%s\s*->\s*%s)" % (NAME, NAME) + TABLE,
+               ": {0} -> {1} {{ {table} }}"),
+              ("groupoid", CALL, "= {ctor}({args})"),
+              ("action", CALL + TABLE, "= {ctor}({args}) {{ {table} }}"),
+              ("bibundle", CALL, "= {ctor}({args})"),
+              ("anafunctor", CALL, "= {ctor}({args})"),
+              ("simplex", CALL, "= {ctor}({args})")]}
+
+
+def _action(side, g, anchor, table):
+    """An action given by its table; an anchor into a one-point carrier
+    may stand for the anchor into the groupoid's one object."""
+    if anchor.cod != g.G0:
+        if len(anchor.cod) != 1 or len(g.G0) != 1:
+            raise TypeMismatch("the anchor does not land in the objects "
+                               "of the groupoid")
+        anchor = Mor(anchor.dom, g.G0, dict.fromkeys(anchor.dom.elements,
+                                                     g.G0.elements[0]))
+    pairs = action_pairs(g, anchor, side)
+    return Action(g, anchor.dom, anchor, Mor(pairs.apex, anchor.dom, table),
+                  side, pairs)
+
+
+# (kind, constructor) -> (signatures, build): one tuple of argument kinds
+# per accepted count, and the library function given the resolved
+# arguments and the body fields.
+CONSTRUCTORS = {
+    ("finset", None): ([()], make_finset),
+    ("finspace", None): ([()], make_finspace),
+    ("map", None): ([(SPACE, SPACE)], Mor),
+    ("groupoid", "cech"): ([(MAP,)], cech_groupoid),
+    ("groupoid", "unit"): ([(SPACE,)], unit_groupoid),
+    ("groupoid", "pair"): ([(SPACE,)], pair_groupoid),
+    ("groupoid", "cyclic"): ([(INTEGER,)], cyclic_groupoid),
+    ("action", "left"): ([(GROUPOID, MAP)], partial(_action, "left")),
+    ("action", "right"): ([(GROUPOID, MAP)], partial(_action, "right")),
+    ("bibundle", "equiv"): ([(MAP,), (MAP, MAP)], cech_equivalence),
+    ("bibundle", "unit"): ([(GROUPOID,)], unit_bibundle),
+    ("bibundle", "dual"): ([(BIBUNDLE,)], dual),
+    ("bibundle", "compose"): ([(BIBUNDLE, BIBUNDLE)], compose_bibundles),
+    ("anafunctor", "of"): ([(BIBUNDLE,)], bibundle_to_anafunctor),
+    ("simplex", "horn2"): ([(BIBUNDLE, BIBUNDLE)], horn_fill_inner2),
+}
+
+
+def _signature(what, signatures, count, error):
+    """The argument kinds that ``signatures`` (None: one or more names of
+    any kind) gives ``count`` arguments; else raises ``error(message)``."""
+    sig = ((ANY,) * count or None if signatures is None else
+           next((s for s in signatures if len(s) == count), None))
+    if sig is None:
+        forms = " or ".join("(%s)" % ", ".join("/".join(k) for k in s)
+                            for s in signatures or [])
+        raise error("%s takes %s, got %d"
+                    % (what, forms or "one or more names", count))
+    return sig
+
+
+@dataclass
 class Declaration:
-    def __init__(self, kind, name, payload, line):
-        self.kind, self.name, self.payload, self.line = \
-            kind, name, payload, line
-
-    def __eq__(self, other):
-        return (isinstance(other, Declaration)
-                and (self.kind, self.name, self.payload)
-                == (other.kind, other.name, other.payload))
-
-    def __repr__(self):
-        return "Declaration(%s %s)" % (self.kind, self.name)
+    """One model line; ``payload`` is (constructor or None, args, body)."""
+    kind: str
+    name: str
+    payload: tuple
+    line: int = field(compare=False)
 
 
-class ModelFile:
-    def __init__(self, declarations):
-        self.declarations = declarations
-
-    def __eq__(self, other):
-        return (isinstance(other, ModelFile)
-                and self.declarations == other.declarations)
-
-
-def _split_items(body):
-    return [p.strip() for p in body.split(",") if p.strip()]
+ModelFile = namedtuple("ModelFile", "declarations")
 
 
 def parse_model(text):
-    decls = []
-    names = set()
+    decls, names = [], set()
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
         kind = line.split(None, 1)[0]
-        if kind == "finset":
-            m = RE_FINSET.match(line)
-            if not m:
-                raise ModelSyntaxError("bad finset declaration", ln)
-            name, body = m.group(1), m.group(2)
-            payload = ("finset", tuple(_split_items(body)))
-        elif kind == "finspace":
-            m = RE_FINSPACE.match(line)
-            if not m:
-                raise ModelSyntaxError("bad finspace declaration", ln)
-            name = m.group(1)
-            elems = tuple(_split_items(m.group(2)))
-            try:
-                opens = tuple(tuple(str(x) for x in u)
-                              for u in json.loads("[" + m.group(3) + "]"))
-            except json.JSONDecodeError as exc:
-                raise ModelSyntaxError("bad opens list: %s" % exc, ln)
-            payload = ("finspace", elems, opens)
-        elif kind == "map":
-            m = RE_MAP.match(line)
-            if not m:
-                raise ModelSyntaxError("bad map declaration", ln)
-            name, dom, cod, body = m.groups()
-            entries = []
-            for item in _split_items(body):
-                if "->" not in item:
-                    raise ModelSyntaxError(
-                        "map entry %r missing '->'" % item, ln,
-                        raw.find(item) + 1)
-                a, b = (p.strip() for p in item.split("->", 1))
-                entries.append((a, b))
-            payload = ("map", dom, cod, tuple(entries))
-        elif kind == "groupoid":
-            m = RE_GROUPOID.match(line)
-            if not m:
-                raise ModelSyntaxError("bad groupoid declaration", ln)
-            name, ctor, args = m.groups()
-            payload = ("groupoid", ctor, tuple(_split_items(args)))
-        elif kind == "action":
-            m = RE_ACTION.match(line)
-            if not m:
-                raise ModelSyntaxError("bad action declaration", ln)
-            name, side, gname, anchor, body = m.groups()
-            entries = []
-            for item in _split_items(body):
-                if "->" not in item:
-                    raise ModelSyntaxError(
-                        "action entry %r missing '->'" % item, ln)
-                a, b = (p.strip() for p in item.split("->", 1))
-                entries.append((a, b))
-            payload = ("action", side, gname, anchor, tuple(entries))
-        elif kind == "bibundle":
-            m = RE_BIBUNDLE.match(line)
-            if not m:
-                raise ModelSyntaxError("bad bibundle declaration", ln)
-            name, ctor, args = m.groups()
-            payload = ("bibundle", ctor, tuple(_split_items(args)))
-        elif kind == "anafunctor":
-            m = RE_ANAFUNCTOR.match(line)
-            if not m:
-                raise ModelSyntaxError("bad anafunctor declaration", ln)
-            name, arg = m.groups()
-            payload = ("anafunctor", "of", (arg,))
-        elif kind == "simplex":
-            m = RE_SIMPLEX.match(line)
-            if not m:
-                raise ModelSyntaxError("bad simplex declaration", ln)
-            name, a, b = m.groups()
-            payload = ("simplex", "horn2", (a, b))
-        else:
+        if kind not in SYNTAX:
             raise ModelSyntaxError("unknown declaration %r" % kind, ln)
+        m = SYNTAX[kind][0].match(line)
+        if not m:
+            raise ModelSyntaxError("bad %s declaration" % kind, ln)
+        groups = m.groupdict()
+        name, ctor = groups.pop("name"), groups.pop("ctor", None)
+        what, col = ctor or kind, m.start("args") + 1
+        if (kind, ctor) not in CONSTRUCTORS:
+            raise ModelSyntaxError("%s has no constructor %r" % (kind, ctor),
+                                   ln, m.start("ctor") + 1)
+        args = _items(groups.pop("args").replace("->", ", "), col)
+        sig = _signature(what, CONSTRUCTORS[kind, ctor][0], len(args),
+                         lambda msg: ModelSyntaxError(msg, ln, col))
+        for (arg, c), k in zip(args, sig):
+            if not re.fullmatch(r"-?\d+" if k is INTEGER else NAME, arg):
+                raise ModelSyntaxError("%s wants %s, not %r"
+                                       % (what, "/".join(k), arg), ln, c)
         if name in names:
-            raise UnresolvedName(
-                "duplicate name %r at line %d" % (name, ln))
+            raise UnresolvedName("duplicate name %r (line %d, col %d)"
+                                 % (name, ln, m.start("name") + 1))
         names.add(name)
-        decls.append(Declaration(payload[0], name, payload, ln))
+        body = {key: FIELDS[key][0](value, m.start(key) + 1, ln)
+                for key, value in groups.items()}
+        decls.append(Declaration(kind, name, (ctor, tuple(a for a, _ in args),
+                                              body), ln))
     return ModelFile(decls)
 
 
 def serialize_model(model):
     out = []
     for d in model.declarations:
-        p = d.payload
-        if d.kind == "finset":
-            out.append("finset %s = {%s}" % (d.name, ", ".join(p[1])))
-        elif d.kind == "finspace":
-            opens = ", ".join(json.dumps(list(u)) for u in p[2])
-            out.append("finspace %s = {%s} opens [%s]"
-                       % (d.name, ", ".join(p[1]), opens))
-        elif d.kind == "map":
-            body = ", ".join("%s->%s" % ab for ab in p[3])
-            out.append("map %s : %s -> %s { %s }"
-                       % (d.name, p[1], p[2], body))
-        elif d.kind == "groupoid":
-            out.append("groupoid %s = %s(%s)"
-                       % (d.name, p[1], ", ".join(p[2])))
-        elif d.kind == "action":
-            body = ", ".join("%s->%s" % ab for ab in p[4])
-            out.append("action %s = %s(%s, %s) { %s }"
-                       % (d.name, p[1], p[2], p[3], body))
-        elif d.kind == "bibundle":
-            out.append("bibundle %s = %s(%s)"
-                       % (d.name, p[1], ", ".join(p[2])))
-        elif d.kind == "anafunctor":
-            out.append("anafunctor %s = of(%s)" % (d.name, p[2][0]))
-        elif d.kind == "simplex":
-            out.append("simplex %s = horn2(%s, %s)"
-                       % (d.name, p[2][0], p[2][1]))
+        ctor, args, body = d.payload
+        fields = {key: FIELDS[key][1](v) for key, v in body.items()}
+        out.append(SYNTAX[d.kind][1].format(*args, name=d.name, ctor=ctor,
+                                            args=", ".join(args), **fields))
     return "\n".join(out) + "\n"
 
 
 def _lookup(env, kinds, name, *want):
     """The value declared as ``name``, of one of the kinds ``want``."""
     if name not in env:
-        raise UnresolvedName(name)
+        raise UnresolvedName("no declaration named %r" % name)
     if want and kinds[name] not in want:
         raise TypeMismatch("%s is a %s, expected %s"
                            % (name, kinds[name], "/".join(want)))
@@ -263,70 +273,23 @@ def _lookup(env, kinds, name, *want):
 
 def build_model(model):
     """Resolve declarations into concrete objects; returns name -> value
-    and name -> kind maps."""
+    and name -> kind maps.  An error names the declaration's line."""
     env, kinds = {}, {}
-    get = partial(_lookup, env, kinds)
-
-    def build(d):
-        p = d.payload
-        if d.kind == "finset":
-            val = make_finset(p[1], name=d.name)
-        elif d.kind == "finspace":
-            val = make_finspace(p[1], p[2], name=d.name)
-        elif d.kind == "map":
-            dom = get(p[1], "finset", "finspace")
-            cod = get(p[2], "finset", "finspace")
-            val = Mor(dom, cod, dict(p[3]))
-        elif d.kind == "groupoid":
-            ctor, args = p[1], p[2]
-            if ctor == "cech":
-                val = cech_groupoid(get(args[0], "map"))
-            elif ctor == "unit":
-                val = unit_groupoid(get(args[0], "finset", "finspace"))
-            elif ctor == "pair":
-                val = pair_groupoid(get(args[0], "finset", "finspace"))
-            else:
-                val = cyclic_groupoid(int(args[0]))
-        elif d.kind == "action":
-            side, g, anchor = p[1], get(p[2], "groupoid"), get(p[3], "map")
-            if anchor.cod != g.G0:
-                if len(anchor.cod) == 1 and len(g.G0) == 1:
-                    only = next(iter(g.G0.elements))
-                    anchor = Mor(anchor.dom, g.G0,
-                                 {x: only for x in anchor.dom.elements})
-                else:
-                    raise TypeMismatch(
-                        "anchor of %s does not land in the objects of %s"
-                        % (d.name, p[2]))
-            pairs = action_pairs(g, anchor, side)
-            val = Action(g, anchor.dom, anchor,
-                         Mor(pairs.apex, anchor.dom, dict(p[4])), side,
-                         pairs)
-        elif d.kind == "bibundle":
-            ctor, args = p[1], p[2]
-            if ctor == "equiv":
-                covers = [get(a, "map") for a in args]
-                val = cech_equivalence(*covers)
-            elif ctor == "unit":
-                val = unit_bibundle(get(args[0], "groupoid"))
-            elif ctor == "dual":
-                val = dual(get(args[0], "bibundle"))
-            else:
-                val = compose_bibundles(get(args[0], "bibundle"),
-                                        get(args[1], "bibundle"))
-        elif d.kind == "anafunctor":
-            val = bibundle_to_anafunctor(get(p[2][0], "bibundle"))
-        else:
-            val = horn_fill_inner2(get(p[2][0], "bibundle"),
-                                   get(p[2][1], "bibundle"))
-        return val
-
     for d in model.declarations:
+        ctor, args, body = d.payload
+        signatures, build = CONSTRUCTORS[d.kind, ctor]
         try:
-            env[d.name] = build(d)
+            vals = [int(a) if k is INTEGER else _lookup(env, kinds, a, *k)
+                    for a, k in zip(args, _signature(ctor, signatures,
+                                                     len(args), SiteError))]
+            env[d.name] = build(*vals, **body)
         except NotAMorphism as exc:
             raise ModelSyntaxError("%s %s: %s" % (d.kind, d.name, exc),
                                    d.line) from None
+        except SiteError as exc:
+            exc.args = ("%s %s: %s (line %d, col 0)"
+                        % (d.kind, d.name, exc, d.line),)
+            raise
         kinds[d.name] = d.kind
     return env, kinds
 
@@ -339,136 +302,126 @@ def finding(check, ok, witness=None):
     return f
 
 
-def _validate_one(name, kind, val):
-    out = []
-    if kind == "map":
-        out.append(finding("map-is-cover", is_cover(val)))
-    elif kind == "groupoid":
-        rep = validate_groupoid(val)
-        out.append(finding("groupoid-axioms", passed(rep),
-                           [f.check for f in rep if not f.ok] or None))
-    elif kind == "action":
-        rep = validate_action(val)
-        out.append(finding("action-axioms", passed(rep),
-                           [f.check for f in rep if not f.ok] or None))
-        out.append(finding("action-sheaf", is_cover(val.anchor)))
-    elif kind == "bibundle":
-        rep = validate_bibundle(val)
-        out.append(finding("bibundle-axioms", passed(rep),
-                           [f.check for f in rep if not f.ok] or None))
-        out.append(finding("bibundle-class", True, classify(val)))
-    elif kind == "anafunctor":
-        from .morphism import validate_functor
-        rep = validate_functor(val.F)
-        out.append(finding("anafunctor-functor", passed(rep)))
-        out.append(finding("map-is-cover", is_cover(val.p)))
-    elif kind == "simplex":
-        rep = validate_simplex(val)
-        out.append(finding("simplex-valid", passed(rep),
-                           [f.check for f in rep if not f.ok] or None))
-    else:
-        out.append(finding("map-is-cover", True, "nothing to validate"))
-    return out
+def _verdict(check, rep):
+    return finding(check, passed(rep),
+                   [f.check for f in rep if not f.ok] or None)
+
+
+# kind -> the findings ``validate`` reports for a value of that kind.
+FINDINGS = dict.fromkeys(SPACE, lambda _: [
+    finding("map-is-cover", True, "nothing to validate")])
+FINDINGS.update({
+    "map": lambda f: [finding("map-is-cover", is_cover(f))],
+    "groupoid": lambda g: [_verdict("groupoid-axioms", validate_groupoid(g))],
+    "action": lambda a: [_verdict("action-axioms", validate_action(a)),
+                         finding("action-sheaf", is_cover(a.anchor))],
+    "bibundle": lambda b: [_verdict("bibundle-axioms", validate_bibundle(b)),
+                           finding("bibundle-class", True, classify(b))],
+    "anafunctor": lambda a: [
+        finding("anafunctor-functor", passed(validate_functor(a.F))),
+        finding("map-is-cover", is_cover(a.p))],
+    "simplex": lambda s: [_verdict("simplex-valid", validate_simplex(s))],
+})
+
+
+def _validate(run, *vals):
+    return [f for name, val in zip(run.names, vals)
+            for f in FINDINGS[run.kinds[name]](val)]
+
+
+def _compose(run, x, y):
+    c = compose_bibundles(x, y)
+    cx, cy, cc = classify(x), classify(y), classify(c)
+    return [finding("compose-carrier", True, len(c.X)),
+            finding("compose-class",
+                    all(cc[k] for k in cx if cx[k] and cy[k]), cc)]
+
+
+def _equiv(run, x, h=None):
+    """Flags of bibundle x, or of a declared bibundle from groupoid x to h."""
+    b = x if h is None else next(
+        (v for n, v in run.env.items()
+         if run.kinds[n] in BIBUNDLE and v.g == x and v.h == h), None)
+    if b is None:
+        raise TypeMismatch("no declared bibundle between %s and %s"
+                           % tuple(run.names))
+    flags = classify(b)
+    return [finding("equivalence-flag", flags["is_equivalence"], flags),
+            finding("ana-equivalence",
+                    is_ana_equivalence(bibundle_to_anafunctor(b))["flag"])]
+
+
+def _decompose(run, b):
+    res = decompose_actor(b)
+    return [finding("decompose-k", True,
+                    (len(res["k"].G0), len(res["k"].G1))),
+            finding("decompose-recompose", True,
+                    "iso on %d elements" % len(res["iso"].dom))]
+
+
+def _orbit(run, a):
+    coeq = orbit_space(a)
+    return [finding("orbit-base", True, sorted(coeq.quotient.elements)),
+            finding("orbit-projection-cover", is_cover(coeq.proj))]
+
+
+def _axioms(run):
+    objs = all_objects(run.backend, run.max_size)
+    rep = axiom_harness(objs, [f for a in objs for b in objs
+                               for f in all_maps(a, b)])
+    return [finding("pretopology-axioms", passed(rep),
+                    [f.check for f in rep if not f.ok] or
+                    next((f.witness for f in rep
+                          if f.check == "saturation-witness"), None))]
+
+
+# command -> (signatures, run): the kinds of the names it takes, and the
+# function from the run and the resolved values to the findings.
+COMMANDS = {
+    "validate": (None, _validate),
+    "compose": ([(BIBUNDLE, BIBUNDLE)], _compose),
+    "equiv": ([(BIBUNDLE,), (GROUPOID, GROUPOID)], _equiv),
+    "decompose": ([(BIBUNDLE,)], _decompose),
+    "orbit": ([(ACTION,)], _orbit),
+    "nerve": ([(BIBUNDLE, BIBUNDLE)], lambda run, x, y: [finding(
+        "simplex-valid", passed(validate_simplex(horn_fill_inner2(x, y))))]),
+    "axioms": ([()], _axioms),
+}
 
 
 def run_command(command, names, env=None, kinds=None, backend="finset",
                 max_size=None):
     """Dispatch a command to the library; returns a Report dict."""
-    env = env or {}
-    kinds = kinds or {}
-    get = partial(_lookup, env, kinds)
+    env, kinds = env or {}, kinds or {}
     if max_size is None:
         try:
             max_size = int(os.environ.get("GROUPOIDAL_MAX", "4"))
         except ValueError as exc:
             raise BadEnvironment("GROUPOIDAL_MAX: %s" % exc) from None
-    findings = []
-
-    if command == "validate":
-        for name in names:
-            val = get(name)
-            findings += _validate_one(name, kinds[name], val)
-    elif command == "compose":
-        x = get(names[0], "bibundle")
-        y = get(names[1], "bibundle")
-        c = compose_bibundles(x, y)
-        findings.append(finding("compose-carrier", True, len(c.X)))
-        cx, cy, cc = classify(x), classify(y), classify(c)
-        preserved = all(cc[k] for k in cx if cx[k] and cy[k])
-        findings.append(finding("compose-class", preserved, cc))
-    elif command == "equiv":
-        if len(names) == 1:
-            b = get(names[0], "bibundle")
-        else:
-            g = get(names[0], "groupoid")
-            h = get(names[1], "groupoid")
-            cands = [v for n, v in env.items() if kinds[n] == "bibundle"
-                     and v.g == g and v.h == h]
-            if not cands:
-                raise TypeMismatch("no declared bibundle between %s and %s"
-                                   % (names[0], names[1]))
-            b = cands[0]
-        flags = classify(b)
-        findings.append(finding("equivalence-flag",
-                                flags["is_equivalence"], flags))
-        ana = bibundle_to_anafunctor(b)
-        findings.append(finding("ana-equivalence",
-                                is_ana_equivalence(ana)["flag"]))
-    elif command == "decompose":
-        b = get(names[0], "bibundle")
-        res = decompose_actor(b)
-        findings.append(finding("decompose-k", True,
-                                (len(res["k"].G0), len(res["k"].G1))))
-        findings.append(finding("decompose-recompose", True,
-                                "iso on %d elements" % len(res["iso"].dom)))
-    elif command == "orbit":
-        a = get(names[0], "action")
-        coeq = orbit_space(a)
-        findings.append(finding("orbit-base", True,
-                                sorted(coeq.quotient.elements)))
-        findings.append(finding("orbit-projection-cover",
-                                is_cover(coeq.proj)))
-    elif command == "nerve":
-        x = get(names[0], "bibundle")
-        y = get(names[1], "bibundle")
-        sx = horn_fill_inner2(x, y)
-        rep = validate_simplex(sx)
-        findings.append(finding("simplex-valid", passed(rep)))
-    elif command == "axioms":
-        objs = all_objects(backend, max_size)
-        mors = [f for a in objs for b in objs for f in all_maps(a, b)]
-        rep = axiom_harness(objs, mors)
-        findings.append(finding(
-            "pretopology-axioms", passed(rep),
-            [f.check for f in rep if not f.ok] or
-            next((f.witness for f in rep
-                  if f.check == "saturation-witness"), None)))
-    else:
+    if command not in COMMANDS:
         raise UnknownCommand(command)
-    status = "pass" if all(f["result"] == "pass" for f in findings) \
-        else "fail"
+    signatures, command_run = COMMANDS[command]
+    vals = [_lookup(env, kinds, n, *k) for n, k in zip(
+        names, _signature(command, signatures, len(names), TypeMismatch))]
+    run = SimpleNamespace(names=names, env=env, kinds=kinds, backend=backend,
+                          max_size=max_size)
+    findings = command_run(run, *vals)
+    status = "pass" if all(f["result"] == "pass" for f in findings) else "fail"
     return {"command": command, "status": status, "findings": findings}
 
 
 def format_report(report):
-    lines = []
-    for f in report["findings"]:
-        line = "%s %s (%s)" % (f["result"].upper(), f["check-id"],
-                               f["paper-ref"])
-        if "witness" in f:
-            line += " :: %s" % f["witness"]
-        lines.append(line)
-    lines.append("status: %s" % report["status"])
-    return "\n".join(lines)
+    return "\n".join(["%s %s (%s)%s" % (
+        f["result"].upper(), f["check-id"], f["paper-ref"],
+        " :: %s" % f["witness"] if "witness" in f else "")
+        for f in report["findings"]] + ["status: %s" % report["status"]])
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="groupoidal",
         description="verify groupoid, action and bibundle models")
-    parser.add_argument("command",
-                        choices=["validate", "compose", "equiv",
-                                 "decompose", "orbit", "nerve", "axioms"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("names", nargs="*")
     parser.add_argument("--model", help="model file to load")
     parser.add_argument("--backend", choices=["finset", "fintop"],
@@ -482,8 +435,7 @@ def main(argv=None):
         env, kinds = {}, {}
         if args.model:
             with open(args.model, encoding="utf-8") as fh:
-                model = parse_model(fh.read())
-            env, kinds = build_model(model)
+                env, kinds = build_model(parse_model(fh.read()))
         report = run_command(args.command, args.names, env, kinds,
                              backend=args.backend, max_size=args.max)
     except SiteError as exc:

@@ -33,6 +33,10 @@ class InverseNotUnique(SiteError):
     pass
 
 
+class NotAPositiveOrder(SiteError):
+    pass
+
+
 class Groupoid:
     def __init__(self, G0, G1, r, s, m, u, i, pairs=None):
         assert r.dom == G1 and r.cod == G0
@@ -281,7 +285,8 @@ def pullback_groupoid(g, p):
 
 def cyclic_groupoid(n, backend="finset"):
     """Z/n as a one-object groupoid with arrows 0..n-1."""
-    assert n >= 1
+    if n < 1:
+        raise NotAPositiveOrder("the order of Z/n is %d, not positive" % n)
     G0 = terminal(backend)
     names = [str(k) for k in range(n)]
     if backend == "finset":

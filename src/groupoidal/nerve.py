@@ -12,7 +12,8 @@ from .site_core import (Mor, NotAMorphism, NotWellDefined, SiteError,
                         descend, fibre_product, first_failure, is_cover,
                         is_iso, pair_id, passed, witness_finding)
 from .action import Action, Bibundle, validate_bibundle
-from .bibundle import classify, compose_bibundles, validate_bibundle_map
+from .bundle import check_principal
+from .bibundle import compose_bibundles, validate_bibundle_map
 
 
 class NotMonotone(SiteError):
@@ -151,7 +152,8 @@ def validate_simplex(sx):
     def edge(i, j):
         b = edges[(i, j)] = edge_bibundle(sx, i, j, groupoids[i],
                                           groupoids[j])
-        return passed(validate_bibundle(b)) and classify(b)["is_functor"]
+        return passed(validate_bibundle(b)) and passed(
+            check_principal(b.right, b.r_anchor))
 
     def descends_to_iso(i, j, k):
         c = compose_bibundles(edges[(i, j)], edges[(j, k)])
@@ -200,20 +202,12 @@ def restrict_simplex(phi, sx):
 
 
 def simplex_from_groupoid(g):
-    return NSimplex(0, {0: g.G0}, {(0, 0): g.G1}, {(0, 0): g.r},
-                    {(0, 0): g.s}, {(0, 0, 0): g.m})
+    return build_simplex([g], {}, {})
 
 
 def simplex_from_bibundle(b):
     """A 1-simplex from a bibundle functor."""
-    g, h = b.g, b.h
-    X = {0: g.G0, 1: h.G0}
-    XX = {(0, 0): g.G1, (0, 1): b.X, (1, 1): h.G1}
-    r = {(0, 0): g.r, (0, 1): b.r_anchor, (1, 1): h.r}
-    s = {(0, 0): g.s, (0, 1): b.s_anchor, (1, 1): h.s}
-    m = {(0, 0, 0): g.m, (0, 0, 1): b.left.mult,
-         (0, 1, 1): b.right.mult, (1, 1, 1): h.m}
-    return NSimplex(1, X, XX, r, s, m)
+    return build_simplex([b.g, b.h], {(0, 1): b}, {})
 
 
 def build_simplex(groupoids, edges, inner):

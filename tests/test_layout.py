@@ -8,9 +8,10 @@ harness builds one fibre product per (cover, map) pair and no product map
 per pair of covers from scratch, and finds composable maps through
 indexes rather than by comparing ends; every groupoid but the given
 multiplication of ``from_multiplication`` is built by ``build_groupoid``;
-no relative import in the package is left unused; and no constructor
+no relative import in the package is left unused; no constructor
 re-checks its output with an ``assert`` on a validator, nor does any code
-catch ``AssertionError``.
+catch ``AssertionError``; and the command line reads the model language
+from tables, branching on no declaration kind or constructor name.
 """
 
 import ast
@@ -166,3 +167,25 @@ def test_no_assert_checks_and_no_assertion_handlers(path):
                 and "AssertionError" in names_in(node.type)):
             found.append(("except", node.lineno))
     assert found == [], "%s: %s" % (path.name, found)
+
+
+MODEL_WORDS = {"finset", "finspace", "map", "groupoid", "action", "bibundle",
+               "anafunctor", "simplex", "cech", "unit", "pair", "cyclic",
+               "left", "right", "equiv", "dual", "compose", "of", "horn2"}
+
+
+def test_cli_branches_on_no_kind_or_constructor():
+    """The model language is read from tables: no ``if``/``elif`` (nor
+    conditional expression) in ``cli.py`` compares with a string literal
+    that names a declaration kind or a constructor."""
+    found = []
+    for node in ast.walk(parse(PKG / "cli.py")):
+        if not isinstance(node, (ast.If, ast.IfExp)):
+            continue
+        for cmp in ast.walk(node.test):
+            if isinstance(cmp, ast.Compare) and any(
+                    isinstance(c, ast.Constant) and c.value in MODEL_WORDS
+                    for side in [cmp.left, *cmp.comparators]
+                    for c in ast.walk(side)):
+                found.append(node.lineno)
+    assert found == []
