@@ -12,9 +12,10 @@ other side through inversion.
 """
 
 from .site_core import (Mor, NotAMorphism, SiteError, backtrack, compose,
-                        fibre_product, first_failure, inverse, is_cover,
-                        is_iso, is_surjective, pair_id, passed, require,
-                        triple_product, valid_mor_table, witness_finding)
+                        fibre_product, first_failure, identity, inverse,
+                        is_cover, is_iso, is_surjective, pair_id, passed,
+                        require, triple_product, valid_mor_table,
+                        witness_finding)
 from .groupoid import build_groupoid
 
 
@@ -190,13 +191,9 @@ def action_shear(a):
             Mor(cod.apex, a.pairs.apex, inv_tbl))
 
 
-def is_sheaf(a):
-    return is_cover(a.anchor)
-
-
 def canonical_action(g):
     """G acting on its own objects through the source of arrows."""
-    return build_action(g, g.G0, Mor.identity(g.G0), "right",
+    return build_action(g, g.G0, identity(g.G0), "right",
                         lambda x, gel: g.s(gel))
 
 
@@ -402,7 +399,7 @@ def actor_to_pair(a):
     from .morphism import Functor
     F1 = Mor(t.G1, h.G1, {e: a.act(gel, h.u(x))
                           for e, (x, gel) in t.parts.items()})
-    F = Functor(t, h, Mor.identity(h.G0), F1)
+    F = Functor(t, h, identity(h.G0), F1)
     return {"base": base, "functor": F, "transformation": t}
 
 

@@ -7,21 +7,18 @@ for lattice closure, and stored via minimal open neighbourhoods.
 
 from itertools import combinations, permutations
 
-from .site_core import (Obj, SiteError, BackendMismatch, DuplicateElement,
-                        is_open_map)
+from .site_core import Obj, SiteError, DuplicateElement, backtrack
 
 
 class NotATopology(SiteError):
     pass
 
 
-def make_finset(elements, name=None):
-    obj = Obj("finset", elements)
-    obj.name = name
-    return obj
+def make_finset(elements):
+    return Obj("finset", elements)
 
 
-def make_finspace(elements, opens, name=None):
+def make_finspace(elements, opens):
     """Build a finite space from its open-set family.
 
     The family must contain the empty set and the full carrier and be
@@ -48,57 +45,22 @@ def make_finspace(elements, opens, name=None):
             if u & v not in family:
                 raise NotATopology("intersection of %r and %r missing" %
                                    (sorted(u), sorted(v)))
-    nbhd = {}
-    for x in elements:
-        n = eset
-        for u in family:
-            if x in u:
-                n = n & u
-        nbhd[x] = n
-    obj = Obj("fintop", elements, nbhd)
-    obj.name = name
-    # the family must be recovered exactly as the open sets of the space
-    assert set(obj.opens()) == family, "family is not a topology"
-    return obj
-
-
-def fintop_is_open(f):
-    if f.dom.backend != "fintop":
-        raise BackendMismatch("openness is a fintop notion")
-    return is_open_map(f)
-
-
-def specialization_preorder(x):
-    return x.specialization()
-
-
-def is_monotone(f):
-    """Order-preservation for the specialization preorders; equivalent to
-    continuity, cross-checked in tests against the open-set definition."""
-    if f.dom.backend != "fintop":
-        raise BackendMismatch("monotonicity is a fintop notion")
-    le_cod = f.cod.specialization()
-    return all((f(a), f(b)) in le_cod for (a, b) in f.dom.specialization())
+    return Obj("fintop", elements, {x: eset.intersection(
+        *(u for u in family if x in u)) for x in elements})
 
 
 def sierpinski():
-    return make_finspace(["0", "1"], [[], ["1"], ["0", "1"]], name="SIER")
+    return make_finspace(["0", "1"], [[], ["1"], ["0", "1"]])
 
 
-def discrete(elements, name=None):
+def discrete(elements):
     elements = [str(e) for e in elements]
-    nbhd = {x: frozenset([x]) for x in elements}
-    obj = Obj("fintop", elements, nbhd)
-    obj.name = name
-    return obj
+    return Obj("fintop", elements, {x: frozenset([x]) for x in elements})
 
 
-def indiscrete(elements, name=None):
+def indiscrete(elements):
     elements = [str(e) for e in elements]
-    full = frozenset(elements)
-    obj = Obj("fintop", elements, {x: full for x in elements})
-    obj.name = name
-    return obj
+    return Obj("fintop", elements, {x: frozenset(elements) for x in elements})
 
 
 def all_finsets(max_size):
@@ -107,46 +69,44 @@ def all_finsets(max_size):
             for n in range(max_size + 1)]
 
 
-def _all_topologies(elements):
-    """Every topology on the given carrier, as families of frozensets."""
-    elements = list(elements)
-    eset = frozenset(elements)
-    proper = []
-    for k in range(1, len(elements)):
-        proper.extend(frozenset(c) for c in combinations(elements, k))
-    out = []
-    for bits in range(1 << len(proper)):
-        family = {frozenset(), eset}
-        for i, u in enumerate(proper):
-            if bits >> i & 1:
-                family.add(u)
-        if all(a | b in family and a & b in family
-               for a in family for b in family):
-            out.append(family)
-    return out
+def _preorders(n):
+    """Every preorder on range(n), as the tuple of its up-sets as
+    bitmasks: ``up[x]`` holds x and, with each y it holds, ``up[y]``."""
+    masks = {x: [m for m in range(1 << n) if m >> x & 1] for x in range(n)}
+    for up in backtrack(range(n), masks, lambda x, m, assign: None if any(
+            m >> y & 1 and u & ~m or u >> x & 1 and m & ~u
+            for y, u in assign.items()) else []):
+        yield tuple(up[x] for x in range(n))
 
 
 def all_finspaces(max_size, up_to_homeo=True):
-    """Finite spaces with at most max_size points.
-
-    With ``up_to_homeo`` only one representative per homeomorphism class
-    is kept (relabelling a space changes no cover/axiom verdict).
-    """
+    """Finite spaces with at most max_size points: on n points, the
+    up-set families of the preorders, in the order of the bitmasks of
+    their proper open sets over the ``combinations`` of points.  With
+    ``up_to_homeo`` only the first space of each homeomorphism class is
+    kept (relabelling a space changes no cover/axiom verdict)."""
     spaces = []
     for n in range(max_size + 1):
         elements = ["x%d" % i for i in range(n)]
+        bit = {sum(1 << x for x in c): 1 << i for i, c in enumerate(
+            c for k in range(1, n) for c in combinations(range(n), k))}
+        tops = []
+        for up in _preorders(n):
+            opens = [s for s in range(1 << n)
+                     if all(up[x] & ~s == 0 for x in range(n) if s >> x & 1)]
+            tops.append((sum(bit.get(s, 0) for s in opens), up, opens))
         seen = set()
-        for family in _all_topologies(elements):
+        for _, up, opens in sorted(tops):
             if up_to_homeo:
-                canon = min(
-                    tuple(sorted(tuple(sorted(p[x] for x in u))
-                                 for u in family))
-                    for p in ({x: y for x, y in zip(elements, perm)}
-                              for perm in permutations(elements)))
+                canon = min(tuple(sorted(
+                    (p[x], sum(1 << p[y] for y in range(n) if up[x] >> y & 1))
+                    for x in range(n))) for p in permutations(range(n)))
                 if canon in seen:
                     continue
                 seen.add(canon)
-            spaces.append(make_finspace(elements, family))
+            spaces.append(make_finspace(elements, [
+                [elements[x] for x in range(n) if s >> x & 1]
+                for s in opens]))
     return spaces
 
 

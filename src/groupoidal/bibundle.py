@@ -12,9 +12,9 @@ map that is constant on orbits into a map out of the orbit space.
 """
 
 from .site_core import (BoundaryMismatch, Mor, NotAMorphism, NotWellDefined,
-                        SiteError, backtrack, compose, descend,
-                        fibre_product, first_failure, is_cover, is_iso,
-                        passed, require, triple_product, witness_finding)
+                        SiteError, backtrack, compose, descend, fibre_product,
+                        first_failure, identity, is_cover, is_iso, passed,
+                        require, triple_product, witness_finding)
 from .action import (Bibundle, NotAnActor, build_action, is_invariant,
                      on_side, opposite, transformation_groupoid,
                      translations, two_sided_transformation_groupoid,
@@ -143,8 +143,7 @@ def bibundle_to_anafunctor(x):
     t = two_sided_transformation_groupoid(x)
     itab = {e: gx.triple_index[(x.lact(gel, xe), gel, x.ract(xe, hel))]
             for e, (gel, xe, hel) in t.triples.items()}
-    ana.two_sided_iso = Functor(t, gx, Mor.identity(x.X),
-                                Mor(t.G1, gx.G1, itab))
+    ana.two_sided_iso = Functor(t, gx, identity(x.X), Mor(t.G1, gx.G1, itab))
     ana.bundle = bundle
     return ana
 

@@ -7,8 +7,8 @@ principal over the quotient by the action.
 """
 
 from .site_core import (Finding, Mor, NotAMorphism, SiteError, coequalizer,
-                        compose, descend, fibre_product, inverse, is_cover,
-                        is_iso, passed, require)
+                        compose, descend, fibre_product, identity, inverse,
+                        is_cover, is_iso, passed, require)
 from .action import is_invariant, transformation_groupoid
 
 
@@ -132,7 +132,7 @@ def basic_witness_functor(a):
     c = cech_groupoid(b.proj)
     F1 = Mor(t.G1, c.G1,
              {e: c.kernel.index[(t.r(e), t.s(e))] for e in t.arrows()})
-    return Functor(t, c, Mor.identity(a.X), F1)
+    return Functor(t, c, identity(a.X), F1)
 
 
 def cech_action_reconstruction(a, p):

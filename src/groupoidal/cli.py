@@ -438,7 +438,7 @@ def main(argv=None):
                 env, kinds = build_model(parse_model(fh.read()))
         report = run_command(args.command, args.names, env, kinds,
                              backend=args.backend, max_size=args.max)
-    except SiteError as exc:
+    except (SiteError, OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     print(format_report(report))

@@ -6,10 +6,10 @@ usual equations; multiplication lives on the canonical fibre product of
 in the domain of m.
 """
 
-from .site_core import (BoundaryMismatch, Mor, NotACover, NotAMorphism, Obj,
+from .site_core import (BoundaryMismatch, Mor, NotAMorphism, Obj,
                         SiteError, descend, fibre_product, first_failure,
                         identity, is_cover, is_iso, kernel_pair, pair_id,
-                        terminal, to_terminal, triple_product,
+                        require_cover, terminal, to_terminal, triple_product,
                         witness_finding)
 
 
@@ -50,9 +50,6 @@ class Groupoid:
         self.pairs = pairs
         assert m.dom == pairs.apex and m.cod == G1
         self.backend = G0.backend
-
-    def composable(self, a, b):
-        return self.s(a) == self.r(b)
 
     def mul(self, a, b):
         try:
@@ -165,10 +162,8 @@ def from_multiplication(G0, G1, r, s, m):
     r(g) is the only e with s(e) = r(g) and e·g = g, and it depends only
     on r(g); the inverse of g is the only h with h·g a unit.
     """
-    if not is_cover(r):
-        raise NotACover("r")
-    if not is_cover(s):
-        raise NotACover("s")
+    require_cover(r, "from_multiplication: r")
+    require_cover(s, "from_multiplication: s")
     pairs = fibre_product(s, r)
     if m.dom != pairs.apex or m.cod != G1:
         raise BoundaryMismatch("m must go from the composable pairs to G1")
@@ -235,8 +230,7 @@ def unit_groupoid(X):
 
 def cech_groupoid(p):
     """The kernel-pair groupoid of a cover p: X -> Y."""
-    if not is_cover(p):
-        raise NotACover("p")
+    require_cover(p, "cech_groupoid: p")
     K = kernel_pair(p)
     g = build_groupoid(
         p.dom, K.apex, K.pr1, K.pr2,
@@ -258,8 +252,7 @@ def pullback_groupoid(g, p):
     (objects p, arrows the middle projection).  The triple decodings are
     attached as ``triples`` / ``triple_index``.
     """
-    if not is_cover(p):
-        raise NotACover("p")
+    require_cover(p, "pullback_groupoid: p")
     G1x, triples, index = triple_product(p, g.r, g.s, p)
 
     def mul(t1, t2):

@@ -13,12 +13,12 @@ def PT():
 
 @pytest.fixture(scope="session")
 def S2():
-    return make_finset(["a", "b"], name="S2")
+    return make_finset(["a", "b"])
 
 
 @pytest.fixture(scope="session")
 def S3():
-    return make_finset(["c", "d", "e"], name="S3")
+    return make_finset(["c", "d", "e"])
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,8 @@ import pytest
 
 import groupoidal.action as action_module
 from groupoidal.site_core import (Mor, all_maps, compose, fibre_product,
-                                  identity, pair_id, passed, terminal,
-                                  to_terminal)
+                                  identity, is_cover, pair_id, passed,
+                                  terminal, to_terminal)
 from groupoidal.backends import make_finset
 from groupoidal.groupoid import (cyclic_groupoid, pair_groupoid,
                                  unit_groupoid, validate_groupoid)
@@ -16,7 +16,7 @@ from groupoidal.action import (Action, Actor, Bibundle, GMap, NotAnActor,
                                canonical_action,
                                compose_actors, enumerate_actions,
                                hmap_from_section, identity_actor,
-                               is_invariant, is_sheaf,
+                               is_invariant,
                                left_mult_actor, opposite,
                                section_from_hmap,
                                transformation_groupoid, two_sided_transformation_groupoid,
@@ -26,7 +26,7 @@ from groupoidal.action import (Action, Actor, Bibundle, GMap, NotAnActor,
 
 def test_swap_is_an_action(SWAP):
     assert passed(validate_action(SWAP))
-    assert is_sheaf(SWAP)
+    assert is_cover(SWAP.anchor)
     assert SWAP.act("a", "1") == "b"
     assert SWAP.act("a", "0") == "a"
 

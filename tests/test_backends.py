@@ -1,12 +1,88 @@
+from itertools import combinations, permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
-from groupoidal.site_core import Mor, NotAMorphism, all_maps, is_cover
+from groupoidal.site_core import (Mor, NotAMorphism, all_maps, is_cover,
+                                  is_open_map)
 from groupoidal.backends import (DuplicateElement, NotATopology,
                                  all_finsets, all_finspaces, discrete,
-                                 fintop_is_open, indiscrete, is_monotone,
-                                 make_finset, make_finspace, sierpinski,
-                                 specialization_preorder)
+                                 indiscrete, make_finset, make_finspace,
+                                 sierpinski)
+
+
+def opens(x):
+    """The open sets of a finite space: the sets that hold the minimal
+    open neighbourhood of each of their points."""
+    return {frozenset(c) for k in range(len(x) + 1)
+            for c in combinations(x.elements, k)
+            if all(x.nbhd[e] <= frozenset(c) for e in c)}
+
+
+def specialization(x):
+    """The pairs (x, y) with y in every open set containing x."""
+    return {(e, y) for e in x.elements for y in x.nbhd[e]}
+
+
+def is_monotone(f):
+    """Order-preservation for the specialization preorders; equivalent to
+    continuity."""
+    le_cod = specialization(f.cod)
+    return all((f(a), f(b)) in le_cod for (a, b) in specialization(f.dom))
+
+
+def all_topologies(elements):
+    """Every topology on the given carrier, as families of frozensets, by
+    the bitmask of the proper open sets over the nonempty proper subsets
+    in ``combinations`` order: the census before it was built from
+    preorders."""
+    elements = list(elements)
+    eset = frozenset(elements)
+    proper = []
+    for k in range(1, len(elements)):
+        proper.extend(frozenset(c) for c in combinations(elements, k))
+    out = []
+    for bits in range(1 << len(proper)):
+        family = {frozenset(), eset}
+        for i, u in enumerate(proper):
+            if bits >> i & 1:
+                family.add(u)
+        if all(a | b in family and a & b in family
+               for a in family for b in family):
+            out.append(family)
+    return out
+
+
+def old_all_finspaces(max_size, up_to_homeo=True):
+    """``all_finspaces`` over ``all_topologies``, keeping the first
+    family of each homeomorphism class."""
+    spaces = []
+    for n in range(max_size + 1):
+        elements = ["x%d" % i for i in range(n)]
+        seen = set()
+        for family in all_topologies(elements):
+            if up_to_homeo:
+                canon = min(
+                    tuple(sorted(tuple(sorted(p[x] for x in u))
+                                 for u in family))
+                    for p in ({x: y for x, y in zip(elements, perm)}
+                              for perm in permutations(elements)))
+                if canon in seen:
+                    continue
+                seen.add(canon)
+            spaces.append(make_finspace(elements, family))
+    return spaces
+
+
+@pytest.mark.parametrize("up_to_homeo", [True, False])
+@pytest.mark.parametrize("n", range(5))
+def test_census_matches_topology_scan(n, up_to_homeo):
+    """The spaces built from preorders are the scan's: the same carriers,
+    the same topologies, in the same order."""
+    new = all_finspaces(n, up_to_homeo)
+    old = old_all_finspaces(n, up_to_homeo)
+    assert [(x.elements, x.nbhd) for x in new] == [
+        (x.elements, x.nbhd) for x in old]
 
 
 def test_make_finset_rejects_duplicates():
@@ -24,9 +100,17 @@ def test_make_finspace_validates_closure():
                       [[], ["a"], ["b"], ["a", "b", "c"]])  # no union
 
 
+@pytest.mark.parametrize("n", range(4))
+def test_make_finspace_keeps_the_family(n):
+    """The open sets of a space built from a topology are that topology."""
+    elements = ["x%d" % i for i in range(n)]
+    for family in all_topologies(elements):
+        assert opens(make_finspace(elements, family)) == family
+
+
 def test_sierpinski_opens():
     s = sierpinski()
-    assert set(s.opens()) == {frozenset(), frozenset(["1"]),
+    assert opens(s) == {frozenset(), frozenset(["1"]),
                               frozenset(["0", "1"])}
     assert s.nbhd["1"] == frozenset(["1"])
     assert s.nbhd["0"] == frozenset(["0", "1"])
@@ -34,11 +118,11 @@ def test_sierpinski_opens():
 
 def test_specialization_preorder():
     s = sierpinski()
-    le = specialization_preorder(s)
+    le = specialization(s)
     # 1 is the open point: 0 specializes to... 1 lies in every open around 0
     assert ("1", "0") in le or ("0", "1") in le
     d = discrete(["a", "b"])
-    assert specialization_preorder(d) == {("a", "a"), ("b", "b")}
+    assert specialization(d) == {("a", "a"), ("b", "b")}
 
 
 @given(st.data())
@@ -52,8 +136,8 @@ def test_monotone_iff_continuous(data):
         f = Mor(x, y, tbl)
     except NotAMorphism:
         # table is discontinuous; check monotonicity fails too
-        le_cod = y.specialization()
-        le_dom = x.specialization()
+        le_cod = specialization(y)
+        le_dom = specialization(x)
         assert any((tbl[a], tbl[b]) not in le_cod for (a, b) in le_dom)
         return
     assert is_monotone(f)
@@ -63,9 +147,9 @@ def test_open_map_detection():
     s = sierpinski()
     d = discrete(["0", "1"])
     f = Mor(d, s, {"0": "0", "1": "1"})
-    assert not fintop_is_open(f)
+    assert not is_open_map(f)
     g = Mor(s, s, {"0": "0", "1": "1"})
-    assert fintop_is_open(g)
+    assert is_open_map(g)
 
 
 def test_indiscrete_maps_always_continuous():

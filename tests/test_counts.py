@@ -45,3 +45,5 @@ def test_continuous_map_counts():
 @pytest.mark.parametrize("n", range(5))
 def test_space_counts(n):
     assert len(all_finspaces(n)) == sum(jobs.A001930[:n + 1])
+    assert len(all_finspaces(n, up_to_homeo=False)) == sum(
+        jobs.A000798[:n + 1])

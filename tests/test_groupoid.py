@@ -143,10 +143,21 @@ def test_cech_groupoid_fintop():
 
 
 def test_cech_requires_cover(S2):
+    """Each constructor that needs a cover names itself, the argument and
+    the map that is not one."""
     from groupoidal.site_core import NotACover
     notonto = Mor(S2, S2, {"a": "a", "b": "a"})
-    with pytest.raises(NotACover):
+    named = r" = Mor\(\['a', 'b'\] -> \['a', 'b'\], \{'a': 'a', 'b': 'a'\}\) " \
+        "is not a cover"
+    with pytest.raises(NotACover, match="^cech_groupoid: p" + named):
         cech_groupoid(notonto)
+    with pytest.raises(NotACover, match="^pullback_groupoid: p" + named):
+        pullback_groupoid(unit_groupoid(S2), notonto)
+    ident = Mor(S2, S2, {"a": "a", "b": "b"})
+    with pytest.raises(NotACover, match="^from_multiplication: r" + named):
+        from_multiplication(S2, S2, notonto, ident, ident)
+    with pytest.raises(NotACover, match="^from_multiplication: s" + named):
+        from_multiplication(S2, S2, ident, notonto, ident)
 
 
 def test_inversion_antihom_witness():

@@ -120,6 +120,28 @@ def test_library_argument_errors_name_their_line(tmp_path, flags, extra,
     assert "(line %d, col 0)" % len(text.splitlines()) in res.stderr
 
 
+@pytest.mark.parametrize("what", ["missing", "not-utf8"])
+def test_unreadable_model_exits_2(tmp_path, capsys, what):
+    """A model path that does not exist, or a file that is not UTF-8,
+    ends in exit 2 with an error line, not a traceback."""
+    model = tmp_path / "m.gpd"
+    if what == "not-utf8":
+        model.write_bytes(b"finset A = {\xff}\n")
+    assert main(["validate", "A", "--model", str(model)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cech_of_a_non_cover_names_the_map(tmp_path, capsys):
+    model = tmp_path / "m.gpd"
+    model.write_text("finset S2 = {a, b}\nfinset S3 = {c, d, e}\n"
+                     "map n2 : S2 -> S3 { a->c, b->c }\n"
+                     "groupoid G = cech(n2)\n")
+    assert main(["validate", "G", "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert "cech_groupoid: p = Mor(['a', 'b'] -> ['c', 'd', 'e'], " \
+        "{'a': 'c', 'b': 'c'}) is not a cover (line 4, col 0)" in err
+
+
 def test_argument_count_and_repeated_key_carry_line_and_column():
     with pytest.raises(ModelSyntaxError) as exc:
         parse_model("finset S = {a}\n  groupoid G = cech(p, q)")
