@@ -5,7 +5,7 @@ surjections.  Spaces are built from an explicit open-set family, checked
 for lattice closure, and stored via minimal open neighbourhoods.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from .site_core import Obj, SiteError, DuplicateElement, backtrack
 
@@ -79,6 +79,21 @@ def _preorders(n):
         yield tuple(up[x] for x in range(n))
 
 
+def _canonical(up):
+    """The least relabelling of a preorder (its up-sets as bitmasks) by
+    the permutations that list its points in the order of the invariant
+    (|up(x)|, |down(x)|).  Isomorphisms keep the invariant, so
+    homeomorphic preorders reach the same relabellings."""
+    n = len(up)
+    inv = [(bin(u).count("1"), sum(v >> x & 1 for v in up))
+           for x, u in enumerate(up)]
+    cells = [[x for x in range(n) if inv[x] == v] for v in sorted(set(inv))]
+    return min(tuple(sorted(
+        (p[x], sum(1 << p[y] for y in range(n) if up[x] >> y & 1))
+        for x in range(n))) for p in ({x: k for k, x in enumerate(
+            sum(parts, ()))} for parts in product(*map(permutations, cells))))
+
+
 def all_finspaces(max_size, up_to_homeo=True):
     """Finite spaces with at most max_size points: on n points, the
     up-set families of the preorders, in the order of the bitmasks of
@@ -98,9 +113,7 @@ def all_finspaces(max_size, up_to_homeo=True):
         seen = set()
         for _, up, opens in sorted(tops):
             if up_to_homeo:
-                canon = min(tuple(sorted(
-                    (p[x], sum(1 << p[y] for y in range(n) if up[x] >> y & 1))
-                    for x in range(n))) for p in permutations(range(n)))
+                canon = _canonical(up)
                 if canon in seen:
                     continue
                 seen.add(canon)

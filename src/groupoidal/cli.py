@@ -58,6 +58,10 @@ class BadEnvironment(SiteError):
     pass
 
 
+class NegativeCap(SiteError):
+    pass
+
+
 # Reference strings required by the report wire format, one per check id.
 PAPER_REFS = {
     "map-is-cover": "Def 2.1",
@@ -398,6 +402,9 @@ def run_command(command, names, env=None, kinds=None, backend="finset",
             max_size = int(os.environ.get("GROUPOIDAL_MAX", "4"))
         except ValueError as exc:
             raise BadEnvironment("GROUPOIDAL_MAX: %s" % exc) from None
+    if max_size < 0:
+        raise NegativeCap("the size cap (--max or GROUPOIDAL_MAX) is %d, "
+                          "below 0" % max_size)
     if command not in COMMANDS:
         raise UnknownCommand(command)
     signatures, command_run = COMMANDS[command]
@@ -438,14 +445,14 @@ def main(argv=None):
                 env, kinds = build_model(parse_model(fh.read()))
         report = run_command(args.command, args.names, env, kinds,
                              backend=args.backend, max_size=args.max)
+        if args.json_path:
+            with open(args.json_path, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2)
+                fh.write("\n")
     except (SiteError, OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     print(format_report(report))
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
     return 0 if report["status"] == "pass" else 1
 
 

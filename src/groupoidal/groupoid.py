@@ -33,8 +33,11 @@ class InverseNotUnique(SiteError):
     pass
 
 
-class NotAPositiveOrder(SiteError):
+class OrderOutOfRange(SiteError):
     pass
+
+
+MAX_CYCLIC_ORDER = 256   # cyclic_groupoid(n) builds n² composable pairs
 
 
 class Groupoid:
@@ -278,8 +281,9 @@ def pullback_groupoid(g, p):
 
 def cyclic_groupoid(n, backend="finset"):
     """Z/n as a one-object groupoid with arrows 0..n-1."""
-    if n < 1:
-        raise NotAPositiveOrder("the order of Z/n is %d, not positive" % n)
+    if not 1 <= n <= MAX_CYCLIC_ORDER:
+        raise OrderOutOfRange("the order of Z/n is %d, not in 1..%d"
+                              % (n, MAX_CYCLIC_ORDER))
     G0 = terminal(backend)
     names = [str(k) for k in range(n)]
     if backend == "finset":

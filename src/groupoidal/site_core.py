@@ -585,8 +585,9 @@ def _relabelling_classes(mors):
     the positions in C of f's images; the class is the orbit of f under
     the twin swaps of A and C, walked once from its first map rep, also
     through maps not in ``mors``; and f = γ∘rep∘α⁻¹ for a twin
-    permutation α of A and γ of C's positions."""
-    objs, info, orbit, classes = {}, {}, {}, count()
+    permutation α of A and γ of C's positions.  Also whether ``mors`` is
+    a union of whole classes: each orbit entry walked is one of its maps."""
+    objs, info, orbit, classes, found = {}, {}, {}, count(), set()
 
     def number(x):
         # equal objects share a number, and the first one's positions
@@ -601,6 +602,7 @@ def _relabelling_classes(mors):
         a, dom, _, at_a = number(f.dom)
         c, pos, _, at_c = number(f.cod)
         vals = tuple(pos[f(e)] for e in dom)
+        found.add((a, c, vals))
         if (a, c, vals) not in orbit:
             cls, todo = next(classes), [(vals, tuple(range(len(pos))))]
             while todo:
@@ -611,7 +613,7 @@ def _relabelling_classes(mors):
                     todo += [(tuple(t[y] for y in v), tuple(t[y] for y in gam))
                              for t in at_c]
         info[id(f)] = (orbit[a, c, vals][0], a, c, vals, orbit[a, c, vals][1])
-    return info, [swaps for _, _, swaps, _ in objs.values()]
+    return info, [s for _, _, s, _ in objs.values()], len(found) == len(orbit)
 
 
 def _pullback_class(info, twins, f, g):
@@ -647,19 +649,20 @@ def axiom_harness(objs, mors, budget=2_000_000, include_empty_in_28=False):
     Returns a list of Finding records, one per axiom, with a concrete
     witness on failure.  ``budget`` bounds the number of instances
     examined.  The final-object axiom is checked on nonempty objects
-    only unless ``include_empty_in_28`` is set.  Each axiom is one
-    ``first_failure`` over cases that tick the budget through
-    ``_Budget.each``, and finds composable maps through indexes by
-    domain and codomain.
+    only unless ``include_empty_in_28`` is set.  Composable maps are
+    found through indexes by domain and codomain.
 
-    The axioms hold up to isomorphism, so a case whose relabelling class
-    (``_relabelling_classes``) was decided reuses that verdict: every
-    case still comes in its order, ticks, and may be the witness.
+    The axioms hold up to isomorphism, so every case shares the verdict
+    of its relabelling class (``_relabelling_classes``), and an axiom
+    decides the cases of the first map of each class (for the pullback
+    and chain axioms, on a union of whole classes only).  If all hold and
+    the budget covers the n cases, they pass with ``tick(n)``; if not,
+    each case comes in order, ticks and reuses its class's verdict.
     """
     objs = list(objs)
     mors = list(mors)
     bud = _Budget(budget)
-    info, twins = _relabelling_classes(mors)
+    info, twins, whole = _relabelling_classes(mors)
     verdicts = {}
 
     def shared(key, decide):
@@ -668,47 +671,71 @@ def axiom_harness(objs, mors, budget=2_000_000, include_empty_in_28=False):
             verdicts[key] = decide()
         return verdicts[key]
 
+    def axiom(check, n, reps, cases, ok, witness):
+        # the finding over n ``cases`` (argument tuples of ``ok`` and
+        # ``witness``) and ``reps``, those of the first maps, or None
+        if reps is not None and bud.left >= n and all(ok(*c) for c in reps):
+            bud.tick(n)
+            return Finding(check, True, None)
+        return _check(check, ((witness(*c), ok(*c)) for c in bud.each(cases)))
+
+    first = {}   # the first map of each class
+    for f in mors:
+        first.setdefault(info[id(f)][0], f)
     covers = [f for f in mors
               if shared(("cover", info[id(f)][0]), lambda: is_cover(f))]
+    rep_covers = [f for f in covers if first[info[id(f)][0]] is f]
     by_dom = _index(mors, lambda f: f.dom)
     by_cod = _index(mors, lambda f: f.cod)
     by_ends = _index(mors, lambda f: (f.dom, f.cod))
+    covers_by_dom = _index(covers, lambda f: f.dom)
     covers_by_cod = _index(covers, lambda f: f.cod)
+    along = {}   # the pullback verdicts of each pair (f, g), by ids
+
+    def joined(check, follow, ok, witness):
+        # the cases (p, f) for each cover p and f in follow(p)
+        return axiom(check, sum(len(follow(p)) for p in covers), (
+            (p, f) for p in rep_covers for f in follow(p)) if whole else None,
+            ((p, f) for p in covers for f in follow(p)), ok, witness)
 
     # One pullback of each map f along each cover g serves three axioms:
     # pr1 is a cover; pr2 a cover implies f one (cover-local); pr1 a cover
     # and pr2 an iso imply f an iso (iso-local: this pullback, legs
-    # swapped).  It is built once per class of pairs (_pullback_class).
-    along = [(f, g) for g in covers for f in by_cod.get(g.cod, ())]
-
-    @cache
-    def pulled(k):
-        # pr1 a cover, pr2 a cover, pr2 an iso, f a cover, f an iso
-        f, g = along[k]
-
+    # swapped).  Pairs are keyed once, and built once per _pullback_class.
+    def pulled(f, g):
         def decide():
             fp = fibre_product(f, g)
-            return (is_cover(fp.pr1), is_cover(fp.pr2), is_iso(fp.pr2),
-                    is_cover(f), is_iso(f))
-        return shared(_pullback_class(info, twins, f, g), decide)
+            c1 = is_cover(fp.pr1)
+            return (c1, not is_cover(fp.pr2) or is_cover(f),
+                    not (c1 and is_iso(fp.pr2)) or is_iso(f))
+        k = id(f), id(g)
+        if k not in along:
+            along[k] = shared(_pullback_class(info, twins, f, g), decide)
+        return along[k]
 
-    def pullback_cases(template, holds):
-        for k in bud.each(range(len(along))):
-            f, g = along[k]
-            yield (template, f.table, g.table), holds(*pulled(k))
+    def pullback_axiom(i, check, template):
+        return joined(check, lambda g: by_cod.get(g.cod, ()),
+                      lambda g, f: pulled(f, g)[i],
+                      lambda g, f: (template, f.table, g.table))
+
+    # A chain f∘p of a cover p: is f∘p a cover (compose-covers, f a cover
+    # too), and does f∘p a cover imply f one (two-out-of-three)?
+    def chained(p, f):
+        def decide():
+            fp = is_cover(compose(f, p))
+            return fp, not fp or is_cover(f)
+        return shared(_chain_class(info, p, f), decide)
 
     # subcanonicity: a cover is the coequalizer of its kernel pair, and
     # the maps out of its domain that equalize the kernel pair are the
-    # maps that factor through it, on small test objects.  A cover of a
-    # class seen before passes, and ticks each of its cases.
+    # maps that factor through it, on small test objects.  A cover that
+    # is not the first of its class passes, and ticks each of its cases.
     def subcanonical_cases():
         small = [x for x in objs if len(x) <= 3]
-        seen = set()
         for f in bud.each(covers):
-            if info[id(f)][0] in seen:
+            if first[info[id(f)][0]] is not f:
                 bud.tick(len(small))
                 continue
-            seen.add(info[id(f)][0])
             kp = kernel_pair(f)
             co = coequalizer(kp.pr1, kp.pr2)
             q = descend(co.quotient, f.cod,
@@ -730,64 +757,63 @@ def axiom_harness(objs, mors, budget=2_000_000, include_empty_in_28=False):
 
     # binary products of covers are covers; each product of two objects
     # is built once, and one product map per pair of classes
-    product = cache(obj_product)
+    obj_products = cache(obj_product)
     inhabited = [f for f in covers if f.dom.elements]
 
     # saturation report: look for f with a section-like p making f∘p a
     # cover while f itself is not.  Constructed from fold maps out of
-    # coproducts; a witness is expected for fintop, none for finset.
-    def fold_cases():
-        for a in objs:
-            for b in [b for b in objs if b.elements]:
-                for f0 in bud.each(by_ends.get((a, b), ())):
-                    total, inl, inr = disjoint_union(a, b)
-                    f = copair(f0, identity(b), total, inl, inr)
-                    yield (("fold of %r with the identity on %r", f0.table,
-                            list(b.elements)),
-                           not (is_cover(compose(f, inr)) and not is_cover(f)))
+    # coproducts, one per class of f0; a witness is expected for fintop,
+    # none for finset.
+    def folded(f0):
+        def decide():
+            total, inl, inr = disjoint_union(f0.dom, f0.cod)
+            f = copair(f0, identity(f0.cod), total, inl, inr)
+            return not (is_cover(compose(f, inr)) and not is_cover(f))
+        return shared(("fold", info[id(f0)][0]), decide)
+
+    folds = [(b, f0) for a in objs for b in objs if b.elements
+             for f0 in by_ends.get((a, b), ())]
 
     findings = [
-        _check("iso-covers", (
-            (("iso %r is not a cover", f.table),
-             shared(("iso", info[id(f)][0]),
-                    lambda: not (is_iso(f) and not is_cover(f))))
-            for f in bud.each(mors))),
-        _check("compose-covers", (
-            (("composite of %r and %r", f.table, g.table),
-             is_cover(compose(f, g)))
-            for f, g in bud.each((f, g) for f in covers
-                                 for g in covers_by_cod.get(f.dom, ())))),
-        _check("pullback-covers", pullback_cases(
-            "pr1 of %r along cover %r", lambda c1, c2, i2, cf, isf: c1)),
+        axiom("iso-covers", len(mors), ((f,) for f in first.values()),
+              ((f,) for f in mors),
+              lambda f: shared(("iso", info[id(f)][0]),
+                               lambda: not (is_iso(f) and not is_cover(f))),
+              lambda f: ("iso %r is not a cover", f.table)),
+        axiom("compose-covers",
+              sum(len(covers_by_cod.get(f.dom, ())) for f in covers),
+              ((f, g) for g in rep_covers
+               for f in covers_by_dom.get(g.cod, ())) if whole else None,
+              ((f, g) for f in covers for g in covers_by_cod.get(f.dom, ())),
+              lambda f, g: chained(g, f)[0],
+              lambda f, g: ("composite of %r and %r", f.table, g.table)),
+        pullback_axiom(0, "pullback-covers", "pr1 of %r along cover %r"),
         _check("subcanonical", subcanonical_cases()),
-        _check("cover-local", pullback_cases(
-            "locality fails for %r along %r",
-            lambda c1, c2, i2, cf, isf: not (c2 and not cf))),
-        # two-out-of-three: f∘p and p covers imply f cover
-        _check("two-out-of-three", (
-            (("f=%r, p=%r", f.table, p.table),
-             shared(_chain_class(info, p, f), lambda: not (
-                 is_cover(compose(f, p)) and not is_cover(f))))
-            for p, f in bud.each((p, f) for p in covers
-                                 for f in by_dom.get(p.cod, ())))),
+        pullback_axiom(1, "cover-local", "locality fails for %r along %r"),
+        joined("two-out-of-three", lambda p: by_dom.get(p.cod, ()),
+               lambda p, f: chained(p, f)[1],
+               lambda p, f: ("f=%r, p=%r", f.table, p.table)),
         # every map to the final object is a cover (nonempty carriers)
         _check("covers-to-final", (
             (("map %r -> {*} is not a cover", list(x.elements)),
              is_cover(to_terminal(x)))
             for x in bud.each(x for x in objs
                               if x.elements or include_empty_in_28))),
-        _check("iso-local", pullback_cases(
-            "iso-locality fails for %r along %r",
-            lambda c1, c2, i2, cf, isf: not (c1 and i2 and not isf))),
-        _check("product-covers", (
-            (("product of %r and %r", f1.table, f2.table),
-             shared(("product", info[id(f1)][0], info[id(f2)][0]),
-                    lambda: is_cover(_product_map(f1, f2, product(
-                        f1.dom, f2.dom), product(f1.cod, f2.cod)))))
-            for f1, f2 in bud.each((f1, f2) for f1 in inhabited
-                                   for f2 in inhabited))),
+        pullback_axiom(2, "iso-local", "iso-locality fails for %r along %r"),
+        axiom("product-covers", len(inhabited) ** 2,
+              product([f for f in rep_covers if f.dom.elements], repeat=2),
+              product(inhabited, repeat=2),
+              lambda f1, f2: shared(
+                  ("product", info[id(f1)][0], info[id(f2)][0]),
+                  lambda: is_cover(_product_map(f1, f2, obj_products(
+                      f1.dom, f2.dom), obj_products(f1.cod, f2.cod)))),
+              lambda f1, f2: ("product of %r and %r", f1.table, f2.table)),
     ]
-    fold = _check("saturation-witness", fold_cases())
+    fold = axiom("saturation-witness", len(folds),
+                 ((b, f0) for b, f0 in folds if first[info[id(f0)][0]] is f0),
+                 folds, lambda b, f0: folded(f0),
+                 lambda b, f0: ("fold of %r with the identity on %r",
+                                f0.table, list(b.elements)))
     findings.append(Finding("saturation-witness", True,
                             fold.witness or "no witness: class is saturated"))
     return findings

@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 from groupoidal.site_core import (Mor, NotAMorphism, all_maps, is_cover,
                                   is_open_map)
 from groupoidal.backends import (DuplicateElement, NotATopology,
-                                 all_finsets, all_finspaces, discrete,
-                                 indiscrete, make_finset, make_finspace,
-                                 sierpinski)
+                                 _canonical, _preorders, all_finsets,
+                                 all_finspaces, discrete, indiscrete,
+                                 make_finset, make_finspace, sierpinski)
 
 
 def opens(x):
@@ -83,6 +83,35 @@ def test_census_matches_topology_scan(n, up_to_homeo):
     old = old_all_finspaces(n, up_to_homeo)
     assert [(x.elements, x.nbhd) for x in new] == [
         (x.elements, x.nbhd) for x in old]
+
+
+def test_preorders_on_5_points():
+    assert len(list(_preorders(5))) == 6942   # A000798
+
+
+def test_census_on_5_points():
+    spaces = all_finspaces(5)
+    assert len(spaces) == 1 + 1 + 3 + 9 + 33 + 139   # A001930
+    assert len([x for x in spaces if len(x) == 5]) == 139
+
+
+def full_form(up):
+    """The least relabelling of a preorder (up-sets as bitmasks) over all
+    n! permutations of its points: the census's class test before it was
+    cut down to the permutations inside the invariant cells."""
+    n = len(up)
+    return min(tuple(sorted(
+        (p[x], sum(1 << p[y] for y in range(n) if up[x] >> y & 1))
+        for x in range(n))) for p in permutations(range(n)))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_invariant_cells_give_the_homeomorphism_classes(n):
+    """Two labelled preorders get one form inside the invariant cells
+    exactly when they get one over all n! permutations."""
+    forms = {(_canonical(up), full_form(up)) for up in _preorders(n)}
+    assert len(forms) == len({c for c, _ in forms}) == len(
+        {f for _, f in forms})
 
 
 def test_make_finset_rejects_duplicates():

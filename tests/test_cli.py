@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 import groupoidal
-from groupoidal.cli import (BadEnvironment, ModelSyntaxError, TypeMismatch,
-                            UnknownCommand, UnresolvedName, build_model,
-                            format_report, main, parse_model, run_command,
-                            serialize_model)
+from groupoidal.cli import (BadEnvironment, ModelSyntaxError, NegativeCap,
+                            TypeMismatch, UnknownCommand, UnresolvedName,
+                            build_model, format_report, main, parse_model,
+                            run_command, serialize_model)
 
 
 MODEL = """\
@@ -278,3 +278,47 @@ def test_max_size_env_must_be_an_integer(monkeypatch, capsys):
         run_command("axioms", [], backend="finset")
     assert main(["axioms"]) == 2
     assert "GROUPOIDAL_MAX" in capsys.readouterr().err
+
+
+def test_json_to_an_unwritable_path_exits_2(tmp_path, capsys):
+    """A --json path in a missing directory is an error line and exit 2,
+    not a traceback."""
+    assert main(["axioms", "--max", "1", "--json",
+                 str(tmp_path / "missing" / "report.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_negative_cap_exits_2(monkeypatch, capsys):
+    """A negative size cap, from --max or GROUPOIDAL_MAX, would check an
+    empty site and pass vacuously: it is refused."""
+    with pytest.raises(NegativeCap, match="-3"):
+        run_command("axioms", [], max_size=-3)
+    assert main(["axioms", "--max", "-3"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    monkeypatch.setenv("GROUPOIDAL_MAX", "-3")
+    assert main(["axioms"]) == 2
+    assert "GROUPOIDAL_MAX" in capsys.readouterr().err
+    assert main(["axioms", "--max", "0"]) == 0
+
+
+AXIOM_RUNS = [["axioms", "--backend", "finset", "--max", "4"],
+              ["axioms", "--backend", "fintop", "--max", "3"]]
+
+
+def test_axiom_reports_do_not_depend_on_O(tmp_path):
+    """The text and JSON reports of the harness on the 4-point finset site
+    and the 3-point fintop site are the same plain and under -O."""
+    src = os.path.dirname(os.path.dirname(groupoidal.__file__))
+    reports = {}
+    for flags in [[], ["-O"]]:
+        for i, argv in enumerate(AXIOM_RUNS):
+            path = tmp_path / ("%s%d.json" % ("".join(flags), i))
+            res = subprocess.run(
+                [sys.executable, *flags, "-m", "groupoidal.cli", *argv,
+                 "--json", str(path)],
+                env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                text=True, timeout=120)
+            assert res.returncode == 0, res.stderr
+            reports.setdefault(i, []).append((res.stdout, path.read_text()))
+    for plain, optimised in reports.values():
+        assert plain == optimised

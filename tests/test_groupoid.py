@@ -4,7 +4,8 @@ from groupoidal.site_core import (Mor, compose, fibre_product, identity,
                                   is_cover, is_iso, pair_id, passed,
                                   terminal, to_terminal)
 from groupoidal.backends import make_finset, sierpinski
-from groupoidal.groupoid import (Groupoid, NotAssociative, ShearNotIso,
+from groupoidal.groupoid import (MAX_CYCLIC_ORDER, Groupoid, NotAssociative,
+                                 OrderOutOfRange, ShearNotIso,
                                  cech_groupoid, cyclic_groupoid,
                                  from_multiplication, pair_groupoid,
                                  pullback_groupoid, shear_maps,
@@ -17,6 +18,14 @@ def test_cyclic_groupoids_validate():
         g = cyclic_groupoid(n)
         assert len(g.G1) == n
         assert passed(validate_groupoid(g))
+
+
+def test_cyclic_order_is_bounded():
+    """Z/n has n² composable pairs, so the order is capped."""
+    assert len(cyclic_groupoid(MAX_CYCLIC_ORDER).pairs.apex) == 256 ** 2
+    for n in (0, MAX_CYCLIC_ORDER + 1):
+        with pytest.raises(OrderOutOfRange, match="not in 1..256"):
+            cyclic_groupoid(n)
 
 
 def test_cyclic_multiplication_oracle():

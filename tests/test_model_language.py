@@ -40,6 +40,7 @@ BAD_INPUTS = [
     ("groupoid Zx = cyclic()", ["validate", "Zx"]),
     ("groupoid Zx = cyclic(0)", ["validate", "Zx"]),
     ("groupoid Zx = cyclic(-1)", ["validate", "Zx"]),
+    ("groupoid Zx = cyclic(257)", ["validate", "Zx"]),
     ("bibundle Bx = equiv()", ["validate", "Bx"]),
     ("bibundle Bx = equiv(p2, p3, p2)", ["validate", "Bx"]),
     ("bibundle Bx = compose(EQ)", ["validate", "Bx"]),
@@ -98,14 +99,16 @@ def test_bad_inputs_exit_2_under_O(tmp_path):
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
 @pytest.mark.parametrize("extra, why", [
     ("groupoid Z0 = cyclic(0)", "order of Z/n is 0"),
+    ("groupoid Zb = cyclic(257)", "order of Z/n is 257, not in 1..256"),
     ("map q : S3 -> S2 { c->a, d->a, e->b }\nbibundle Bx = equiv(p3, q)",
      "share a codomain"),
-], ids=["cyclic-0", "equiv-codomains"])
+], ids=["cyclic-0", "cyclic-257", "equiv-codomains"])
 def test_library_argument_errors_name_their_line(tmp_path, flags, extra,
                                                  why):
-    """A cyclic group of order 0 and an equivalence of covers with two
-    codomains are typed errors in the library, so they end in exit 2 with
-    the declaration's line with or without -O."""
+    """A cyclic group of order 0 or above ``MAX_CYCLIC_ORDER`` and an
+    equivalence of covers with two codomains are typed errors in the
+    library, so they end in exit 2 with the declaration's line with or
+    without -O."""
     text = readme_model() + extra + "\n"
     model = tmp_path / "m.gpd"
     model.write_text(text)
