@@ -7,15 +7,26 @@ for lattice closure, and stored via minimal open neighbourhoods.
 
 from itertools import combinations, permutations, product
 
-from .site_core import Obj, SiteError, DuplicateElement, backtrack
+from .site_core import (PAIR_SEP, Obj, SiteError, DuplicateElement,
+                        NotATopology, backtrack)
 
 
-class NotATopology(SiteError):
+class BadElementId(SiteError):
     pass
 
 
+def _plain_ids(elements):
+    """The ids as strings; BadElementId if one holds ``PAIR_SEP``, which
+    joins the two ids of a fibre-product point."""
+    elements = [str(e) for e in elements]
+    for e in elements:
+        if PAIR_SEP in e:
+            raise BadElementId("element id %r contains %r" % (e, PAIR_SEP))
+    return elements
+
+
 def make_finset(elements):
-    return Obj("finset", elements)
+    return Obj("finset", _plain_ids(elements))
 
 
 def make_finspace(elements, opens):
@@ -25,7 +36,7 @@ def make_finspace(elements, opens):
     closed under pairwise union and intersection; for a finite carrier
     that is exactly a topology.
     """
-    elements = [str(e) for e in elements]
+    elements = _plain_ids(elements)
     if len(set(elements)) != len(elements):
         raise DuplicateElement("repeated id in %r" % (elements,))
     eset = frozenset(elements)

@@ -48,6 +48,10 @@ class DuplicateElement(SiteError):
     pass
 
 
+class NotATopology(SiteError):
+    pass
+
+
 PAIR_SEP = "|"
 
 
@@ -64,32 +68,39 @@ class Obj:
     """
 
     def __init__(self, backend, elements, nbhd=None):
-        assert backend in ("finset", "fintop")
+        if backend != ("finset" if nbhd is None else "fintop"):
+            raise BackendMismatch("backend %r with topology %r: a finset "
+                                  "object has none, a fintop object one"
+                                  % (backend, nbhd))
         elements = tuple(str(e) for e in elements)
         if len(set(elements)) != len(elements):
             raise DuplicateElement("repeated id in %r" % (list(elements),))
         eset = frozenset(elements)
-        if backend == "finset":
-            assert nbhd is None
-        else:
-            assert nbhd is not None, "fintop objects need a topology"
+        if nbhd is not None:
             nbhd = {x: frozenset(n) for x, n in nbhd.items()}
-            assert set(nbhd) == set(elements)
+            if nbhd.keys() != eset:
+                raise NotATopology("each point needs one minimal open set")
             for x in elements:
-                assert x in nbhd[x]
-                assert nbhd[x] <= eset
-            for x in elements:
-                for y in nbhd[x]:
-                    assert nbhd[y] <= nbhd[x], "minimal opens must nest"
+                n = nbhd[x]
+                if x not in n or not n <= eset:
+                    raise NotATopology("minimal open set %r of %s must hold "
+                                       "it and lie in the carrier"
+                                       % (sorted(n), x))
+                for y in n:
+                    if not nbhd[y] <= n:
+                        raise NotATopology("minimal open sets must nest, at "
+                                           "%s and %s" % (x, y))
         self.backend = backend
         self.elements = elements
         self.eset = eset
         self.nbhd = nbhd
 
     def is_open(self, s):
-        assert self.backend == "fintop"
+        if self.backend != "fintop":
+            raise BackendMismatch("only a fintop object has open sets")
         s = frozenset(s)
-        assert s <= self.eset
+        if not s <= self.eset:
+            raise BoundaryMismatch("%r is not inside the carrier" % sorted(s))
         return all(self.nbhd[x] <= s for x in s)
 
     def __eq__(self, other):
@@ -191,7 +202,8 @@ def is_surjective(f):
 def is_open_map(f):
     """Image of every dom-open is a cod-open.  It suffices to check the
     minimal opens, since any open is a union of them."""
-    assert f.dom.backend == "fintop"
+    if f.dom.backend != "fintop":
+        raise BackendMismatch("only a fintop map can be open")
     return all(f.cod.is_open(f.image(f.dom.nbhd[x])) for x in f.dom.elements)
 
 
@@ -217,8 +229,11 @@ def is_iso(f):
 
 
 def inverse(f):
-    assert is_iso(f)
-    return Mor(f.cod, f.dom, {v: k for k, v in f.table.items()})
+    """The inverse of an iso f, or NotAMorphism (here or from Mor)."""
+    inv = {v: k for k, v in f.table.items()}
+    if len(inv) != len(f.table):
+        raise NotAMorphism("%r is not injective" % (f,))
+    return Mor(f.cod, f.dom, inv)
 
 
 class FibreProduct:
@@ -437,7 +452,8 @@ def disjoint_union(a, b):
 def copair(f, g, total, inl, inr):
     """The map out of a coproduct determined by f on the left and g on
     the right summand."""
-    assert f.cod == g.cod
+    if f.cod != g.cod:
+        raise BoundaryMismatch("copair legs must share a codomain")
     table = {}
     for x in f.dom.elements:
         table[inl(x)] = f(x)
@@ -542,12 +558,6 @@ class _Budget:
         if self.left < 0:
             raise BudgetExceeded("axiom harness budget exhausted")
 
-    def each(self, cases):
-        """The cases, with one tick before each."""
-        for case in cases:
-            self.tick()
-            yield case
-
 
 def _index(maps, key):
     """The maps grouped by ``key``, each group in the order of ``maps``."""
@@ -636,13 +646,6 @@ def _chain_class(info, p, f):
     return "chain", pcls, c, tuple(vals[i] for i in gam)
 
 
-def _check(check, cases):
-    """The finding of one axiom from its (witness, ok) cases: a witness
-    is a template and its values, formatted for the first failing case."""
-    w = first_failure(cases)
-    return witness_finding(check, None if w is None else w[0] % w[1:])
-
-
 def axiom_harness(objs, mors, budget=2_000_000, include_empty_in_28=False):
     """Check the cover axioms on a sample of objects and morphisms.
 
@@ -653,11 +656,11 @@ def axiom_harness(objs, mors, budget=2_000_000, include_empty_in_28=False):
     found through indexes by domain and codomain.
 
     The axioms hold up to isomorphism, so every case shares the verdict
-    of its relabelling class (``_relabelling_classes``), and an axiom
-    decides the cases of the first map of each class (for the pullback
-    and chain axioms, on a union of whole classes only).  If all hold and
-    the budget covers the n cases, they pass with ``tick(n)``; if not,
-    each case comes in order, ticks and reuses its class's verdict.
+    of its relabelling class (``_relabelling_classes``).  Each axiom walks
+    its cases in order, grouped by a leading map; on a union of whole
+    classes the cases of a leading map that is not the first of its class
+    relabel earlier ones, so they are counted, not decided.  The axiom
+    ticks the position of its first failing case, or all its cases.
     """
     objs = list(objs)
     mors = list(mors)
@@ -671,89 +674,95 @@ def axiom_harness(objs, mors, budget=2_000_000, include_empty_in_28=False):
             verdicts[key] = decide()
         return verdicts[key]
 
-    def axiom(check, n, reps, cases, ok, witness):
-        # the finding over n ``cases`` (argument tuples of ``ok`` and
-        # ``witness``) and ``reps``, those of the first maps, or None
-        if reps is not None and bud.left >= n and all(ok(*c) for c in reps):
-            bud.tick(n)
-            return Finding(check, True, None)
-        return _check(check, ((witness(*c), ok(*c)) for c in bud.each(cases)))
-
     first = {}   # the first map of each class
     for f in mors:
         first.setdefault(info[id(f)][0], f)
+
+    def axiom(check, groups, fault):
+        # the finding over ``groups``, pairs (leading map p or None, its
+        # items x in order): ``fault(p, x)`` is None or a witness, a
+        # template and its values.  Past the budget, tick(pos) raises.
+        pos = 0
+        for p, items in groups:
+            if pos > bud.left:
+                break
+            if whole and p is not None and first[info[id(p)][0]] is not p:
+                pos += len(items)
+                continue
+            for x in items:
+                pos += 1
+                w = fault(p, x)
+                if w:
+                    bud.tick(pos)
+                    return Finding(check, False, w[0] % w[1:])
+        bud.tick(pos)
+        return Finding(check, True, None)
+
     covers = [f for f in mors
               if shared(("cover", info[id(f)][0]), lambda: is_cover(f))]
-    rep_covers = [f for f in covers if first[info[id(f)][0]] is f]
     by_dom = _index(mors, lambda f: f.dom)
     by_cod = _index(mors, lambda f: f.cod)
     by_ends = _index(mors, lambda f: (f.dom, f.cod))
-    covers_by_dom = _index(covers, lambda f: f.dom)
     covers_by_cod = _index(covers, lambda f: f.cod)
-    along = {}   # the pullback verdicts of each pair (f, g), by ids
-
-    def joined(check, follow, ok, witness):
-        # the cases (p, f) for each cover p and f in follow(p)
-        return axiom(check, sum(len(follow(p)) for p in covers), (
-            (p, f) for p in rep_covers for f in follow(p)) if whole else None,
-            ((p, f) for p in covers for f in follow(p)), ok, witness)
+    pairs = {}   # the verdicts of each pullback pair and chain, by ids
 
     # One pullback of each map f along each cover g serves three axioms:
     # pr1 is a cover; pr2 a cover implies f one (cover-local); pr1 a cover
     # and pr2 an iso imply f an iso (iso-local: this pullback, legs
-    # swapped).  Pairs are keyed once, and built once per _pullback_class.
+    # swapped).  It is built once per _pullback_class.
     def pulled(f, g):
-        def decide():
-            fp = fibre_product(f, g)
-            c1 = is_cover(fp.pr1)
-            return (c1, not is_cover(fp.pr2) or is_cover(f),
-                    not (c1 and is_iso(fp.pr2)) or is_iso(f))
-        k = id(f), id(g)
-        if k not in along:
-            along[k] = shared(_pullback_class(info, twins, f, g), decide)
-        return along[k]
+        k = "pullback", id(f), id(g)
+        if k not in pairs:
+            def decide():
+                fp = fibre_product(f, g)
+                c1 = is_cover(fp.pr1)
+                return (c1, not is_cover(fp.pr2) or is_cover(f),
+                        not (c1 and is_iso(fp.pr2)) or is_iso(f))
+            pairs[k] = shared(_pullback_class(info, twins, f, g), decide)
+        return pairs[k]
 
     def pullback_axiom(i, check, template):
-        return joined(check, lambda g: by_cod.get(g.cod, ()),
-                      lambda g, f: pulled(f, g)[i],
-                      lambda g, f: (template, f.table, g.table))
+        return axiom(check, ((g, by_cod.get(g.cod, ())) for g in covers),
+                     lambda g, f: None if pulled(f, g)[i] else (
+                         template, f.table, g.table))
 
     # A chain f∘p of a cover p: is f∘p a cover (compose-covers, f a cover
     # too), and does f∘p a cover imply f one (two-out-of-three)?
     def chained(p, f):
-        def decide():
-            fp = is_cover(compose(f, p))
-            return fp, not fp or is_cover(f)
-        return shared(_chain_class(info, p, f), decide)
+        k = "chain", id(p), id(f)
+        if k not in pairs:
+            def decide():
+                fp = is_cover(compose(f, p))
+                return fp, not fp or is_cover(f)
+            pairs[k] = shared(_chain_class(info, p, f), decide)
+        return pairs[k]
 
     # subcanonicity: a cover is the coequalizer of its kernel pair, and
     # the maps out of its domain that equalize the kernel pair are the
-    # maps that factor through it, on small test objects.  A cover that
-    # is not the first of its class passes, and ticks each of its cases.
-    def subcanonical_cases():
-        small = [x for x in objs if len(x) <= 3]
-        for f in bud.each(covers):
-            if first[info[id(f)][0]] is not f:
-                bud.tick(len(small))
-                continue
-            kp = kernel_pair(f)
+    # maps that factor through it, on small test objects: the items of a
+    # cover are None, for the quotient, and then each small object.
+    small = [None] + [x for x in objs if len(x) <= 3]
+    kernel = cache(kernel_pair)
+
+    def subcanonical(f, wobj):
+        kp = kernel(f)
+        if wobj is None:
             co = coequalizer(kp.pr1, kp.pr2)
             q = descend(co.quotient, f.cod,
                         ((co.proj(x), f(x)) for x in f.dom.elements))
-            yield (("kernel-pair quotient of %r not iso to the base",
-                    f.table), is_iso(q))
-            for wobj in bud.each(small):
-                equalized = [h for h in all_maps(f.dom, wobj)
-                             if all(h(kp.pr1(e)) == h(kp.pr2(e))
-                                    for e in kp.apex.elements)]
-                through = {frozenset(compose(h, f).table.items())
-                           for h in all_maps(f.cod, wobj)}
-                yield (("factorization count mismatch for %r into %r",
-                        f.table, list(wobj.elements)),
-                       len(through) == len(equalized))
-                for h in equalized:
-                    yield (("equalized map %r does not factor", h.table),
-                           frozenset(h.table.items()) in through)
+            return None if is_iso(q) else (
+                "kernel-pair quotient of %r not iso to the base", f.table)
+        equalized = [h for h in all_maps(f.dom, wobj)
+                     if all(h(kp.pr1(e)) == h(kp.pr2(e))
+                            for e in kp.apex.elements)]
+        through = {frozenset(compose(h, f).table.items())
+                   for h in all_maps(f.cod, wobj)}
+        if len(through) != len(equalized):
+            return ("factorization count mismatch for %r into %r",
+                    f.table, list(wobj.elements))
+        return next((("equalized map %r does not factor", h.table)
+                     for h in equalized
+                     if frozenset(h.table.items()) not in through), None)
 
     # binary products of covers are covers; each product of two objects
     # is built once, and one product map per pair of classes
@@ -764,56 +773,47 @@ def axiom_harness(objs, mors, budget=2_000_000, include_empty_in_28=False):
     # cover while f itself is not.  Constructed from fold maps out of
     # coproducts, one per class of f0; a witness is expected for fintop,
     # none for finset.
-    def folded(f0):
+    def folded(f0, b):
         def decide():
             total, inl, inr = disjoint_union(f0.dom, f0.cod)
             f = copair(f0, identity(f0.cod), total, inl, inr)
             return not (is_cover(compose(f, inr)) and not is_cover(f))
-        return shared(("fold", info[id(f0)][0]), decide)
-
-    folds = [(b, f0) for a in objs for b in objs if b.elements
-             for f0 in by_ends.get((a, b), ())]
+        return None if shared(("fold", info[id(f0)][0]), decide) else (
+            "fold of %r with the identity on %r", f0.table, list(b.elements))
 
     findings = [
-        axiom("iso-covers", len(mors), ((f,) for f in first.values()),
-              ((f,) for f in mors),
-              lambda f: shared(("iso", info[id(f)][0]),
-                               lambda: not (is_iso(f) and not is_cover(f))),
-              lambda f: ("iso %r is not a cover", f.table)),
-        axiom("compose-covers",
-              sum(len(covers_by_cod.get(f.dom, ())) for f in covers),
-              ((f, g) for g in rep_covers
-               for f in covers_by_dom.get(g.cod, ())) if whole else None,
-              ((f, g) for f in covers for g in covers_by_cod.get(f.dom, ())),
-              lambda f, g: chained(g, f)[0],
-              lambda f, g: ("composite of %r and %r", f.table, g.table)),
+        axiom("iso-covers", ((f, [f]) for f in mors),
+              lambda f, _: None if shared(
+                  ("iso", info[id(f)][0]),
+                  lambda: not (is_iso(f) and not is_cover(f))) else (
+                  "iso %r is not a cover", f.table)),
+        axiom("compose-covers", ((f, covers_by_cod.get(f.dom, ()))
+                                 for f in covers),
+              lambda f, g: None if chained(g, f)[0] else (
+                  "composite of %r and %r", f.table, g.table)),
         pullback_axiom(0, "pullback-covers", "pr1 of %r along cover %r"),
-        _check("subcanonical", subcanonical_cases()),
+        axiom("subcanonical", ((f, small) for f in covers), subcanonical),
         pullback_axiom(1, "cover-local", "locality fails for %r along %r"),
-        joined("two-out-of-three", lambda p: by_dom.get(p.cod, ()),
-               lambda p, f: chained(p, f)[1],
-               lambda p, f: ("f=%r, p=%r", f.table, p.table)),
+        axiom("two-out-of-three",
+              ((p, by_dom.get(p.cod, ())) for p in covers),
+              lambda p, f: None if chained(p, f)[1] else (
+                  "f=%r, p=%r", f.table, p.table)),
         # every map to the final object is a cover (nonempty carriers)
-        _check("covers-to-final", (
-            (("map %r -> {*} is not a cover", list(x.elements)),
-             is_cover(to_terminal(x)))
-            for x in bud.each(x for x in objs
-                              if x.elements or include_empty_in_28))),
+        axiom("covers-to-final",
+              [(None, [x for x in objs if x.elements or include_empty_in_28])],
+              lambda _, x: None if is_cover(to_terminal(x)) else (
+                  "map %r -> {*} is not a cover", list(x.elements))),
         pullback_axiom(2, "iso-local", "iso-locality fails for %r along %r"),
-        axiom("product-covers", len(inhabited) ** 2,
-              product([f for f in rep_covers if f.dom.elements], repeat=2),
-              product(inhabited, repeat=2),
-              lambda f1, f2: shared(
+        axiom("product-covers", ((f1, inhabited) for f1 in inhabited),
+              lambda f1, f2: None if shared(
                   ("product", info[id(f1)][0], info[id(f2)][0]),
                   lambda: is_cover(_product_map(f1, f2, obj_products(
-                      f1.dom, f2.dom), obj_products(f1.cod, f2.cod)))),
-              lambda f1, f2: ("product of %r and %r", f1.table, f2.table)),
+                      f1.dom, f2.dom), obj_products(f1.cod, f2.cod)))) else (
+                  "product of %r and %r", f1.table, f2.table)),
     ]
-    fold = axiom("saturation-witness", len(folds),
-                 ((b, f0) for b, f0 in folds if first[info[id(f0)][0]] is f0),
-                 folds, lambda b, f0: folded(f0),
-                 lambda b, f0: ("fold of %r with the identity on %r",
-                                f0.table, list(b.elements)))
+    fold = axiom("saturation-witness",
+                 ((f0, [b]) for a in objs for b in objs if b.elements
+                  for f0 in by_ends.get((a, b), ())), folded)
     findings.append(Finding("saturation-witness", True,
                             fold.witness or "no witness: class is saturated"))
     return findings

@@ -5,8 +5,9 @@ from hypothesis import given, strategies as st
 
 from groupoidal.site_core import (Mor, NotAMorphism, all_maps, is_cover,
                                   is_open_map)
-from groupoidal.backends import (DuplicateElement, NotATopology,
-                                 _canonical, _preorders, all_finsets,
+from groupoidal.backends import (BadElementId, DuplicateElement,
+                                 NotATopology, _canonical, _preorders,
+                                 all_finsets,
                                  all_finspaces, discrete, indiscrete,
                                  make_finset, make_finspace, sierpinski)
 
@@ -117,6 +118,13 @@ def test_invariant_cells_give_the_homeomorphism_classes(n):
 def test_make_finset_rejects_duplicates():
     with pytest.raises(DuplicateElement):
         make_finset(["a", "a"])
+
+
+def test_ids_may_not_hold_the_pair_separator():
+    with pytest.raises(BadElementId):
+        make_finset(["a", "b|c"])
+    with pytest.raises(BadElementId):
+        make_finspace(["a|b"], [[], ["a|b"]])
 
 
 def test_make_finspace_validates_closure():

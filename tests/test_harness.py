@@ -7,9 +7,11 @@ for every pair of covers, and no case reuses the verdict of a case it
 relabels.  The harness must give the same findings, the same witnesses
 and the same budget verdicts, also on samples of maps that are not
 closed under relabelling, and under wrong cover and iso predicates that
-make each of the three pullback axioms fail.  Each axiom passes at once
-when the cases of the first map of each class hold, and otherwise walks
-its cases in order; the tests below pin which it does and when.
+make each of the three pullback axioms and two-out-of-three fail.  Each
+axiom walks its cases in order, and on a sample that is a union of
+whole relabelling classes counts, without deciding them, the cases led
+by a map that is not the first of its class; the tests below pin what
+it keys and builds, and its tick counts.
 """
 
 from functools import cache
@@ -254,8 +256,9 @@ def test_budget_boundary_of_old_loops():
 _is_cover, _is_iso = sc.is_cover, sc.is_iso
 
 # Wrong predicates, each invariant under relabelling, as the real ones
-# are.  Together they make each of the three pullback axioms fail, at
-# different pairs, so that one axiom closes while the others run on.
+# are.  Together they make each of the three pullback axioms and
+# two-out-of-three fail, at different cases, so that one axiom closes
+# while the others run on.
 WRONG = {
     "cover-at-most-2-points": (
         "is_cover", lambda f: sc.is_surjective(f) and len(f.dom) <= 2),
@@ -263,11 +266,13 @@ WRONG = {
         "is_cover", lambda f: sc.is_surjective(f) or len(f.cod) == 3),
     "iso-from-3-points": (
         "is_iso", lambda f: _is_iso(f) or len(f.dom) >= 3),
+    "cover-not-from-2-points": (
+        "is_cover", lambda f: sc.is_surjective(f) and len(f.dom) != 2),
 }
 
 
-# on fintop the old loops take 3-7 s under the two predicates on 3-point
-# maps, so only the cheap one runs there
+# on fintop the old loops take 1.5-10 s under the other predicates on
+# 3-point maps, so only the cheap one runs there
 @pytest.mark.parametrize("wrong,backend", [
     (wrong, "finset") for wrong in sorted(WRONG)] + [
     ("cover-at-most-2-points", "fintop")])
@@ -289,7 +294,8 @@ def test_wrong_predicates_break_each_pullback_axiom(monkeypatch):
             m.setattr(sc, attr, fn)
             failed |= {f.check for f in sc.axiom_harness(objs, mors)
                        if not f.ok}
-    assert {"pullback-covers", "cover-local", "iso-local"} <= failed
+    assert {"pullback-covers", "cover-local", "iso-local",
+            "two-out-of-three"} <= failed
 
 
 @cache
@@ -498,22 +504,26 @@ def test_whole_classes_flag(backend):
 
 
 # the pullback pairs and chains the harness keys on each whole site: only
-# those of the first cover of each class (the ordered walk keys every
-# case: 373 and 350 on finsets, 5,980 and 6,335 on finite spaces)
-KEYED = {"finset": (83, 109), "fintop": (2351, 2865)}
+# those led by the first map of each class (a walk without skips keys
+# every case: 373 and 350 on finsets, 5,980 and 6,335 on finite spaces)
+KEYED = {"finset": (83, 113), "fintop": (2351, 2833)}
 
 
 @pytest.mark.parametrize("backend", ["finset", "fintop"])
 def test_whole_site_keys_only_first_covers(monkeypatch, backend):
+    """Each pullback pair and chain is keyed once, though a chain may
+    serve both compose-covers and two-out-of-three."""
     objs, mors = site(backend)
-    keyed = {"_pullback_class": 0, "_chain_class": 0}
+    keyed = {"_pullback_class": [], "_chain_class": []}
     for name in keyed:
         def count(*args, _name=name, _key=getattr(sc, name)):
-            keyed[_name] += 1
+            keyed[_name].append(tuple(map(id, args[-2:])))
             return _key(*args)
         monkeypatch.setattr(sc, name, count)
     assert sc.passed(sc.axiom_harness(objs, mors))
-    assert (keyed["_pullback_class"], keyed["_chain_class"]) == KEYED[backend]
+    pairs, chains = keyed["_pullback_class"], keyed["_chain_class"]
+    assert (len(pairs), len(chains)) == KEYED[backend]
+    assert len(set(pairs)) == len(pairs) and len(set(chains)) == len(chains)
 
 
 def old_loops_and_least_budget(monkeypatch, objs, mors):

@@ -10,8 +10,10 @@ indexes rather than by comparing ends; every groupoid but the given
 multiplication of ``from_multiplication`` is built by ``build_groupoid``;
 no relative import in the package is left unused; no constructor
 re-checks its output with an ``assert`` on a validator, nor does any code
-catch ``AssertionError``; and the command line reads the model language
-from tables, branching on no declaration kind or constructor name.
+catch ``AssertionError``; ``site_core`` holds no ``assert`` at all, and
+its harness ticks its budget from the one walk every axiom runs; and the
+command line reads the model language from tables, branching on no
+declaration kind or constructor name.
 """
 
 import ast
@@ -83,13 +85,18 @@ def called(node, name):
             and isinstance(n.func, ast.Name) and n.func.id == name]
 
 
+def site_core_def(name):
+    """The top-level function or class ``name`` of ``site_core``."""
+    return next(node for node in parse(PKG / "site_core.py").body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name == name)
+
+
 def test_harness_shares_pullbacks_and_products():
     """``axiom_harness`` checks its three pullback axioms on one
     ``fibre_product`` call, and builds no ``mor_product`` inside a loop
     (each object product is built once)."""
-    harness = next(node for node in ast.walk(parse(PKG / "site_core.py"))
-                   if isinstance(node, ast.FunctionDef)
-                   and node.name == "axiom_harness")
+    harness = site_core_def("axiom_harness")
     assert len(called(harness, "fibre_product")) == 1
     loops = [n for n in ast.walk(harness) if isinstance(n, (ast.For,
                                                              ast.While))]
@@ -97,13 +104,37 @@ def test_harness_shares_pullbacks_and_products():
             for line in called(loop, "mor_product")] == []
 
 
+def test_harness_walks_each_axiom_once():
+    """``_Budget`` has no per-case iterator, and ``axiom_harness`` ticks
+    its budget from one inner function only: the walk every axiom runs."""
+    assert "each" not in {n.name for n in site_core_def("_Budget").body
+                          if isinstance(n, ast.FunctionDef)}
+    harness = site_core_def("axiom_harness")
+
+    def ticks(node):
+        return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "tick"]
+
+    inner = [n for n in ast.walk(harness) if n is not harness
+             and isinstance(n, ast.FunctionDef) and ticks(n)]
+    assert [n.name for n in inner] == ["axiom"]
+    assert ticks(inner[0]) == ticks(harness)
+
+
+def test_no_assert_in_site_core():
+    """Every argument check in ``site_core`` raises a typed error, so it
+    holds under ``python -O``."""
+    found = [node.lineno for node in ast.walk(parse(PKG / "site_core.py"))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def test_harness_compares_no_ends():
     """``axiom_harness`` looks composable maps up in its indexes by
     domain and codomain; it compares no ``.dom`` or ``.cod`` with ``==``
     or ``!=``."""
-    harness = next(node for node in ast.walk(parse(PKG / "site_core.py"))
-                   if isinstance(node, ast.FunctionDef)
-                   and node.name == "axiom_harness")
+    harness = site_core_def("axiom_harness")
     found = [node.lineno for node in ast.walk(harness)
              if isinstance(node, ast.Compare)
              and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)

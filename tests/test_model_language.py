@@ -45,6 +45,7 @@ BAD_INPUTS = [
     ("bibundle Bx = equiv(p2, p3, p2)", ["validate", "Bx"]),
     ("bibundle Bx = compose(EQ)", ["validate", "Bx"]),
     ("finspace Fx = {a} opens [1]", ["validate", "Fx"]),
+    ("finset Ax = {a, b|c, a|b, c}", ["validate", "Ax"]),
     ("map q : S3 -> S2 { c->a, d->a, e->b }\nbibundle Bx = equiv(p3, q)",
      ["validate", "Bx"]),
     ("groupoid Gx = cech(p2, p2)", ["validate", "Gx"]),
@@ -143,6 +144,19 @@ def test_cech_of_a_non_cover_names_the_map(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cech_groupoid: p = Mor(['a', 'b'] -> ['c', 'd', 'e'], " \
         "{'a': 'c', 'b': 'c'}) is not a cover (line 4, col 0)" in err
+
+
+def test_pair_separator_in_an_id_names_its_line(tmp_path, capsys):
+    """Ids holding ``|`` are refused where they are declared: the Čech
+    groupoid of a cover out of them would be a fibre product whose pair
+    ids collide, reported on the groupoid's line."""
+    model = tmp_path / "m.gpd"
+    model.write_text("finset A = {a, b|c, a|b, c}\nfinset P = {x}\n"
+                     "map p : A -> P { a->x, b|c->x, a|b->x, c->x }\n"
+                     "groupoid C = cech(p)\n")
+    assert main(["validate", "C", "--model", str(model)]) == 2
+    assert capsys.readouterr().err == (
+        "error: finset A: element id 'b|c' contains '|' (line 1, col 0)\n")
 
 
 def test_argument_count_and_repeated_key_carry_line_and_column():

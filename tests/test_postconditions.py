@@ -9,8 +9,14 @@ covers the argument checks that stay in the library: they raise typed
 errors, so they hold under ``python -O`` too.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import groupoidal
 from groupoidal import bibundle as bibundle_module
 from groupoidal import groupoid as groupoid_module
 from groupoidal.site_core import (Mor, all_maps, fibre_product, identity,
@@ -588,3 +594,18 @@ def test_from_multiplication_typed_errors(monkeypatch):
         from_multiplication(pt, G1, r, s, m)
     with pytest.raises(InverseNotUnique):
         from_multiplication(G0, H1, hr, hs, hm)
+
+
+def test_acceptance_battery_under_O():
+    """The ten acceptance criteria pass under ``python -O`` too: no verdict
+    of the library rests on an ``assert`` (pytest's rewritten asserts in
+    the battery itself still run)."""
+    tests = Path(__file__).resolve().parent
+    res = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(tests / "test_acceptance.py")], cwd=tests.parent,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(groupoidal.__file__))),
+        capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "10 passed" in res.stdout.splitlines()[-1], res.stdout

@@ -7,7 +7,8 @@ from hypothesis import assume, given, strategies as st
 
 import groupoidal
 
-from groupoidal.site_core import (BoundaryMismatch, Mor, NotAMorphism,
+from groupoidal.site_core import (BackendMismatch, BoundaryMismatch, Mor,
+                                  NotAMorphism, NotATopology,
                                   NotWellDefined, Obj, SiteError, all_maps,
                                   axiom_harness, coequalizer, compose,
                                   copair, descend, disjoint_union,
@@ -251,12 +252,45 @@ def test_harness_reports_pullback_that_is_not_a_cover(flags):
                                   "'x2': 'x0'} along cover {'x0': 'x0'}")
 
 
+def test_bad_arguments_are_typed_errors():
+    """What ``Obj``, ``is_open``, ``is_open_map``, ``copair`` and
+    ``inverse`` refuse raises a typed error, with or without -O."""
+    ab = {"a", "b"}
+    for backend, nbhd in [("sets", None), ("finset", {"a": {"a"}}),
+                          ("fintop", None)]:
+        with pytest.raises(BackendMismatch):
+            Obj(backend, ["a"], nbhd)
+    for nbhd in [{"a": {"a"}}, {"a": {"b"}, "b": {"b"}},
+                 {"a": {"a", "z"}, "b": {"b"}},
+                 {"a": {"a"}, "b": ab, "z": {"z"}}]:
+        with pytest.raises(NotATopology):
+            Obj("fintop", ["a", "b"], nbhd)
+    with pytest.raises(NotATopology):
+        Obj("fintop", ["a", "b", "c"],
+            {"a": {"a", "b"}, "b": {"b", "c"}, "c": {"c", "a"}})
+    s2, d2 = make_finset(["a", "b"]), discrete(["a", "b"])
+    with pytest.raises(BackendMismatch):
+        s2.is_open({"a"})
+    with pytest.raises(BoundaryMismatch):
+        d2.is_open({"z"})
+    with pytest.raises(BackendMismatch):
+        is_open_map(identity(s2))
+    total, inl, inr = disjoint_union(s2, s2)
+    with pytest.raises(BoundaryMismatch):
+        copair(identity(s2), to_terminal(s2), total, inl, inr)
+    for f in [to_terminal(s2), Mor(terminal("finset"), s2, {"*": "a"}),
+              Mor(d2, sierpinski(), {"a": "0", "b": "1"})]:
+        with pytest.raises(NotAMorphism):
+            inverse(f)
+
+
 DUPLICATE_ID_CASE = """
-from groupoidal.site_core import DuplicateElement, fibre_product, to_terminal
+from groupoidal.site_core import (DuplicateElement, Obj, fibre_product,
+                                  to_terminal)
 from groupoidal.backends import make_finset
 
-A = make_finset(["a|b", "a"])
-B = make_finset(["c", "b|c"])
+A = Obj("finset", ["a|b", "a"])
+B = Obj("finset", ["c", "b|c"])
 for build in (lambda: fibre_product(to_terminal(A), to_terminal(B)),
               lambda: make_finset(["a", "a"])):
     try:
@@ -271,7 +305,8 @@ def test_duplicate_element_ids_are_a_typed_error(flags):
     """Ids with the pair separator can make two pairs of a fibre product
     share an id ('a|b' with 'c' and 'a' with 'b|c'); the apex, like any
     object, rejects a repeated id with DuplicateElement, with or without
-    -O."""
+    -O.  (``make_finset`` refuses such ids, so the objects are built as
+    ``Obj``s, as the apexes of fibre products are.)"""
     src = os.path.dirname(os.path.dirname(groupoidal.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     res = subprocess.run([sys.executable, *flags, "-c", DUPLICATE_ID_CASE],
