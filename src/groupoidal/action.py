@@ -12,9 +12,9 @@ other side through inversion.
 """
 
 from .site_core import (Mor, NotAMorphism, SiteError, backtrack, compose,
-                        fibre_product, first_failure, identity, inverse,
-                        is_cover, is_iso, is_surjective, pair_id, passed,
-                        require, triple_product, valid_mor_table,
+                        fibre_product, first_failure, group_by, identity,
+                        inverse, is_cover, is_iso, is_surjective, pair_id,
+                        passed, require, triple_product, valid_mor_table,
                         witness_finding)
 from .groupoid import build_groupoid
 
@@ -58,9 +58,7 @@ def _steps(g, side):
     if side not in memo:
         order = _SIDES[side][0]
         matched, lands = order(g.r, g.s)
-        by_matched = {}
-        for q in g.arrows():
-            by_matched.setdefault(matched(q), []).append(q)
+        by_matched = group_by(g.arrows(), matched)
         memo[side] = {p: [(q, g.mul(*order(p, q)))
                           for q in by_matched.get(lands(p), ())]
                       for p in g.arrows()}
@@ -309,12 +307,13 @@ def validate_bibundle(b):
         for e, (gel, x) in b.left.pairs.pairing.items())))
     # when an anchor is not invariant one side is undefined, which
     # first_failure reports as a failing case
+    points = group_by(b.X.elements, b.r_anchor)
+    h_arrows = group_by(b.h.arrows(), b.h.r)
     out.append(witness_finding("actions-commute", first_failure(
         ((gel, x, hel),
          b.ract(b.lact(gel, x), hel) == b.lact(gel, b.ract(x, hel)))
-        for gel in b.g.arrows() for x in b.X.elements
-        if b.r_anchor(x) == b.g.s(gel)
-        for hel in b.h.arrows() if b.s_anchor(x) == b.h.r(hel))))
+        for gel in b.g.arrows() for x in points.get(b.g.s(gel), ())
+        for hel in h_arrows.get(b.s_anchor(x), ()))))
     return out
 
 
@@ -372,13 +371,13 @@ def validate_actor(a):
     out = list(validate_action(a.action))
     g, h = a.g, a.h
     out.append(witness_finding("anchor-right-invariant", first_failure(
-        ((h1, h2), a.anchor(h.mul(h1, h2)) == a.anchor(h1))
-        for h1, h2 in h.pairs.pairing.values())))
+        ((h1, h2), a.anchor(h.m.table[e]) == a.anchor(h1))
+        for e, (h1, h2) in h.pairs.pairing.items())))
+    pairs = group_by(h.pairs.pairing.items(), lambda p: a.anchor(p[1][0]))
     out.append(witness_finding("commutes-with-right-mult", first_failure(
         ((gel, h1, h2),
-         a.act(gel, h.mul(h1, h2)) == h.mul(a.act(gel, h1), h2))
-        for gel in g.arrows() for h1, h2 in h.pairs.pairing.values()
-        if a.anchor(h1) == g.s(gel))))
+         a.act(gel, h.m.table[e]) == h.mul(a.act(gel, h1), h2))
+        for gel in g.arrows() for e, (h1, h2) in pairs.get(g.s(gel), ()))))
     return out
 
 
@@ -476,9 +475,7 @@ def enumerate_actions(g, X, anchor, side="right"):
     forces the cells (y, q) and (x, p then q) to agree."""
     order, key, cells = _SIDES[side]
     matched, lands = order(g.r, g.s)
-    over = {}
-    for y in X.elements:
-        over.setdefault(anchor(y), []).append(y)
+    over = group_by(X.elements, anchor)
     # the cell (x, p) needs a point over the end where x·p lands
     if any(lands(p) not in over for p in g.arrows() if matched(p) in over):
         return

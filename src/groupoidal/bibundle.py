@@ -13,8 +13,8 @@ map that is constant on orbits into a map out of the orbit space.
 
 from .site_core import (BoundaryMismatch, Mor, NotAMorphism, NotWellDefined,
                         SiteError, backtrack, compose, descend, fibre_product,
-                        first_failure, identity, is_cover, is_iso, passed,
-                        require, triple_product, witness_finding)
+                        first_failure, group_by, identity, is_cover, is_iso,
+                        passed, require, triple_product, witness_finding)
 from .action import (Bibundle, NotAnActor, build_action, is_invariant,
                      on_side, opposite, transformation_groupoid,
                      translations, two_sided_transformation_groupoid,
@@ -330,11 +330,12 @@ def associator(x, y, z):
     c12 = compose_bibundles(c1, z)
     c2 = compose_bibundles(y, z)
     c21 = compose_bibundles(x, c2)
+    over = group_by(z.X.elements, z.r_anchor)
     iso = descend(c12.X, c21.X, (
         (composite_class(c12, c1.middle_proj(e), ze),
          composite_class(c21, xe, composite_class(c2, ye, ze)))
         for e, (xe, ye) in c1.middle.pairing.items()
-        for ze in z.X.elements if y.s_anchor(ye) == z.r_anchor(ze)))
+        for ze in over.get(y.s_anchor(ye), ())))
     return {"iso": iso, "left": c12, "right": c21}
 
 
@@ -519,12 +520,11 @@ def bibundle_isomorphic(b1, b2):
     if b1.g != b2.g or b1.h != b2.h or len(b1.X) != len(b2.X):
         return None
     xs = list(b1.X.elements)
+    ends = group_by(b2.X.elements, lambda y: (b2.r_anchor(y), b2.s_anchor(y)))
     cand = {}
     for xe in xs:
-        cand[xe] = [ye for ye in b2.X.elements
-                    if b1.r_anchor(xe) == b2.r_anchor(ye)
-                    and b1.s_anchor(xe) == b2.s_anchor(ye)]
-        if not cand[xe]:
+        cand[xe] = ends.get((b1.r_anchor(xe), b1.s_anchor(xe)))
+        if cand[xe] is None:
             return None
     lmoves, rmoves = {xe: [] for xe in xs}, {xe: [] for xe in xs}
     for gel, xe in b1.left.pairs.pairing.values():

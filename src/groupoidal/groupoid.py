@@ -8,9 +8,9 @@ in the domain of m.
 
 from .site_core import (BoundaryMismatch, Mor, NotAMorphism, Obj,
                         SiteError, descend, fibre_product, first_failure,
-                        identity, is_cover, is_iso, kernel_pair, pair_id,
-                        require_cover, terminal, to_terminal, triple_product,
-                        witness_finding)
+                        group_by, identity, is_cover, is_iso, kernel_pair,
+                        pair_id, require_cover, terminal, to_terminal,
+                        triple_product, witness_finding)
 
 
 class NotAssociative(SiteError):
@@ -101,9 +101,7 @@ def shear_maps(G0, G1, r, s, m, pairs):
 def validate_groupoid(g):
     """Check every axiom; returns all failures, not just the first."""
     arrows = g.arrows()
-    by_range = {}
-    for b in arrows:
-        by_range.setdefault(g.r(b), []).append(b)
+    by_range = group_by(arrows, g.r)
     out = [
         witness_finding("range-cover",
                         None if is_cover(g.r) else "r is not a cover"),
@@ -177,9 +175,7 @@ def from_multiplication(G0, G1, r, s, m):
     for e, (a, b) in pairs.pairing.items():
         if r(m(e)) != r(a) or s(m(e)) != s(b):
             raise BoundaryEquationFails("boundary equations fail")
-    by_range = {}
-    for b in G1.elements:
-        by_range.setdefault(r(b), []).append(b)
+    by_range = group_by(G1.elements, r)
     for a in G1.elements:
         for b in by_range.get(s(a), ()):
             for c in by_range.get(s(b), ()):
@@ -191,10 +187,11 @@ def from_multiplication(G0, G1, r, s, m):
     if not is_iso(sh2):
         raise ShearNotIso("(g, x) -> (g, g·x)")
 
+    # e·gel is defined exactly when s(e) = r(gel)
+    by_source = group_by(G1.elements, s)
     left_unit = {}
     for gel in G1.elements:
-        cands = [e for e in G1.elements
-                 if s(e) == r(gel) and mul(e, gel) == gel]
+        cands = [e for e in by_source.get(r(gel), ()) if mul(e, gel) == gel]
         if len(cands) != 1:
             raise UnitNotUnique("left unit at %s not unique" % gel)
         left_unit[gel] = cands[0]
@@ -203,8 +200,8 @@ def from_multiplication(G0, G1, r, s, m):
 
     itab = {}
     for gel in G1.elements:
-        cands = [h for h in G1.elements
-                 if s(h) == r(gel) and mul(h, gel) == u(s(gel))]
+        cands = [h for h in by_source.get(r(gel), ())
+                 if mul(h, gel) == u(s(gel))]
         if len(cands) != 1:
             raise InverseNotUnique("inverse of %s not unique" % gel)
         itab[gel] = cands[0]

@@ -8,8 +8,8 @@ here.
 """
 
 from .site_core import (Mor, SiteError, all_maps, backtrack, compose,
-                        descend, fibre_product, first_failure, identity,
-                        is_cover, is_iso, pair_id, passed, require,
+                        descend, fibre_product, first_failure, group_by,
+                        identity, is_cover, is_iso, pair_id, passed, require,
                         witness_finding)
 from .groupoid import pullback_groupoid
 
@@ -51,16 +51,17 @@ def identity_functor(g):
 
 def validate_functor(F):
     g, h = F.src, F.dst
+    f0, f1 = F.F0.table, F.F1.table
     return [
         witness_finding("range-compat", first_failure(
-            (a, h.r(F.F1(a)) == F.F0(g.r(a))) for a in g.arrows())),
+            (a, h.r(f1[a]) == f0[g.r(a)]) for a in g.arrows())),
         witness_finding("source-compat", first_failure(
-            (a, h.s(F.F1(a)) == F.F0(g.s(a))) for a in g.arrows())),
+            (a, h.s(f1[a]) == f0[g.s(a)]) for a in g.arrows())),
         witness_finding("multiplicative", first_failure(
-            ((a, b), F.F1(g.mul(a, b)) == h.mul(F.F1(a), F.F1(b)))
-            for a, b in g.pairs.pairing.values())),
+            ((a, b), f1[g.m.table[e]] == h.mul(f1[a], f1[b]))
+            for e, (a, b) in g.pairs.pairing.items())),
         witness_finding("unit-preserving", first_failure(
-            (x, F.F1(g.u(x)) == h.u(F.F0(x))) for x in g.objects())),
+            (x, f1[g.u(x)] == h.u(f0[x])) for x in g.objects())),
     ]
 
 
@@ -280,17 +281,16 @@ def validate_ananat(t):
     a1, a2 = t.from_, t.to
     h = a1.dst
 
+    fibre1 = group_by(a1.X.elements, a1.p)
+    fibre2 = group_by(a2.X.elements, a2.p)
+
     def naturality_cases():
         for g in a1.src.arrows():
             rg, sg = a1.src.r(g), a1.src.s(g)
-            x1s = [x for x in a1.X.elements if a1.p(x) == rg]
-            x2s = [x for x in a2.X.elements if a2.p(x) == rg]
-            x3s = [x for x in a1.X.elements if a1.p(x) == sg]
-            x4s = [x for x in a2.X.elements if a2.p(x) == sg]
-            for x1 in x1s:
-                for x2 in x2s:
-                    for x3 in x3s:
-                        for x4 in x4s:
+            for x1 in fibre1.get(rg, ()):
+                for x2 in fibre2.get(rg, ()):
+                    for x3 in fibre1.get(sg, ()):
+                        for x4 in fibre2.get(sg, ()):
                             lhs = h.mul(t.at(x1, x2), a1.F1t(x1, g, x3))
                             rhs = h.mul(a2.F1t(x2, g, x4), t.at(x3, x4))
                             yield (x1, x2, g, x3, x4), lhs == rhs
@@ -331,29 +331,28 @@ def compose_ananat(mode, a, b):
             raise NotComposable("vertical composite undefined")
         af1, af3 = b.from_, a.to
         h = af1.dst
-        mid = b.to
+        mid = group_by(b.to.X.elements, b.to.p)
         fp = fibre_product(af1.p, af3.p)
         return AnaNat(af1, af3, descend(fp.apex, h.G1, (
             (e, h.mul(a.at(x2, x3), b.at(x1, x2)))
             for e, (x1, x3) in fp.pairing.items()
-            for x2 in mid.X.elements if mid.p(x2) == af1.p(x1))), fp)
+            for x2 in mid.get(af1.p(x1), ()))), fp)
     if mode == "horizontal":
         phi, psi = b, a
         c1 = compose_anafunctors(psi.from_, phi.from_)
         c2 = compose_anafunctors(psi.to, phi.to)
         k = psi.from_.dst
         b2 = psi.to
+        fibre = group_by(b2.X.elements, b2.p)
         fp = fibre_product(c1.p, c2.p)
 
         def values():
             for e, (z1, z2) in fp.pairing.items():
                 x1, y1 = c1.fp.pairing[z1]
                 x2, y2 = c2.fp.pairing[z2]
-                base = phi.from_.F0(x1)
-                for y2p in b2.X.elements:
-                    if b2.p(y2p) == base:
-                        yield e, k.mul(b2.F1t(y2, phi.at(x1, x2), y2p),
-                                       psi.at(y1, y2p))
+                for y2p in fibre.get(phi.from_.F0(x1), ()):
+                    yield e, k.mul(b2.F1t(y2, phi.at(x1, x2), y2p),
+                                   psi.at(y1, y2p))
 
         return AnaNat(c1, c2, descend(fp.apex, k.G1, values()), fp)
     raise NotComposable("unknown mode %r" % (mode,))
@@ -438,26 +437,22 @@ def exists_ananat(a1, a2):
     h = a1.dst
     fp = fibre_product(a1.p, a2.p)
     elems = list(fp.apex.elements)
+    ends = group_by(h.arrows(), lambda v: (h.s(v), h.r(v)))
     cand = {}
     for e in elems:
         x1, x2 = fp.pairing[e]
-        cs = [v for v in h.arrows()
-              if h.s(v) == a1.F0(x1) and h.r(v) == a2.F0(x2)]
-        if not cs:
+        cand[e] = ends.get((a1.F0(x1), a2.F0(x2)))
+        if cand[e] is None:
             return None
-        cand[e] = cs
 
+    # the pairs (x1, x2) of the joint carrier by the base point of x1
+    over = group_by(elems, lambda e: a1.p(fp.pairing[e][0]))
     squares = {e: [] for e in elems}
     for g in a1.src.arrows():
-        rg, sg = a1.src.r(g), a1.src.s(g)
-        for e1 in elems:
+        for e1 in over.get(a1.src.r(g), ()):
             x1, x2 = fp.pairing[e1]
-            if a1.p(x1) != rg:
-                continue
-            for e2 in elems:
+            for e2 in over.get(a1.src.s(g), ()):
                 x3, x4 = fp.pairing[e2]
-                if a1.p(x3) != sg:
-                    continue
                 f1, f2 = a1.F1t(x1, g, x3), a2.F1t(x2, g, x4)
                 # t(e2) = f2⁻¹·t(e1)·f1 and t(e1) = f2·t(e2)·f1⁻¹
                 squares[e1].append((e2, h.i(f2), f1))

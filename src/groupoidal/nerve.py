@@ -8,9 +8,10 @@ inner multiplications descend to isomorphisms from composites.
 
 from itertools import combinations_with_replacement, product
 
-from .site_core import (Mor, NotAMorphism, NotWellDefined, SiteError,
-                        descend, fibre_product, first_failure, is_cover,
-                        is_iso, pair_id, passed, witness_finding)
+from .site_core import (BoundaryMismatch, Mor, NotAMorphism, NotWellDefined,
+                        SiteError, descend, fibre_product, first_failure,
+                        group_by, is_cover, is_iso, pair_id, passed,
+                        require_ends, witness_finding)
 from .action import Action, Bibundle, validate_bibundle
 from .bundle import check_principal
 from .bibundle import compose_bibundles, validate_bibundle_map
@@ -22,20 +23,25 @@ class NotMonotone(SiteError):
 
 class NSimplex:
     """X: dict i -> Obj; XX: dict (i,j) -> Obj; r, s: dicts (i,j) -> Mor;
-    m: dict (i,j,k) -> Mor on the fibre product of s_ij with r_jk."""
+    m: dict (i,j,k) -> Mor on the fibre product of s_ij with r_jk.
+    Raises BoundaryMismatch on an index outside 0..n or a map whose ends
+    are not those of its place."""
 
     def __init__(self, n, X, XX, r, s, m):
         self.n = n
         self.X, self.XX, self.r, self.s, self.m = X, XX, r, s, m
         self._fp = {}
         for (i, j) in XX:
-            assert 0 <= i <= j <= n
-            assert r[(i, j)].dom == XX[(i, j)] and r[(i, j)].cod == X[i]
-            assert s[(i, j)].dom == XX[(i, j)] and s[(i, j)].cod == X[j]
+            if not 0 <= i <= j <= n:
+                raise BoundaryMismatch("edge %r outside 0..%d" % ((i, j), n))
+            require_ends(r[(i, j)], XX[(i, j)], X[i], "r%r" % ((i, j),))
+            require_ends(s[(i, j)], XX[(i, j)], X[j], "s%r" % ((i, j),))
         for (i, j, k), mm in m.items():
-            assert 0 <= i <= j <= k <= n
-            assert mm.dom == self.fp(i, j, k).apex
-            assert mm.cod == XX[(i, k)]
+            if not 0 <= i <= j <= k <= n:
+                raise BoundaryMismatch("face %r outside 0..%d"
+                                       % ((i, j, k), n))
+            require_ends(mm, self.fp(i, j, k).apex, XX[(i, k)],
+                         "m%r" % ((i, j, k),))
 
     def fp(self, i, j, k):
         if (i, j, k) not in self._fp:
@@ -85,17 +91,17 @@ def validate_simplex(sx):
                 yield (i, j, k, e), (sx.r[(i, k)](v) == sx.r[(i, j)](x) and
                                      sx.s[(i, k)](v) == sx.s[(j, k)](y))
 
+    # each edge space by range: the points composable after a point
+    by_range = {e: group_by(sx.XX[e].elements, sx.r[e].table.__getitem__)
+                for e in sx.XX}
+
     def associativity_cases():
         for quad in combinations_with_replacement(range(n + 1), 4):
             i, j, k, l = quad
             for x in sx.XX[(i, j)].elements:
-                for y in sx.XX[(j, k)].elements:
-                    if sx.s[(i, j)](x) != sx.r[(j, k)](y):
-                        continue
+                for y in by_range[(j, k)].get(sx.s[(i, j)](x), ()):
                     xy = sx.mul(i, j, k, x, y)
-                    for z in sx.XX[(k, l)].elements:
-                        if sx.s[(j, k)](y) != sx.r[(k, l)](z):
-                            continue
+                    for z in by_range[(k, l)].get(sx.s[(j, k)](y), ()):
                         yield (quad, x, y, z), (
                             sx.mul(i, k, l, xy, z) ==
                             sx.mul(i, j, l, x, sx.mul(j, k, l, y, z)))
@@ -188,7 +194,8 @@ def restrict_simplex(phi, sx):
     if any(a > b for a, b in zip(phi, phi[1:])):
         raise NotMonotone(phi)
     n = len(phi) - 1
-    assert all(0 <= v <= sx.n for v in phi)
+    if not all(0 <= v <= sx.n for v in phi):
+        raise BoundaryMismatch("%r leaves 0..%d" % (phi, sx.n))
     X = {i: sx.X[phi[i]] for i in range(n + 1)}
     XX, r, s, m = {}, {}, {}, {}
     for i in range(n + 1):
@@ -251,13 +258,14 @@ def unique_inner3_check(sx, missing):
     whole-simplex validation.
     """
     i, j, k = missing
-    assert i < j < k and missing not in sx.m
+    if not i < j < k or missing in sx.m:
+        raise BoundaryMismatch("%r is not a missing inner face" % (missing,))
     fp = sx.fp(i, j, k)
+    ends = group_by(sx.XX[(i, k)].elements,
+                    lambda v: (sx.r[(i, k)](v), sx.s[(i, k)](v)))
     cands = {}
     for e, (x, y) in fp.pairing.items():
-        cands[e] = [v for v in sx.XX[(i, k)].elements
-                    if sx.r[(i, k)](v) == sx.r[(i, j)](x)
-                    and sx.s[(i, k)](v) == sx.s[(j, k)](y)]
+        cands[e] = ends.get((sx.r[(i, j)](x), sx.s[(j, k)](y)), ())
         if not cands[e]:
             return {"fillers": []}
     keys = list(fp.apex.elements)

@@ -12,7 +12,7 @@ exact: no floats, no randomness, carriers are tuples of string ids.
 """
 
 from collections import namedtuple
-from functools import cache
+from functools import cache, cached_property
 from itertools import count, product
 
 
@@ -60,6 +60,15 @@ def pair_id(left, right):
     return left + PAIR_SEP + right
 
 
+def group_by(xs, key):
+    """The items of ``xs`` grouped by ``key``, each group in the order of
+    ``xs``: the index a join walks instead of filtering a nested loop."""
+    out = {}
+    for x in xs:
+        out.setdefault(key(x), []).append(x)
+    return out
+
+
 class Obj:
     """A finite carrier, optionally with a topology.
 
@@ -72,7 +81,7 @@ class Obj:
             raise BackendMismatch("backend %r with topology %r: a finset "
                                   "object has none, a fintop object one"
                                   % (backend, nbhd))
-        elements = tuple(str(e) for e in elements)
+        elements = tuple(map(str, elements))
         if len(set(elements)) != len(elements):
             raise DuplicateElement("repeated id in %r" % (list(elements),))
         eset = frozenset(elements)
@@ -104,6 +113,8 @@ class Obj:
         return all(self.nbhd[x] <= s for x in s)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Obj):
             return NotImplemented
         return (self.backend == other.backend and self.eset == other.eset
@@ -131,9 +142,15 @@ class Obj:
 def _table_fault(dom, cod, table):
     """Why ``table`` does not define a morphism dom -> cod, or None."""
     if table.keys() != dom.eset:
-        return "map must be total on the domain, at %s" % min(
-            dom.eset ^ table.keys())
-    if not cod.eset.issuperset(table.values()):
+        odd = [k for k in table if not isinstance(k, str)]
+        return ("map keys must be element ids, not %r" % (odd[0],) if odd
+                else "map must be total on the domain, at %s" % min(
+                    dom.eset ^ table.keys()))
+    try:
+        lands = cod.eset.issuperset(table.values())
+    except TypeError:   # an unhashable value is no element id
+        lands = False
+    if not lands:
         return "images must land in the codomain"
     if dom.backend == "fintop":
         # continuity = monotonicity for the specialization preorder
@@ -154,7 +171,7 @@ class Mor:
     def __init__(self, dom, cod, table):
         if dom.backend != cod.backend:
             raise BackendMismatch("%s vs %s" % (dom.backend, cod.backend))
-        table = {str(k): str(v) for k, v in table.items()}
+        table = dict(table)
         fault = _table_fault(dom, cod, table)
         if fault:
             raise NotAMorphism(fault)
@@ -169,6 +186,8 @@ class Mor:
         return frozenset(self.table[x] for x in s)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Mor):
             return NotImplemented
         return (self.dom == other.dom and self.cod == other.cod
@@ -213,6 +232,13 @@ def is_cover(f):
     return is_surjective(f) and is_open_map(f)
 
 
+def require_ends(f, dom, cod, what):
+    """Raise BoundaryMismatch naming ``what`` unless f goes dom -> cod."""
+    if f.dom != dom or f.cod != cod:
+        raise BoundaryMismatch("%s = %r must go %r -> %r"
+                               % (what, f, dom, cod))
+
+
 def require_cover(f, what):
     """Raise NotACover naming ``what`` and f unless f is a cover."""
     if not is_cover(f):
@@ -239,16 +265,25 @@ def inverse(f):
 class FibreProduct:
     """Apex of f: Y -> Z, g: U -> Z with coordinate projections.
 
-    ``pairing`` maps each apex id to its (left, right) pair and ``index``
-    is the reverse lookup.
+    ``left`` and ``right`` are Y and U, ``pairing`` maps each apex id to
+    its (left, right) pair and ``index`` is the reverse lookup.  ``pr1``
+    and ``pr2`` are built on first read: most callers read only the
+    pairing and the index.
     """
 
-    def __init__(self, apex, pr1, pr2, pairing):
-        self.apex = apex
-        self.pr1 = pr1
-        self.pr2 = pr2
-        self.pairing = pairing
-        self.index = {lr: e for e, lr in pairing.items()}
+    def __init__(self, apex, left, right, pairing, index):
+        self.apex, self.left, self.right = apex, left, right
+        self.pairing, self.index = pairing, index
+
+    @cached_property
+    def pr1(self):
+        return Mor(self.apex, self.left,
+                   {e: y for e, (y, _) in self.pairing.items()})
+
+    @cached_property
+    def pr2(self):
+        return Mor(self.apex, self.right,
+                   {e: u for e, (_, u) in self.pairing.items()})
 
 
 def fibre_product(f, g):
@@ -258,23 +293,21 @@ def fibre_product(f, g):
         raise BackendMismatch("fibre product needs one backend")
     if f.cod != g.cod:
         raise BoundaryMismatch("fibre product legs must share a codomain")
-    over = {}
-    for u in g.dom.elements:
-        over.setdefault(g(u), []).append(u)
-    pairs = [(y, u) for y in f.dom.elements for u in over.get(f(y), ())]
-    ids = [pair_id(y, u) for y, u in pairs]
+    ft, gt = f.table, g.table
+    over = group_by(g.dom.elements, gt.__getitem__)
+    pairs = [(y, u) for y in f.dom.elements for u in over.get(ft[y], ())]
+    ids = [y + PAIR_SEP + u for y, u in pairs]
     pairing = dict(zip(ids, pairs))
     if f.dom.backend == "finset":
         apex = Obj("finset", ids)
     else:
         # N(y, u) is N(y) x N(u) cut down to the fibre product
-        nb = {e: frozenset(pair_id(y2, u2) for y2 in f.dom.nbhd[y]
-                           for u2 in g.dom.nbhd[u] if f(y2) == g(u2))
-              for e, (y, u) in pairing.items()}
-        apex = Obj("fintop", ids, nb)
-    pr1 = Mor(apex, f.dom, {e: lr[0] for e, lr in pairing.items()})
-    pr2 = Mor(apex, g.dom, {e: lr[1] for e, lr in pairing.items()})
-    return FibreProduct(apex, pr1, pr2, pairing)
+        fn, gn = f.dom.nbhd, g.dom.nbhd
+        apex = Obj("fintop", ids, {
+            e: frozenset(y2 + PAIR_SEP + u2 for y2 in fn[y] for u2 in gn[u]
+                         if ft[y2] == gt[u2])
+            for e, (y, u) in zip(ids, pairs)})
+    return FibreProduct(apex, f.dom, g.dom, pairing, dict(zip(pairs, ids)))
 
 
 def kernel_pair(f):
@@ -330,10 +363,8 @@ def coequalizer(f, g):
     uf = UnionFind(cod.elements)
     for w in f.dom.elements:
         uf.union(f(w), g(w))
-    members = {}
-    for x in cod.elements:
-        members.setdefault(uf.find(x), []).append(x)
-    classes = [frozenset(v) for v in members.values()]
+    classes = [frozenset(v)
+               for v in group_by(cod.elements, uf.find).values()]
     rep_of = {x: uf.find(x) for x in cod.elements}
     seen = set()
     reps = []
@@ -395,9 +426,11 @@ def all_maps(dom, cod):
     if not cod.elements:
         return
     for images in product(cod.elements, repeat=len(elems)):
-        table = dict(zip(elems, images))
-        if valid_mor_table(dom, cod, table):
-            yield Mor(dom, cod, table)
+        try:
+            m = Mor(dom, cod, dict(zip(elems, images)))
+        except NotAMorphism:
+            continue
+        yield m
 
 
 def terminal(backend):
@@ -559,14 +592,6 @@ class _Budget:
             raise BudgetExceeded("axiom harness budget exhausted")
 
 
-def _index(maps, key):
-    """The maps grouped by ``key``, each group in the order of ``maps``."""
-    out = {}
-    for f in maps:
-        out.setdefault(key(f), []).append(f)
-    return out
-
-
 def _twins(x):
     """The transpositions (i, j) of consecutive twins of x: points i < j
     whose swap is a homeomorphism (on a finset, any two), j the next twin
@@ -700,10 +725,10 @@ def axiom_harness(objs, mors, budget=2_000_000, include_empty_in_28=False):
 
     covers = [f for f in mors
               if shared(("cover", info[id(f)][0]), lambda: is_cover(f))]
-    by_dom = _index(mors, lambda f: f.dom)
-    by_cod = _index(mors, lambda f: f.cod)
-    by_ends = _index(mors, lambda f: (f.dom, f.cod))
-    covers_by_cod = _index(covers, lambda f: f.cod)
+    by_dom = group_by(mors, lambda f: f.dom)
+    by_cod = group_by(mors, lambda f: f.cod)
+    by_ends = group_by(mors, lambda f: (f.dom, f.cod))
+    covers_by_cod = group_by(covers, lambda f: f.cod)
     pairs = {}   # the verdicts of each pullback pair and chain, by ids
 
     # One pullback of each map f along each cover g serves three axioms:

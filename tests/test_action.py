@@ -2,8 +2,8 @@ import pytest
 
 import groupoidal.action as action_module
 from groupoidal.site_core import (Mor, all_maps, compose, fibre_product,
-                                  identity, is_cover, pair_id, passed,
-                                  terminal, to_terminal)
+                                  first_failure, identity, is_cover,
+                                  pair_id, passed, terminal, to_terminal)
 from groupoidal.backends import make_finset
 from groupoidal.groupoid import (cyclic_groupoid, pair_groupoid,
                                  unit_groupoid, validate_groupoid)
@@ -19,7 +19,8 @@ from groupoidal.action import (Action, Actor, Bibundle, GMap, NotAnActor,
                                is_invariant,
                                left_mult_actor, opposite,
                                section_from_hmap,
-                               transformation_groupoid, two_sided_transformation_groupoid,
+                               transformation_groupoid, translations,
+                               two_sided_transformation_groupoid,
                                unit_bibundle, validate_action, validate_actor,
                                validate_bibundle, validate_gmap)
 
@@ -111,6 +112,36 @@ def test_bibundle_validation_catches_noncommuting(Z4):
     right = Action(g, g.G1, g.s, g.m, "right", g.pairs)
     b = Bibundle(g, g, left, right)
     assert passed(validate_bibundle(b))
+
+
+def old_actions_commute_cases(b):
+    """The actions-commute cases of ``validate_bibundle`` as first
+    written: every point and every H-arrow, filtered by the anchors."""
+    for gel in b.g.arrows():
+        for x in b.X.elements:
+            if b.r_anchor(x) != b.g.s(gel):
+                continue
+            for hel in b.h.arrows():
+                if b.s_anchor(x) == b.h.r(hel):
+                    yield (gel, x, hel), (b.ract(b.lact(gel, x), hel)
+                                          == b.lact(gel, b.ract(x, hel)))
+
+
+def test_noncommuting_bibundle_keeps_its_witness(S3, Z3):
+    """The pair groupoid of S3 acts on its arrows by left multiplication,
+    and Z/3 on the right by turning the arrows c|c, c|d and c|e (which
+    share their range, so the turn keeps the left anchor).  The actions
+    do not commute, and the first failing case is the old loops' first."""
+    g = pair_groupoid(S3)
+    turn = ["c|c", "c|d", "c|e"]
+    right = build_action(Z3, g.G1, to_terminal(g.G1), "right", lambda x, h: (
+        turn[(turn.index(x) + int(h)) % 3] if x in turn else x))
+    b = Bibundle(g, Z3, translations(g)[0], right)
+    report = validate_bibundle(b)
+    assert [f.check for f in report if not f.ok] == ["actions-commute"]
+    want = first_failure(old_actions_commute_cases(b))
+    assert want is not None and report[-1].witness == want
+    assert first_failure(old_actions_commute_cases(unit_bibundle(g))) is None
 
 
 def test_two_sided_transformation_groupoid(Z2):

@@ -4,8 +4,9 @@ from groupoidal.site_core import (Mor, compose, fibre_product, identity,
                                   is_cover, is_iso, pair_id, passed,
                                   terminal, to_terminal)
 from groupoidal.backends import make_finset, sierpinski
+import groupoidal.groupoid as groupoid_module
 from groupoidal.groupoid import (MAX_CYCLIC_ORDER, Groupoid, NotAssociative,
-                                 OrderOutOfRange, ShearNotIso,
+                                 OrderOutOfRange, ShearNotIso, UnitNotUnique,
                                  cech_groupoid, cyclic_groupoid,
                                  from_multiplication, pair_groupoid,
                                  pullback_groupoid, shear_maps,
@@ -79,6 +80,51 @@ def test_from_multiplication_recovers_unit_and_inverse(CECH2, Z4):
         rebuilt = from_multiplication(g.G0, g.G1, g.r, g.s, g.m)
         assert rebuilt.u == g.u
         assert rebuilt.i == g.i
+
+
+def old_unit_and_inverse(G1, r, s, m):
+    """The unit and inverse tables of ``from_multiplication`` as first
+    written, each arrow's candidates filtered from every arrow; or the
+    message naming the first arrow without exactly one candidate."""
+    def mul(a, b):
+        return m(pair_id(a, b))
+
+    unit = {}
+    for gel in G1.elements:
+        cands = [e for e in G1.elements
+                 if s(e) == r(gel) and mul(e, gel) == gel]
+        if len(cands) != 1:
+            return "left unit at %s not unique" % gel
+        unit.setdefault(r(gel), cands[0])
+    inv = {}
+    for gel in G1.elements:
+        cands = [h for h in G1.elements
+                 if s(h) == r(gel) and mul(h, gel) == unit[s(gel)]]
+        if len(cands) != 1:
+            return "inverse of %s not unique" % gel
+        inv[gel] = cands[0]
+    return unit, inv
+
+
+def test_from_multiplication_matches_old_loops(monkeypatch, S3, CECH2, Z4):
+    """Units and inverses are those of the old filtered loops; and with
+    the shear check passed over, an idempotent e beside the unit 1x at x
+    is named as the old loops name it: e has two left units."""
+    for g in (CECH2, Z4, pair_groupoid(S3), pullback_groupoid(
+            Z4, to_terminal(S3))[0]):
+        got = from_multiplication(g.G0, g.G1, g.r, g.s, g.m)
+        assert (got.u.table, got.i.table) == old_unit_and_inverse(
+            g.G1, g.r, g.s, g.m)
+    G0, G1 = make_finset(["x", "y"]), make_finset(["1x", "e", "1y"])
+    end = Mor(G1, G0, {"1x": "x", "e": "x", "1y": "y"})
+    pairs = fibre_product(end, end)
+    m = Mor(pairs.apex, G1, {k: b if a[0] == "1" else a
+                             for k, (a, b) in pairs.pairing.items()})
+    monkeypatch.setattr(groupoid_module, "is_iso", lambda f: True)
+    with pytest.raises(UnitNotUnique) as err:
+        from_multiplication(G0, G1, end, end, m)
+    assert str(err.value) == old_unit_and_inverse(G1, end, end, m)
+    assert str(err.value) == "left unit at e not unique"
 
 
 def test_from_multiplication_rejects_nonassociative():

@@ -10,10 +10,10 @@ indexes rather than by comparing ends; every groupoid but the given
 multiplication of ``from_multiplication`` is built by ``build_groupoid``;
 no relative import in the package is left unused; no constructor
 re-checks its output with an ``assert`` on a validator, nor does any code
-catch ``AssertionError``; ``site_core`` holds no ``assert`` at all, and
-its harness ticks its budget from the one walk every axiom runs; and the
-command line reads the model language from tables, branching on no
-declaration kind or constructor name.
+catch ``AssertionError``; ``site_core`` and ``nerve`` hold no
+``assert`` at all, and the harness ticks its budget from the one walk
+every axiom runs; and the command line reads the model language from
+tables, branching on no declaration kind or constructor name.
 """
 
 import ast
@@ -122,12 +122,22 @@ def test_harness_walks_each_axiom_once():
     assert ticks(inner[0]) == ticks(harness)
 
 
+def asserts_in(name):
+    """The lines of the ``assert`` statements of a package module."""
+    return [node.lineno for node in ast.walk(parse(PKG / name))
+            if isinstance(node, ast.Assert)]
+
+
 def test_no_assert_in_site_core():
     """Every argument check in ``site_core`` raises a typed error, so it
     holds under ``python -O``."""
-    found = [node.lineno for node in ast.walk(parse(PKG / "site_core.py"))
-             if isinstance(node, ast.Assert)]
-    assert found == []
+    assert asserts_in("site_core.py") == []
+
+
+def test_no_assert_in_nerve():
+    """``NSimplex``, ``restrict_simplex`` and ``unique_inner3_check``
+    reject bad indices and ends with ``BoundaryMismatch``, not ``assert``."""
+    assert asserts_in("nerve.py") == []
 
 
 def test_harness_compares_no_ends():

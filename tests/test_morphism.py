@@ -1,12 +1,13 @@
 import pytest
 
-from groupoidal.site_core import (Mor, compose, fibre_product, identity,
-                                  is_cover, is_iso, passed, terminal,
-                                  to_terminal)
+from groupoidal.site_core import (Mor, compose, fibre_product,
+                                  first_failure, identity, is_cover, is_iso,
+                                  passed, terminal, to_terminal)
 from groupoidal.backends import make_finset
 from groupoidal.groupoid import (cyclic_groupoid, pair_groupoid,
-                                 unit_groupoid)
-from groupoidal.morphism import (AnaNat, Functor, NatTrans, NotComposable,
+                                 pullback_groupoid, unit_groupoid)
+from groupoidal.morphism import (AnaNat, Anafunctor, Functor, NatTrans,
+                                 NotComposable,
                                  ad_bisection, anafunctor_from_functor,
                                  ananat_inverse, bisection_inverse,
                                  compose_anafunctors, compose_functors,
@@ -228,3 +229,39 @@ def test_associativity_up_to_ananat(Z2, CECH2):
     right = compose_anafunctors(compose_anafunctors(c, b), a)
     n = exists_ananat(left, right)
     assert n is not None and passed(validate_ananat(n))
+
+
+def old_naturality_cases(t):
+    """The naturality cases of ``validate_ananat`` as first written: each
+    fibre of the two covers filtered from the whole carrier."""
+    a1, a2, h = t.from_, t.to, t.from_.dst
+    for g in a1.src.arrows():
+        rg, sg = a1.src.r(g), a1.src.s(g)
+        for x1 in [x for x in a1.X.elements if a1.p(x) == rg]:
+            for x2 in [x for x in a2.X.elements if a2.p(x) == rg]:
+                for x3 in [x for x in a1.X.elements if a1.p(x) == sg]:
+                    for x4 in [x for x in a2.X.elements if a2.p(x) == sg]:
+                        yield (x1, x2, g, x3, x4), (
+                            h.mul(t.at(x1, x2), a1.F1t(x1, g, x3))
+                            == h.mul(a2.F1t(x2, g, x4), t.at(x3, x4)))
+
+
+@pytest.mark.parametrize("wrong", ["a1|a2", "b2|b1", "b2|b2"])
+def test_broken_ananat_keeps_its_witness(CECH2, Z2, wrong):
+    """The trivial anafunctor from the Čech groupoid of S2 to Z/2 through
+    a cover with two points over each object, and a 2-arrow to itself
+    that is 1 at one pair and 0 elsewhere: not natural, and the first
+    failing case is the old loops' first."""
+    X = make_finset(["a1", "a2", "b1", "b2"])
+    p = Mor(X, CECH2.G0, {x: x[0] for x in X.elements})
+    gx, hyper = pullback_groupoid(CECH2, p)
+    F = Functor(gx, Z2, to_terminal(X), Mor(gx.G1, Z2.G1, {
+        e: "0" for e in gx.G1.elements}))
+    a = Anafunctor(CECH2, Z2, p, F, gx, hyper)
+    fp = fibre_product(p, p)
+    t = AnaNat(a, a, Mor(fp.apex, Z2.G1, {
+        e: "1" if e == wrong else "0" for e in fp.apex.elements}), fp)
+    report = {f.check: f.witness for f in validate_ananat(t)}
+    want = first_failure(old_naturality_cases(t))
+    assert report["anchor"] is None
+    assert want is not None and report["naturality"] == want

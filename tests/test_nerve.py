@@ -1,7 +1,10 @@
+from itertools import combinations_with_replacement, product
+
 import pytest
 
-from groupoidal.site_core import (Mor, compose, fibre_product, is_iso,
-                                  passed, terminal)
+from groupoidal.site_core import (BoundaryMismatch, Mor, NotAMorphism,
+                                  compose, fibre_product, first_failure,
+                                  identity, is_iso, passed, terminal)
 from groupoidal.backends import make_finset
 from groupoidal.groupoid import (cyclic_groupoid, pair_groupoid,
                                  unit_groupoid)
@@ -167,3 +170,148 @@ def test_build_simplex_matches_horn_fill(Z2):
                           {(0, 1): u, (1, 2): u, (0, 2): c.composite},
                           {(0, 1, 2): c.m[(0, 1, 2)]})
     assert passed(validate_simplex(built))
+
+
+def old_associativity_cases(sx):
+    """The associativity cases of ``validate_simplex`` as first written:
+    every point of the next edge space, filtered by source and range."""
+    for quad in combinations_with_replacement(range(sx.n + 1), 4):
+        i, j, k, l = quad
+        for x in sx.XX[(i, j)].elements:
+            for y in sx.XX[(j, k)].elements:
+                if sx.s[(i, j)](x) != sx.r[(j, k)](y):
+                    continue
+                xy = sx.mul(i, j, k, x, y)
+                for z in sx.XX[(k, l)].elements:
+                    if sx.s[(j, k)](y) != sx.r[(k, l)](z):
+                        continue
+                    yield (quad, x, y, z), (
+                        sx.mul(i, k, l, xy, z) ==
+                        sx.mul(i, j, l, x, sx.mul(j, k, l, y, z)))
+
+
+def old_candidates(sx, missing):
+    """The candidate values of each point of the missing face, as
+    ``unique_inner3_check`` first filtered them from the whole edge space."""
+    i, j, k = missing
+    return [[v for v in sx.XX[(i, k)].elements
+             if sx.r[(i, k)](v) == sx.r[(i, j)](x)
+             and sx.s[(i, k)](v) == sx.s[(j, k)](y)]
+            for x, y in sx.fp(i, j, k).pairing.values()]
+
+
+def completions(sx, missing, tables):
+    """The simplices that fill the missing face with each table."""
+    i, j, k = missing
+    fp = sx.fp(i, j, k)
+    for choice in tables:
+        try:
+            mm = Mor(fp.apex, sx.XX[(i, k)], dict(zip(fp.apex.elements,
+                                                      choice)))
+        except NotAMorphism:
+            continue
+        yield mm, NSimplex(sx.n, sx.X, sx.XX, sx.r, sx.s,
+                           {**sx.m, missing: mm})
+
+
+def old_fillers(sx, missing):
+    """``unique_inner3_check`` as first written."""
+    return [mm for mm, full in completions(
+        sx, missing, product(*old_candidates(sx, missing)))
+        if passed(validate_simplex(full))]
+
+
+def corrupted_horn(S2):
+    """The horn of ``test_corrupted_horn_has_no_filler``."""
+    g = pair_groupoid(S2)
+    full = degenerate_3_simplex(g)
+    swap = Mor(S2, S2, {"a": "b", "b": "a"})
+    s = dict(full.s)
+    s[(0, 3)] = compose(swap, s[(0, 3)])
+    fp = fibre_product(s[(0, 3)], full.r[(3, 3)])
+    m = dict(full.m)
+    m[(0, 3, 3)] = Mor(fp.apex, full.XX[(0, 3)],
+                       {e: g.kernel.index[(g.r(v), g.s(w))]
+                        for e, (v, w) in fp.pairing.items()})
+    wanted = m.pop((0, 1, 3))
+    return NSimplex(3, full.X, full.XX, full.r, s, m), wanted
+
+
+def horn(full, missing):
+    m = dict(full.m)
+    wanted = m.pop(missing)
+    return NSimplex(full.n, full.X, full.XX, full.r, full.s, m), wanted
+
+
+HORNS = {
+    "Z2-dim2": lambda Z2, S2: (horn(horn_fill_inner2(
+        unit_bibundle(Z2), unit_bibundle(Z2)), (0, 1, 2)), (0, 1, 2)),
+    "Z2-013": lambda Z2, S2: (horn(degenerate_3_simplex(Z2), (0, 1, 3)),
+                              (0, 1, 3)),
+    "pair-023": lambda Z2, S2: (horn(degenerate_3_simplex(
+        pair_groupoid(S2)), (0, 2, 3)), (0, 2, 3)),
+    "corrupted-013": lambda Z2, S2: (corrupted_horn(S2), (0, 1, 3)),
+    "degenerate-012": lambda Z2, S2: (horn(restrict_simplex(
+        [0, 0, 0, 0], simplex_from_groupoid(Z2)), (0, 1, 2)), (0, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HORNS))
+def test_horns_fill_and_fail_as_the_old_loops(name, Z2, S2):
+    """On each horn of this file the fillers, in order, are those of the
+    old filtered loops, and every completion by a candidate table or by
+    the removed multiplication reports the old associativity witness."""
+    (sx, wanted), missing = HORNS[name](Z2, S2)
+    assert unique_inner3_check(sx, missing)["fillers"] == old_fillers(
+        sx, missing)
+    tables = list(product(*old_candidates(sx, missing)))
+    tables.append([wanted(e) for e in wanted.dom.elements])
+    for _, full in completions(sx, missing, tables):
+        found = {f.check: f.witness for f in validate_simplex(full)}
+        assert found["associativity"] == first_failure(
+            old_associativity_cases(full))
+
+
+@pytest.mark.parametrize("kind", ["Z2", "Z3", "pair"])
+def test_corrupted_inner_multiplication_keeps_its_witness(kind, Z2, Z3, S2):
+    """One wrong value of the inner multiplication m_012 of a degenerate
+    3-simplex: the associativity witness is the old loops' first."""
+    g = {"Z2": Z2, "Z3": Z3, "pair": pair_groupoid(S2)}[kind]
+    full = degenerate_3_simplex(g)
+    m = dict(full.m)
+    old = m[(0, 1, 2)]
+    e = old.dom.elements[-1]
+    other = next(v for v in old.cod.elements if v != old(e))
+    m[(0, 1, 2)] = Mor(old.dom, old.cod, {**old.table, e: other})
+    bad = NSimplex(3, full.X, full.XX, full.r, full.s, m)
+    want = first_failure(old_associativity_cases(bad))
+    assert want is not None
+    found = {f.check: f.witness for f in validate_simplex(bad)}
+    assert found["associativity"] == want
+
+
+def test_bad_simplex_arguments_are_typed_errors(Z2):
+    """Indices outside 0..n, maps with the wrong ends and a face that is
+    not a missing inner one raise ``BoundaryMismatch``, with or without
+    ``python -O``."""
+    full = degenerate_3_simplex(Z2)
+    low = {k: v for k, v in full.XX.items() if max(k) <= 2}
+    with pytest.raises(BoundaryMismatch, match="^edge .* outside 0..2"):
+        NSimplex(2, full.X, full.XX, full.r, full.s,
+                 {k: v for k, v in full.m.items() if max(k) <= 2})
+    with pytest.raises(BoundaryMismatch, match="^face .* outside 0..2"):
+        NSimplex(2, full.X, low, full.r, full.s, full.m)
+    for part in ("r", "s"):
+        maps = dict(getattr(full, part))
+        maps[(0, 1)] = identity(Z2.G1)
+        args = {"r": full.r, "s": full.s, part: maps}
+        with pytest.raises(BoundaryMismatch, match="^%s" % part):
+            NSimplex(3, full.X, full.XX, args["r"], args["s"], full.m)
+    with pytest.raises(BoundaryMismatch, match="^m"):
+        NSimplex(3, full.X, full.XX, full.r, full.s,
+                 {**full.m, (0, 1, 2): identity(Z2.G1)})
+    with pytest.raises(BoundaryMismatch):
+        restrict_simplex([0, 4], full)
+    for face in [(0, 1, 3), (1, 1, 2)]:
+        with pytest.raises(BoundaryMismatch):
+            unique_inner3_check(full, face)

@@ -429,3 +429,83 @@ def test_mor_product_table(small_objects, backend, data):
                          for e, (l, r) in dom.pairing.items()}
     if is_cover(f1) and is_cover(f2):
         assert is_cover(f12)
+
+
+@pytest.mark.parametrize("backend", ["finset", "fintop"])
+def test_projections_match_the_pairing(backend):
+    """For every pair of maps into a common codomain between objects of at
+    most three points, the projections read off the pairing: pr1 sends
+    each pair (y, u) to y and pr2 to u.  A fintop projection is
+    continuous (checked here without the library), and a second read
+    returns the same map."""
+    _, by_cod = site_maps(backend)
+    for maps in by_cod.values():
+        for f in maps:
+            for g in maps:
+                fp = fibre_product(f, g)
+                pr1, pr2 = fp.pr1, fp.pr2
+                assert (pr1.dom, pr1.cod, pr2.dom, pr2.cod) == (
+                    fp.apex, f.dom, fp.apex, g.dom)
+                assert pr1.table == {e: y for e, (y, u) in fp.pairing.items()}
+                assert pr2.table == {e: u for e, (y, u) in fp.pairing.items()}
+                assert fp.pr1 is pr1 and fp.pr2 is pr2
+                if backend == "fintop":
+                    for pr in (pr1, pr2):
+                        assert all(pr.table[e2] in pr.cod.nbhd[pr.table[e]]
+                                   for e in fp.apex.elements
+                                   for e2 in fp.apex.nbhd[e])
+
+
+def test_unread_projections_build_no_map(monkeypatch, S2, S3, p2, p3):
+    """A fibre product builds no ``Mor`` until a projection is read, and
+    then one per projection, however often it is read."""
+    built = []
+    init = Mor.__init__
+
+    def counting(self, dom, cod, table):
+        built.append((dom, cod))
+        init(self, dom, cod, table)
+
+    monkeypatch.setattr(Mor, "__init__", counting)
+    fp = fibre_product(p2, p3)
+    assert len(fp.pairing) == 6 and fp.index[("a", "c")] == "a|c"
+    assert built == []
+    assert fp.pr2.table["b|e"] == "e" and fp.pr2 is fp.pr2
+    assert built == [(fp.apex, S3)]
+    fp.pr1, fp.pr1
+    assert built == [(fp.apex, S3), (fp.apex, S2)]
+
+
+@pytest.mark.parametrize("table, message", [
+    ({1: "a", 2: "a"}, "map keys must be element ids, not 1"),
+    ({"1": "a", 2: "a"}, "map keys must be element ids, not 2"),
+    ({"1": "a", "2": 0}, "images must land in the codomain"),
+    ({"1": "a", "2": ["a"]}, "images must land in the codomain"),
+    ({"1": "a"}, "map must be total on the domain, at 2")],
+    ids=["int-keys", "one-int-key", "int-value", "list-value", "partial"])
+def test_tables_are_not_coerced(table, message):
+    """``Mor`` copies its table as given: a key or value that is not an
+    element id (a string) is a ``NotAMorphism``, never coerced."""
+    X, Y = make_finset(["1", "2"]), make_finset(["a", "0"])
+    with pytest.raises(NotAMorphism, match="^%s$" % message):
+        Mor(X, Y, table)
+    assert Mor(X, Y, {"1": "a", "2": "0"}).table == {"1": "a", "2": "0"}
+
+
+def test_all_maps_checks_each_table_once(monkeypatch):
+    """``all_maps`` checks each candidate table once: one ``_table_fault``
+    call per table of dom -> cod, kept or not."""
+    import groupoidal.site_core as site_core
+    calls = []
+    fault = site_core._table_fault
+
+    def counting(dom, cod, table):
+        calls.append(table)
+        return fault(dom, cod, table)
+
+    monkeypatch.setattr(site_core, "_table_fault", counting)
+    sier = sierpinski()
+    assert len(list(all_maps(sier, sier))) == 3
+    assert len(calls) == 4
+    assert len(list(all_maps(make_finset("abc"), make_finset("xy")))) == 8
+    assert len(calls) == 4 + 8
