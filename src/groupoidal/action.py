@@ -11,11 +11,11 @@ acts as g1 and then g2.  ``opposite`` turns an action into one on the
 other side through inversion.
 """
 
-from .site_core import (Mor, NotAMorphism, SiteError, backtrack, compose,
-                        fibre_product, first_failure, group_by, identity,
-                        inverse, is_cover, is_iso, is_surjective, pair_id,
-                        passed, require, triple_product, valid_mor_table,
-                        witness_finding)
+from .site_core import (BoundaryMismatch, Mor, NotAMorphism, SiteError,
+                        backtrack, compose, fibre_product, first_failure,
+                        group_by, identity, inverse, is_cover, is_iso,
+                        is_surjective, pair_id, require, require_ends,
+                        triple_product, witness_finding)
 from .groupoid import build_groupoid
 
 
@@ -67,11 +67,11 @@ def _steps(g, side):
 
 class Action:
     def __init__(self, g, X, anchor, mult, side, pairs=None):
-        assert anchor.dom == X and anchor.cod == g.G0
+        require_ends(anchor, X, g.G0, "anchor")
         self.order, self.key, self._cells = _SIDES[side]
         if pairs is None:
             pairs = action_pairs(g, anchor, side)
-        assert mult.dom == pairs.apex and mult.cod == X
+        require_ends(mult, pairs.apex, X, "multiplication")
         self.g, self.X, self.anchor = g, X, anchor
         self.mult, self.side, self.pairs = mult, side, pairs
         # the end of an arrow over which the point it moves lands
@@ -203,8 +203,9 @@ def translations(g):
 
 class GMap:
     def __init__(self, from_, to, f):
-        assert from_.g == to.g and from_.side == to.side
-        assert f.dom == from_.X and f.cod == to.X
+        if (from_.g, from_.side) != (to.g, to.side):
+            raise BoundaryMismatch("actions of two groupoids or sides")
+        require_ends(f, from_.X, to.X, "equivariant map")
         self.from_, self.to, self.f = from_, to, f
 
     def __repr__(self):
@@ -254,8 +255,8 @@ def transformation_groupoid(a):
 def action_fibre_product(f1, f2):
     """Fibre product of two equivariant maps with the diagonal action;
     returns the action and the projection maps."""
-    assert f1.to is f2.to or (f1.to.X == f2.to.X
-                              and f1.to.mult == f2.to.mult)
+    if f1.to is not f2.to and (f1.to.X, f1.to.mult) != (f2.to.X, f2.to.mult):
+        raise BoundaryMismatch("equivariant maps with different targets")
     a1, a2 = f1.from_, f2.from_
     FP = fibre_product(f1.f, f2.f)
 
@@ -271,9 +272,10 @@ class Bibundle:
     """Commuting left G- and right H-actions on one carrier."""
 
     def __init__(self, g, h, left, right):
-        assert left.side == "left" and right.side == "right"
-        assert left.g == g and right.g == h
-        assert left.X == right.X
+        if (left.side, right.side, left.g, right.g, left.X) != (
+                "left", "right", g, h, right.X):
+            raise BoundaryMismatch("a bibundle is a left action of g and a "
+                                   "right action of h on one carrier")
         self.g, self.h = g, h
         self.left, self.right = left, right
         self.X = left.X
@@ -353,8 +355,8 @@ class Actor:
     multiplication."""
 
     def __init__(self, g, h, action):
-        assert action.side == "left" and action.g == g
-        assert action.X == h.G1
+        if (action.side, action.g, action.X) != ("left", g, h.G1):
+            raise BoundaryMismatch("an actor is a left g-action on h's arrows")
         self.g, self.h, self.action = g, h, action
 
     def anchor(self, hel):
@@ -405,12 +407,12 @@ def actor_to_pair(a):
 def actor_apply(a, x):
     """Push a left H-action through the actor to a left G-action on the
     same carrier."""
-    assert x.side == "left" and x.g == a.h
+    if (x.side, x.g) != ("left", a.h):
+        raise BoundaryMismatch("an actor pushes only left h-actions")
     g, h = a.g, a.h
     r0 = Mor(h.G0, g.G0, {o: a.anchor(h.u(o)) for o in h.objects()})
-    out = build_action(g, x.X, compose(r0, x.anchor), "left",
-                       lambda y, gel: x.apply(y, a.act(gel, h.u(x.anchor(y)))))
-    return out
+    return build_action(g, x.X, compose(r0, x.anchor), "left", lambda y, gel:
+                        x.apply(y, a.act(gel, h.u(x.anchor(y)))))
 
 
 def compose_actors(b, a):
@@ -445,15 +447,13 @@ def actor_two_arrow(phi, m1, m2):
     """Is the section phi of K a 2-arrow from actor m1 to m2 (both
     G -> K)?"""
     g, k = m1.g, m1.h
-    for e, (gel, kel) in m1.action.pairs.pairing.items():
-        lhs_arg = m1.act(gel, kel)
-        lhs = k.mul(phi(k.r(lhs_arg)), lhs_arg)
-        shifted = k.mul(phi(k.r(kel)), kel)
-        if m2.anchor(shifted) != g.s(gel):
-            return False
-        if lhs != m2.act(gel, shifted):
-            return False
-    return True
+
+    def shift(kel):
+        return k.mul(phi(k.r(kel)), kel)
+
+    return all(m2.anchor(shift(kel)) == g.s(gel)
+               and shift(m1.act(gel, kel)) == m2.act(gel, shift(kel))
+               for gel, kel in m1.action.pairs.pairing.values())
 
 
 def actor_horizontal(psi, phi, b2):
@@ -461,18 +461,19 @@ def actor_horizontal(psi, phi, b2):
     psi between H -> K actors; the value acts through the second
     K-side actor's module structure."""
     k = b2.h
-    tbl = {}
-    for x in k.objects():
-        kel = psi(x)
-        y = b2.anchor(kel)
-        tbl[x] = b2.act(phi(y), kel)
-    return Mor(k.G0, k.G1, tbl)
+    return Mor(k.G0, k.G1, {x: b2.act(phi(b2.anchor(psi(x))), psi(x))
+                            for x in k.objects()})
 
 
 def enumerate_actions(g, X, anchor, side="right"):
-    """All actions of g on X with the given anchor: a backtracking search
-    over the multiplication table in which sending a cell (x, p) to y
-    forces the cells (y, q) and (x, p then q) to agree."""
+    """All actions of the groupoid g on X with the given anchor: a
+    backtracking search over the multiplication table in which sending a
+    cell (x, p) to y forces the cells (y, q) and (x, p then q) to agree.
+
+    With candidates over the end where each cell lands and forced unit
+    cells, this proves the axioms of ``validate_action``, and so, for a
+    groupoid g, its cross-checks.  A leaf is checked only for continuity
+    on finite spaces, by ``Mor``."""
     order, key, cells = _SIDES[side]
     matched, lands = order(g.r, g.s)
     over = group_by(X.elements, anchor)
@@ -505,7 +506,8 @@ def enumerate_actions(g, X, anchor, side="right"):
 
     free = [e for e in cand if e not in units]
     for assign in backtrack(list(units) + free, cand, implied):
-        if valid_mor_table(pairs.apex, X, assign):
-            a = Action(g, X, anchor, Mor(pairs.apex, X, assign), side, pairs)
-            if passed(validate_action(a)):
-                yield a
+        try:
+            mult = Mor(pairs.apex, X, assign)
+        except NotAMorphism:
+            continue
+        yield Action(g, X, anchor, mult, side, pairs)

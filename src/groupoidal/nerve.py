@@ -25,12 +25,13 @@ class NSimplex:
     """X: dict i -> Obj; XX: dict (i,j) -> Obj; r, s: dicts (i,j) -> Mor;
     m: dict (i,j,k) -> Mor on the fibre product of s_ij with r_jk.
     Raises BoundaryMismatch on an index outside 0..n or a map whose ends
-    are not those of its place."""
+    are not those of its place.  ``pullbacks`` caches the fibre products
+    of r and s; simplices with the same r and s may share it."""
 
-    def __init__(self, n, X, XX, r, s, m):
+    def __init__(self, n, X, XX, r, s, m, pullbacks=None):
         self.n = n
         self.X, self.XX, self.r, self.s, self.m = X, XX, r, s, m
-        self._fp = {}
+        self.pullbacks = {} if pullbacks is None else pullbacks
         for (i, j) in XX:
             if not 0 <= i <= j <= n:
                 raise BoundaryMismatch("edge %r outside 0..%d" % ((i, j), n))
@@ -44,10 +45,14 @@ class NSimplex:
                          "m%r" % ((i, j, k),))
 
     def fp(self, i, j, k):
-        if (i, j, k) not in self._fp:
-            self._fp[(i, j, k)] = fibre_product(self.s[(i, j)],
-                                                self.r[(j, k)])
-        return self._fp[(i, j, k)]
+        return self.pullback(("s", (i, j)), ("r", (j, k)))
+
+    def pullback(self, a, b):
+        """The fibre product of the maps named a and b, as ("s", (0, 1))."""
+        if (a, b) not in self.pullbacks:
+            self.pullbacks[(a, b)] = fibre_product(
+                getattr(self, a[0])[a[1]], getattr(self, b[0])[b[1]])
+        return self.pullbacks[(a, b)]
 
     def mul(self, i, j, k, x, y):
         return self.m[(i, j, k)](pair_id(x, y))
@@ -111,9 +116,9 @@ def validate_simplex(sx):
         (x, y) -> (xy, y) onto that of the sources."""
         fp, m = sx.fp(i, j, k), sx.m[(i, j, k)]
         if side == "left":
-            cod = fibre_product(sx.r[(i, j)], sx.r[(i, k)])
+            cod = sx.pullback(("r", (i, j)), ("r", (i, k)))
         else:
-            cod = fibre_product(sx.s[(i, k)], sx.s[(j, k)])
+            cod = sx.pullback(("s", (i, k)), ("s", (j, k)))
         try:
             sh = Mor(fp.apex, cod.apex,
                      {e: cod.index[(x, m(e)) if side == "left" else (m(e), y)]
@@ -276,9 +281,8 @@ def unique_inner3_check(sx, missing):
             mm = Mor(fp.apex, sx.XX[(i, k)], tbl)
         except NotAMorphism:
             continue
-        completed = dict(sx.m)
-        completed[missing] = mm
-        full = NSimplex(sx.n, sx.X, sx.XX, sx.r, sx.s, completed)
+        full = NSimplex(sx.n, sx.X, sx.XX, sx.r, sx.s, {**sx.m, missing: mm},
+                        sx.pullbacks)
         if passed(validate_simplex(full)):
             fillers.append(mm)
     return {"fillers": fillers}

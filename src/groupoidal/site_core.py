@@ -363,16 +363,9 @@ def coequalizer(f, g):
     uf = UnionFind(cod.elements)
     for w in f.dom.elements:
         uf.union(f(w), g(w))
-    classes = [frozenset(v)
-               for v in group_by(cod.elements, uf.find).values()]
     rep_of = {x: uf.find(x) for x in cod.elements}
-    seen = set()
-    reps = []
-    for x in cod.elements:
-        r = rep_of[x]
-        if r not in seen:
-            seen.add(r)
-            reps.append(r)
+    by_rep = group_by(cod.elements, rep_of.__getitem__)
+    classes, reps = [frozenset(v) for v in by_rep.values()], list(by_rep)
     if cod.backend == "finset":
         quot = Obj("finset", reps)
     else:
@@ -487,11 +480,8 @@ def copair(f, g, total, inl, inr):
     the right summand."""
     if f.cod != g.cod:
         raise BoundaryMismatch("copair legs must share a codomain")
-    table = {}
-    for x in f.dom.elements:
-        table[inl(x)] = f(x)
-    for x in g.dom.elements:
-        table[inr(x)] = g(x)
+    table = {inl(x): f(x) for x in f.dom.elements}
+    table.update((inr(x), g(x)) for x in g.dom.elements)
     return Mor(total, f.cod, table)
 
 
@@ -540,7 +530,9 @@ def backtrack(order, cand, implied):
     conflict.  When ``implied`` forces only what every wanted assignment
     satisfies, the core prunes without reordering: it yields the same
     assignments, in the same order, as plain backtracking whose leaves
-    run the same checks.
+    run the same checks.  When it forces every equation of the wanted
+    assignments, as the searches built on it do, a caller checks at a
+    leaf only what its propagation does not prove.
     """
     allowed = {v: set(cs) for v, cs in cand.items()}
     assign = {}

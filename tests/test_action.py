@@ -104,14 +104,21 @@ def test_unit_bibundle(Z2, CECH2):
 
 
 def test_bibundle_validation_catches_noncommuting(Z4):
+    """Z/4 on its arrows by left multiplication, and on the right by
+    multiplication with the one value 1·1 corrupted to 3.  (Twisting the
+    right action by inversion would not do: Z/4 is abelian, so that still
+    commutes.)  The actions fail to commute at the old loops' first case,
+    1·(0·1) = 2 against (1·0)·1 = 3."""
     g = Z4
     left = Action(g, g.G1, g.r, g.m, "left", g.pairs)
-    # right action twisted by inversion does not commute with left mult
-    rpairs = fibre_product(g.s, g.r)
-    # use the proper right action but corrupt one value
-    right = Action(g, g.G1, g.s, g.m, "right", g.pairs)
-    b = Bibundle(g, g, left, right)
-    assert passed(validate_bibundle(b))
+    assert passed(validate_bibundle(Bibundle(g, g, left, Action(
+        g, g.G1, g.s, g.m, "right", g.pairs))))
+    corrupt = Mor(g.m.dom, g.G1, {**g.m.table, pair_id("1", "1"): "3"})
+    b = Bibundle(g, g, left, Action(g, g.G1, g.s, corrupt, "right", g.pairs))
+    found = {f.check: f for f in validate_bibundle(b)}
+    want = first_failure(old_actions_commute_cases(b))
+    assert want == ("1", "0", "1")
+    assert found["actions-commute"].witness == want
 
 
 def old_actions_commute_cases(b):

@@ -10,8 +10,8 @@ indexes rather than by comparing ends; every groupoid but the given
 multiplication of ``from_multiplication`` is built by ``build_groupoid``;
 no relative import in the package is left unused; no constructor
 re-checks its output with an ``assert`` on a validator, nor does any code
-catch ``AssertionError``; ``site_core`` and ``nerve`` hold no
-``assert`` at all, and the harness ticks its budget from the one walk
+catch ``AssertionError``; ``site_core``, ``nerve`` and ``action`` hold
+no ``assert`` at all, and the harness ticks its budget from the one walk
 every axiom runs; and the command line reads the model language from
 tables, branching on no declaration kind or constructor name.
 """
@@ -138,6 +138,13 @@ def test_no_assert_in_nerve():
     """``NSimplex``, ``restrict_simplex`` and ``unique_inner3_check``
     reject bad indices and ends with ``BoundaryMismatch``, not ``assert``."""
     assert asserts_in("nerve.py") == []
+
+
+def test_no_assert_in_action():
+    """The constructors of actions, equivariant maps, bibundles and actors,
+    ``action_fibre_product`` and ``actor_apply`` reject bad arguments with
+    ``BoundaryMismatch``, not ``assert``."""
+    assert asserts_in("action.py") == []
 
 
 def test_harness_compares_no_ends():

@@ -10,6 +10,7 @@ from groupoidal.groupoid import (cyclic_groupoid, pair_groupoid,
                                  unit_groupoid)
 from groupoidal.action import unit_bibundle
 from groupoidal.bibundle import dual
+from groupoidal import nerve
 from groupoidal.nerve import (NSimplex, NotMonotone, build_simplex,
                               diagonal_groupoid, edge_bibundle,
                               horn_fill_inner2, restrict_simplex,
@@ -270,6 +271,29 @@ def test_horns_fill_and_fail_as_the_old_loops(name, Z2, S2):
         found = {f.check: f.witness for f in validate_simplex(full)}
         assert found["associativity"] == first_failure(
             old_associativity_cases(full))
+
+
+@pytest.mark.parametrize("name", sorted(HORNS))
+def test_inner3_candidates_share_the_horns_fibre_products(name, Z2, S2,
+                                                          monkeypatch):
+    """Every candidate completion has the horn's r and s, so it reads the
+    horn's fibre products: the search builds each missing one once.  On
+    the Z/2 horn missing (0, 1, 3) that is 27 calls; a fresh simplex per
+    candidate, rebuilding its 20 face products, made 737."""
+    (sx, _), missing = HORNS[name](Z2, S2)
+    calls = []
+    real = nerve.fibre_product
+
+    def spy(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(nerve, "fibre_product", spy)
+    before = set(sx.pullbacks)
+    unique_inner3_check(sx, missing)
+    assert len(calls) == len(set(sx.pullbacks) - before)
+    if name == "Z2-013":
+        assert len(calls) == 27
 
 
 @pytest.mark.parametrize("kind", ["Z2", "Z3", "pair"])

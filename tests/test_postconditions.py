@@ -22,14 +22,14 @@ from groupoidal import groupoid as groupoid_module
 from groupoidal.site_core import (Mor, all_maps, fibre_product, identity,
                                   is_cover, is_iso, pair_id, passed,
                                   terminal, to_terminal)
-from groupoidal.backends import make_finset
+from groupoidal.backends import all_finspaces, make_finset
 from groupoidal.groupoid import (BoundaryEquationFails, BoundaryMismatch,
                                  InverseNotUnique, UnitNotUnique,
                                  cech_groupoid, cyclic_groupoid,
                                  from_multiplication, pair_groupoid,
                                  pullback_groupoid, unit_groupoid,
                                  validate_groupoid)
-from groupoidal.action import (Action, GMap, NotAnAction,
+from groupoidal.action import (Action, Actor, Bibundle, GMap, NotAnAction,
                                action_fibre_product, actor_apply,
                                actor_to_pair, canonical_action,
                                compose_actors, enumerate_actions,
@@ -52,9 +52,10 @@ from groupoidal.morphism import (AnaIso, Functor, NatTrans, NotAFunctor,
                                  validate_functor)
 from groupoidal.bibundle import (act_on, actor_to_bibundle, associator,
                                  balanced_product, beta_ana_to_bibundle,
-                                 bibundle_to_anafunctor, cech_equivalence,
-                                 check_inverse, classify, compose_bibundles,
-                                 composite_witness, decompose_actor, dual,
+                                 bibundle_isomorphic, bibundle_to_anafunctor,
+                                 cech_equivalence, check_inverse, classify,
+                                 compose_bibundles, composite_witness,
+                                 decompose_actor, dual,
                                  functor_to_bibundle, imprimitivity,
                                  left_unitor, right_unitor, roundtrip_ananat,
                                  roundtrip_beta, validate_bibundle_map)
@@ -63,6 +64,8 @@ from groupoidal.nerve import (NSimplex, horn_fill_inner2, restrict_simplex,
                               unique_inner3_check, validate_simplex)
 
 from test_acceptance import battery, chains
+from test_action import SMALL_GROUPOIDS
+from test_search_core import fintop_groupoids
 from test_bibundle import subgroup_bibundle
 from test_nerve import degenerate_3_simplex
 
@@ -516,6 +519,71 @@ def test_horn_fill_inner2(pool):
     assert count > 10
 
 
+# ------------------------------------------------------------ searches
+#
+# enumerate_actions, enumerate_functors and bibundle_isomorphic yield what
+# their propagation proves; the validators they no longer run at a leaf
+# run here, over everything they yield.
+
+def search_inputs(request):
+    """(groupoid, carriers): the small groupoids of test_action.py with
+    the finite sets of 0-4 points, and the finite-space groupoids with the
+    finite spaces of at most 3 points."""
+    sets = [make_finset(["p%d" % i for i in range(k)]) for k in range(5)]
+    spaces = all_finspaces(3)
+    return ([(request.getfixturevalue(name), sets) for name in SMALL_GROUPOIDS]
+            + [(g, spaces) for g in fintop_groupoids()])
+
+
+def test_enumerated_actions_are_actions(request):
+    counts = {"finset": 0, "fintop": 0}
+    for g, carriers in search_inputs(request):
+        for X in carriers:
+            for anchor in all_maps(X, g.G0):
+                for side in ("right", "left"):
+                    for a in enumerate_actions(g, X, anchor, side):
+                        assert passed(validate_action(a)), (
+                            g, anchor.table, side, a.mult.table)
+                        counts[X.backend] += 1
+    assert counts["finset"] > 150 and counts["fintop"] > 90
+
+
+def test_enumerated_functors_are_functors(request):
+    finset = [unit_groupoid(terminal("finset"))] + [
+        request.getfixturevalue(name) for name in SMALL_GROUPOIDS]
+    count = 0
+    for gs in (finset, fintop_groupoids()):
+        for g in gs:
+            for h in gs:
+                for F in enumerate_functors(g, h):
+                    assert passed(validate_functor(F)), (g, h, F.F1.table)
+                    count += 1
+    assert count > 150
+
+
+def test_bibundle_isomorphic_finds_bibundle_maps(pool):
+    """Each bibundle of the pool against itself and its double dual, each
+    composite with a dual against the unit bibundle, and the same on
+    finite spaces."""
+    pairs = []   # (b1, b2, whether they must be isomorphic)
+    for name, b in pool.items():
+        pairs += [(b, b, True), (dual(dual(b)), b, True)]
+        if name.endswith("-with-dual"):
+            pairs.append((b, unit_bibundle(b.g), False))
+    for g in fintop_groupoids():
+        u = unit_bibundle(g)
+        pairs += [(u, u, True), (dual(dual(u)), u, True),
+                  (compose_bibundles(u, dual(u)), u, True)]
+    found = 0
+    for b1, b2, must in pairs:
+        f = bibundle_isomorphic(b1, b2)
+        assert f is not None or not must
+        if f is not None:
+            assert is_iso(f) and passed(validate_bibundle_map(b1, b2, f))
+            found += 1
+    assert found > 70
+
+
 # ------------------------------------------- argument checks that stay
 
 def test_transformation_groupoid_rejects_a_non_action(Z2, S2):
@@ -552,6 +620,32 @@ def test_ana_iso_rejects_a_non_functor(Z2):
     bad = Functor(w.functor.src, w.functor.dst, w.functor.F0, swapped)
     with pytest.raises(NotAFunctor, match="unit-preserving"):
         AnaIso(w.src, w.dst, w.p, w.q, bad)
+
+
+def test_action_constructors_reject_bad_ends(Z2, Z4, S2, SWAP, CECH2):
+    """Action, GMap, Bibundle, Actor, action_fibre_product and actor_apply
+    check their arguments' ends, sides and groupoids with typed errors."""
+    left, right = translations(Z2)
+    canon = canonical_action(CECH2)
+    bad = {
+        "anchor": lambda: Action(Z2, S2, identity(Z2.G0), SWAP.mult,
+                                 "right"),
+        "multiplication": lambda: Action(Z2, S2, SWAP.anchor, identity(S2),
+                                         "right"),
+        "two groupoids or sides": lambda: GMap(SWAP, opposite(SWAP),
+                                               identity(S2)),
+        "equivariant map": lambda: GMap(SWAP, SWAP, identity(Z2.G1)),
+        "left action of g and a": lambda: Bibundle(Z2, Z2, left, left),
+        "on one carrier": lambda: Bibundle(Z4, Z2, left, right),
+        "left g-action": lambda: Actor(Z2, Z2, right),
+        "pushes only left": lambda: actor_apply(left_mult_actor(Z2), SWAP),
+        "different targets": lambda: action_fibre_product(
+            GMap(SWAP, SWAP, identity(S2)),
+            GMap(canon, canon, identity(CECH2.G0))),
+    }
+    for match, make in bad.items():
+        with pytest.raises(BoundaryMismatch, match=match):
+            make()
 
 
 def loops(tbl):

@@ -1,20 +1,24 @@
 """The exhaustive searches on ``site_core.backtrack`` against brute force.
 
 Each reference below runs through the Cartesian product of a search's
-candidates, in order, and keeps what the search's own leaf validator
-accepts.  Propagation may only prune: the fast path must give the same
-list in the same order.
+candidates, in order, and keeps what the notion's validator accepts.  The
+searches run no validator at their leaves: their propagation must prune
+exactly the tables the validator rejects, so the fast path must give the
+same list in the same order.  On finite spaces a table that is not
+continuous is no map; the references skip it, as the searches do.
 """
 
 from itertools import product
 
 import pytest
 
-from groupoidal.site_core import (Mor, all_maps, backtrack, fibre_product,
-                                  is_iso, passed)
-from groupoidal.backends import make_finset
-from groupoidal.groupoid import cech_groupoid, cyclic_groupoid
-from groupoidal.action import (Action, Bibundle, action_pairs,
+from groupoidal.site_core import (Mor, NotAMorphism, all_maps, backtrack,
+                                  fibre_product, is_iso, passed, terminal,
+                                  to_terminal)
+from groupoidal.backends import all_finspaces, make_finset
+from groupoidal.groupoid import (cech_groupoid, cyclic_groupoid,
+                                 pair_groupoid, unit_groupoid)
+from groupoidal.action import (Action, Bibundle, action_pairs, build_action,
                                enumerate_actions, unit_bibundle,
                                validate_action, validate_bibundle)
 from groupoidal.morphism import (AnaNat, Functor, anafunctor_from_functor,
@@ -77,8 +81,11 @@ def reference_actions(g, X, anchor, side):
     out = []
     for values in product(*cands):
         tbl = dict(zip(cells, values))
-        a = Action(g, X, anchor, Mor(pairs.apex, X, tbl), side, pairs)
-        if passed(validate_action(a)):
+        try:
+            mult = Mor(pairs.apex, X, tbl)
+        except NotAMorphism:
+            continue
+        if passed(validate_action(Action(g, X, anchor, mult, side, pairs))):
             out.append(tbl)
     return out
 
@@ -112,6 +119,25 @@ def test_enumerate_actions_matches_brute_force_cech(side):
     assert total > 0
 
 
+def fintop_groupoids():
+    """The pair groupoids of the nonempty finite spaces of at most two
+    points, and Z/2 on a discrete space."""
+    return [pair_groupoid(x) for x in all_finspaces(2) if len(x)] + [
+        cyclic_groupoid(2, "fintop")]
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_enumerate_actions_matches_brute_force_fintop(side):
+    """Finite-space carriers of at most three points, where about half of
+    the brute force's tables are not continuous."""
+    total = 0
+    for g in fintop_groupoids():
+        for X in all_finspaces(3):
+            for anchor in all_maps(X, g.G0):
+                want = reference_actions(g, X, anchor, side)
+                assert tables(enumerate_actions(g, X, anchor, side)) == want
+                total += len(want)
+    assert total > 40
 # ------------------------------------------------------------ functors
 
 def reference_functors(g, h):
@@ -121,8 +147,11 @@ def reference_functors(g, h):
                   if h.r(b) == F0(g.r(a)) and h.s(b) == F0(g.s(a))]
                  for a in g.arrows()]
         for values in product(*cands):
-            F = Functor(g, h, F0, Mor(g.G1, h.G1,
-                                      dict(zip(g.arrows(), values))))
+            try:
+                F1 = Mor(g.G1, h.G1, dict(zip(g.arrows(), values)))
+            except NotAMorphism:
+                continue
+            F = Functor(g, h, F0, F1)
             if passed(validate_functor(F)):
                 out.append(F)
     return out
@@ -133,6 +162,17 @@ def reference_functors(g, h):
 def test_enumerate_functors_matches_brute_force(m, n):
     g, h = cyclic_groupoid(m), cyclic_groupoid(n)
     assert list(enumerate_functors(g, h)) == reference_functors(g, h)
+
+
+def test_enumerate_functors_matches_brute_force_fintop():
+    gs = fintop_groupoids()
+    total = 0
+    for g in gs:
+        for h in gs:
+            want = reference_functors(g, h)
+            assert list(enumerate_functors(g, h)) == want
+            total += len(want)
+    assert total > 40
 
 
 # ------------------------------------------------------------ bibundle isos
@@ -171,6 +211,36 @@ def test_bibundle_isomorphic_matches_brute_force():
         assert bibundle_isomorphic(b1, b2) == want, name
         found += want is not None
     assert found > 10
+
+
+def one_sided_bibundles(h, max_size):
+    """The point groupoid acting trivially on the left of each right
+    h-action on at most max_size points, and the duals: an
+    anchor-preserving bijection is then equivariant on the trivial side,
+    so only the other side's moves tell isomorphic from not."""
+    pt = unit_groupoid(terminal("finset"))
+    out = []
+    for k in range(1, max_size + 1):
+        X = make_finset(["x%d" % i for i in range(k)])
+        trivial = build_action(pt, X, to_terminal(X), "left",
+                               lambda x, gel: x)
+        for anchor in all_maps(X, h.G0):
+            out += [Bibundle(pt, h, trivial, right)
+                    for right in enumerate_actions(h, X, anchor, "right")]
+    return out + [dual(b) for b in out]
+
+
+def test_bibundle_isomorphic_needs_both_sides():
+    found = missing = 0
+    for h in (cyclic_groupoid(2), cyclic_groupoid(3)):
+        bs = one_sided_bibundles(h, 3)
+        for b1 in bs:
+            for b2 in bs:
+                want = reference_isomorphism(b1, b2)
+                assert bibundle_isomorphic(b1, b2) == want
+                found += want is not None
+                missing += want is None and len(b1.X) == len(b2.X)
+    assert found > 10 and missing > 10
 
 
 def reference_enumerate_bibundles(g, h, max_size):
