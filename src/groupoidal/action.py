@@ -298,25 +298,31 @@ class Bibundle:
         return "Bibundle(|X|=%d)" % (len(self.X),)
 
 
-def validate_bibundle(b):
-    out = list(validate_action(b.left))
-    out += validate_action(b.right)
-    out.append(witness_finding("left-anchor-invariant", first_failure(
+def bibundle_compat(b):
+    """The checks that tie the two actions of a bibundle together."""
+    left_w = first_failure(
         (e, b.r_anchor(b.ract(x, hel)) == b.r_anchor(x))
-        for e, (x, hel) in b.right.pairs.pairing.items())))
-    out.append(witness_finding("right-anchor-invariant", first_failure(
+        for e, (x, hel) in b.right.pairs.pairing.items())
+    right_w = first_failure(
         (e, b.s_anchor(b.lact(gel, x)) == b.s_anchor(x))
-        for e, (gel, x) in b.left.pairs.pairing.items())))
+        for e, (gel, x) in b.left.pairs.pairing.items())
     # when an anchor is not invariant one side is undefined, which
     # first_failure reports as a failing case
     points = group_by(b.X.elements, b.r_anchor)
     h_arrows = group_by(b.h.arrows(), b.h.r)
-    out.append(witness_finding("actions-commute", first_failure(
+    commute_w = first_failure(
         ((gel, x, hel),
          b.ract(b.lact(gel, x), hel) == b.lact(gel, b.ract(x, hel)))
         for gel in b.g.arrows() for x in points.get(b.g.s(gel), ())
-        for hel in h_arrows.get(b.s_anchor(x), ()))))
-    return out
+        for hel in h_arrows.get(b.s_anchor(x), ()))
+    return [witness_finding("left-anchor-invariant", left_w),
+            witness_finding("right-anchor-invariant", right_w),
+            witness_finding("actions-commute", commute_w)]
+
+
+def validate_bibundle(b):
+    return (validate_action(b.left) + validate_action(b.right)
+            + bibundle_compat(b))
 
 
 def unit_bibundle(g):
@@ -470,10 +476,12 @@ def enumerate_actions(g, X, anchor, side="right"):
     backtracking search over the multiplication table in which sending a
     cell (x, p) to y forces the cells (y, q) and (x, p then q) to agree.
 
-    With candidates over the end where each cell lands and forced unit
-    cells, this proves the axioms of ``validate_action``, and so, for a
-    groupoid g, its cross-checks.  A leaf is checked only for continuity
-    on finite spaces, by ``Mor``."""
+    Candidates over the end where a cell lands prove anchor-compat, the
+    forced unit cells, assigned first, the unit axiom.  Through them the
+    links of inverse arrows reach every associativity case, whichever of
+    its cells comes last; for a groupoid g the axioms imply the
+    cross-checks.  A leaf is checked only for continuity on finite
+    spaces, by ``Mor``."""
     order, key, cells = _SIDES[side]
     matched, lands = order(g.r, g.s)
     over = group_by(X.elements, anchor)
@@ -487,22 +495,14 @@ def enumerate_actions(g, X, anchor, side="right"):
     # the unit cell of x sends x to x; assigned first, they force most
     units = {key(x, g.u(anchor(x))): x for x in X.elements}
     cand.update((e, [x]) for e, x in units.items())
-    # the cells that must agree once e is sent to y, and for each cell
-    # the (e, y, other cell) links it is part of
-    links, watch = {}, {e: [] for e in cand}
-    for e, x, p in cell:
-        for y in cand[e]:
-            links[e, y] = [(key(y, q), key(x, pq)) for q, pq in steps[p]]
-            for e2, e3 in links[e, y]:
-                watch[e2].append((e, y, e3))
-                watch[e3].append((e, y, e2))
+    # the cells (y, q) and (x, p then q) that must agree once (x, p) is
+    # sent to y
+    links = {(e, y): [(key(y, q), key(x, pq)) for q, pq in steps[p]]
+             for e, x, p in cell for y in cand[e]}
 
     def implied(e, y, assign):
-        out = [(e3, assign[e2]) if e2 in assign else (e2, assign[e3])
-               for e2, e3 in links[e, y] if e2 in assign or e3 in assign]
-        out += [(other, y) for e1, y1, other in watch[e]
-                if assign.get(e1) == y1]
-        return out
+        return [(e3, assign[e2]) if e2 in assign else (e2, assign[e3])
+                for e2, e3 in links[e, y] if e2 in assign or e3 in assign]
 
     free = [e for e in cand if e not in units]
     for assign in backtrack(list(units) + free, cand, implied):

@@ -11,17 +11,22 @@ H-action, whose orbit space is X x_H Y, and ``site_core.descend`` turns a
 map that is constant on orbits into a map out of the orbit space.
 """
 
-from .site_core import (BoundaryMismatch, Mor, NotAMorphism, NotWellDefined,
-                        SiteError, backtrack, compose, descend, fibre_product,
-                        first_failure, group_by, identity, is_cover, is_iso,
-                        passed, require, triple_product, witness_finding)
-from .action import (Bibundle, NotAnActor, build_action, is_invariant,
-                     on_side, opposite, transformation_groupoid,
-                     translations, two_sided_transformation_groupoid,
-                     unit_bibundle, validate_bibundle)
+from .site_core import (BackendMismatch, BoundaryMismatch, Mor, NotAMorphism,
+                        NotWellDefined, SiteError, all_maps, backtrack,
+                        compose, descend, fibre_product, first_failure,
+                        group_by, identity, is_cover, is_iso, passed, require,
+                        triple_product, witness_finding)
+from .backends import make_finset
+from .groupoid import (build_groupoid, cech_groupoid, pullback_groupoid,
+                       unit_groupoid)
+from .action import (Actor, Bibundle, NotAnActor, bibundle_compat,
+                     build_action, enumerate_actions, is_invariant, on_side,
+                     opposite, transformation_groupoid, translations,
+                     two_sided_transformation_groupoid, unit_bibundle)
 from .bundle import (NotBasic, NotPrincipal, PrincipalBundle, check_principal,
                      is_basic, orbit_space)
-from .morphism import NotComposable
+from .morphism import (AnaNat, Anafunctor, Functor, NotAFunctor, NotComposable,
+                       validate_functor)
 
 
 class MiddleMismatch(SiteError):
@@ -83,12 +88,12 @@ def functor_to_bibundle(F, Y=None):
     generalization that replaces the arrows of H by an H-carrier Y, read
     as a left action.  Raises NotAFunctor, naming the failing checks, when
     ``F`` is not a functor."""
-    from .morphism import NotAFunctor, validate_functor
     require(validate_functor(F), NotAFunctor)
     g, h = F.src, F.dst
     generalized = Y is not None
     Y = on_side(Y, "left") if generalized else translations(h)[0]
-    assert Y.g == h
+    if Y.g != h:
+        raise BoundaryMismatch("Y must be an action of the target of F")
     FP = fibre_product(F.F0, Y.anchor)
 
     def lrule(w, gel):
@@ -129,8 +134,6 @@ def bibundle_to_anafunctor(x):
     except NotPrincipal:
         raise NotABibundleFunctor(
             "right action not principal over r") from None
-    from .groupoid import pullback_groupoid
-    from .morphism import Anafunctor, Functor
     g, h = x.g, x.h
     gx, hyper = pullback_groupoid(g, x.r_anchor)
     f1tab = {}
@@ -194,8 +197,6 @@ def cech_equivalence(p, q=None):
     groupoids of two covers with the same codomain, carried by the fibre
     product of the covers.  With one argument the second groupoid is the
     trivial groupoid on the codomain."""
-    from .groupoid import cech_groupoid, unit_groupoid
-    from .site_core import identity
     if q is None:
         q = identity(p.cod)
     if p.cod != q.cod:
@@ -230,7 +231,6 @@ def roundtrip_beta(x):
 def roundtrip_ananat(a):
     """The canonical invertible 2-arrow from the anafunctor of the
     bibundle of `a` back to `a`."""
-    from .morphism import AnaNat
     b = beta_ana_to_bibundle(a)
     a2 = bibundle_to_anafunctor(b)
     h = a.dst
@@ -382,8 +382,6 @@ def decompose_actor(x):
     """Split a bibundle actor G–H into an actor onto an intermediate
     groupoid K built from H-orbits of carrier pairs, followed by a K–H
     bibundle equivalence carried by the original carrier."""
-    from .action import Actor
-    from .groupoid import build_groupoid
     g, h = x.g, x.h
     res = actor_orbits(x)
     if res is None:
@@ -550,11 +548,10 @@ def bibundle_isomorphic(b1, b2):
 
 def enumerate_bibundles(g, h, max_size=4):
     """All G–H bibundles with a canonically named carrier of at most the
-    given size.  Finite-set backend only."""
-    from .backends import make_finset
-    from .site_core import all_maps
-    from .action import enumerate_actions
-    assert g.backend == "finset" and h.backend == "finset"
+    given size, on finite sets.  ``enumerate_actions`` proves the axioms
+    of each action, so a leaf checks only ``bibundle_compat``."""
+    if g.backend != "finset" or h.backend != "finset":
+        raise BackendMismatch("enumerate_bibundles runs on finite sets only")
     for n in range(max_size + 1):
         X = make_finset(["y%d" % i for i in range(n)])
         s_anchors = list(all_maps(X, h.G0))
@@ -569,7 +566,7 @@ def enumerate_bibundles(g, h, max_size=4):
                 for left in lefts:
                     for right in rights[j]:
                         b = Bibundle(g, h, left, right)
-                        if passed(validate_bibundle(b)):
+                        if passed(bibundle_compat(b)):
                             yield b
 
 

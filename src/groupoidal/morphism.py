@@ -7,10 +7,11 @@ essentially surjective, with a constructed isomorphism witness) live
 here.
 """
 
-from .site_core import (Mor, NotAMorphism, SiteError, all_maps, backtrack,
-                        compose, descend, fibre_product, first_failure,
-                        group_by, identity, inverse, is_cover, is_iso,
-                        pair_id, require, witness_finding)
+from .site_core import (BoundaryMismatch, Mor, NotAMorphism, SiteError,
+                        all_maps, backtrack, compose, descend, fibre_product,
+                        first_failure, group_by, identity, inverse, is_cover,
+                        is_iso, pair_id, require, require_cover,
+                        witness_finding)
 from .groupoid import pullback_groupoid
 
 
@@ -358,10 +359,12 @@ class AnaIso:
     NotAFunctor, naming the failing checks, when ``functor`` is not one."""
 
     def __init__(self, src, dst, p, q, functor):
-        assert is_cover(p) and is_cover(q)
-        assert p.dom == q.dom
-        assert functor.F0 == identity(p.dom)
-        assert is_iso(functor.F1)
+        require_cover(p, "AnaIso: p")
+        require_cover(q, "AnaIso: q")
+        if q.dom != p.dom or functor.F0 != identity(p.dom):
+            raise BoundaryMismatch("AnaIso needs p, q from Z and F0 = 1_Z")
+        if not is_iso(functor.F1):
+            raise NotAMorphism("AnaIso: F1 = %r is not an iso" % (functor.F1,))
         require(validate_functor(functor), NotAFunctor)
         self.src, self.dst, self.Z = src, dst, p.dom
         self.p, self.q, self.functor = p, q, functor
@@ -394,9 +397,11 @@ def is_ana_equivalence(a):
 def enumerate_functors(g, h):
     """All functors between the groupoids g and h: for each object map, a
     backtracking search over arrow images in which the images of two
-    composable arrows force the image of their product.  With candidates
-    of the right ends and forced units, this proves ``validate_functor``;
-    a leaf is checked only for continuity on finite spaces, by ``Mor``."""
+    composable arrows force the image of their product.  The candidates
+    prove range- and source-compat, the forcing multiplicative and, as
+    (u, u, u) forces F(u) = F(u)·F(u) and a groupoid's only idempotents
+    are units, unit-preserving.  A leaf is checked only for continuity on
+    finite spaces, by ``Mor``."""
     arrows = list(g.arrows())
     # the composable triples (a, b, a·b) that each arrow is part of
     touching = {c: [] for c in arrows}
@@ -415,11 +420,7 @@ def enumerate_functors(g, h):
                 for a in arrows}
         if not all(cand.values()):
             continue
-        # units are forced
-        units = {g.u(x): h.u(F0(x)) for x in g.objects()}
-        cand.update((ua, [ub]) for ua, ub in units.items())
-        free = [a for a in arrows if a not in units]
-        for assign in backtrack(list(units) + free, cand, implied):
+        for assign in backtrack(arrows, cand, implied):
             try:
                 F1 = Mor(g.G1, h.G1, assign)
             except NotAMorphism:

@@ -10,16 +10,20 @@ indexes rather than by comparing ends; every groupoid but the given
 multiplication of ``from_multiplication`` is built by ``build_groupoid``;
 no relative import in the package is left unused; no constructor
 re-checks its output with an ``assert`` on a validator, nor does any code
-catch ``AssertionError``; ``site_core``, ``nerve`` and ``action`` hold
-no ``assert`` at all, and the harness ticks its budget from the one walk
-every axiom runs; and the command line reads the model language from
-tables, branching on no declaration kind or constructor name.
+catch ``AssertionError``; ``site_core``, ``nerve``, ``action`` and
+``bibundle`` hold no ``assert`` at all, and the harness ticks its budget
+from the one walk every axiom runs; the command line reads the model
+language from tables, branching on no declaration kind or constructor
+name; and each row of the mutation table in ``tests/mutants.py`` names
+source text that occurs once in the package.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from mutants import MUTANTS
 
 PKG = Path(__file__).resolve().parent.parent / "src" / "groupoidal"
 TESTS = Path(__file__).resolve().parent
@@ -145,6 +149,26 @@ def test_no_assert_in_action():
     ``action_fibre_product`` and ``actor_apply`` reject bad arguments with
     ``BoundaryMismatch``, not ``assert``."""
     assert asserts_in("action.py") == []
+
+
+def test_no_assert_in_bibundle():
+    """``functor_to_bibundle`` rejects a carrier of another groupoid with
+    ``BoundaryMismatch`` and ``enumerate_bibundles`` a finite space with
+    ``BackendMismatch``, not with ``assert``."""
+    assert asserts_in("bibundle.py") == []
+
+
+def test_mutant_rows_match_the_source_once():
+    """Each row of the mutation table in ``tests/mutants.py`` names source
+    text that occurs exactly once in the package, in the row's module, so
+    the mutant it describes is the one that runs."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in MODULES}
+    for name, module, text, _, tests in MUTANTS:
+        found = {m: src.count(text) for m, src in sources.items()
+                 if text in src}
+        assert found == {module: 1}, (name, found)
+        assert tests, name
 
 
 def test_harness_compares_no_ends():

@@ -19,9 +19,10 @@ import pytest
 import groupoidal
 from groupoidal import bibundle as bibundle_module
 from groupoidal import groupoid as groupoid_module
-from groupoidal.site_core import (Mor, all_maps, fibre_product, identity,
-                                  is_cover, is_iso, pair_id, passed,
-                                  terminal, to_terminal)
+from groupoidal.site_core import (BackendMismatch, Mor, NotACover,
+                                  NotAMorphism, all_maps, fibre_product,
+                                  identity, is_cover, is_iso, pair_id,
+                                  passed, terminal, to_terminal)
 from groupoidal.backends import all_finspaces, make_finset
 from groupoidal.groupoid import (BoundaryEquationFails, BoundaryMismatch,
                                  InverseNotUnique, UnitNotUnique,
@@ -55,7 +56,7 @@ from groupoidal.bibundle import (act_on, actor_to_bibundle, associator,
                                  bibundle_isomorphic, bibundle_to_anafunctor,
                                  cech_equivalence, check_inverse, classify,
                                  compose_bibundles, composite_witness,
-                                 decompose_actor, dual,
+                                 decompose_actor, dual, enumerate_bibundles,
                                  functor_to_bibundle, imprimitivity,
                                  left_unitor, right_unitor, roundtrip_ananat,
                                  roundtrip_beta, validate_bibundle_map)
@@ -65,7 +66,7 @@ from groupoidal.nerve import (NSimplex, horn_fill_inner2, restrict_simplex,
 
 from test_acceptance import battery, chains
 from test_action import SMALL_GROUPOIDS
-from test_search_core import fintop_groupoids
+from test_search_core import fintop_groupoids, reference_enumerate_bibundles
 from test_bibundle import subgroup_bibundle
 from test_nerve import degenerate_3_simplex
 
@@ -522,8 +523,9 @@ def test_horn_fill_inner2(pool):
 # ------------------------------------------------------------ searches
 #
 # enumerate_actions, enumerate_functors and bibundle_isomorphic yield what
-# their propagation proves; the validators they no longer run at a leaf
-# run here, over everything they yield.
+# their propagation proves, and enumerate_bibundles checks at a leaf only
+# how its two proved actions fit together; the validators they no longer
+# run at a leaf run here, over everything they yield.
 
 def search_inputs(request):
     """(groupoid, carriers): the small groupoids of test_action.py with
@@ -559,6 +561,35 @@ def test_enumerated_functors_are_functors(request):
                     assert passed(validate_functor(F)), (g, h, F.F1.table)
                     count += 1
     assert count > 150
+
+
+def bibundle_pool(Z2, Z3, CECH2, PT, S2):
+    """Every ordered pair from Z/2, Z/3, the Čech groupoid of two points
+    over one, the point and the unit groupoid on two points."""
+    gs = [Z2, Z3, CECH2, unit_groupoid(PT), unit_groupoid(S2)]
+    return [(g, h) for g in gs for h in gs]
+
+
+def test_enumerated_bibundles_are_bibundles(Z2, Z3, CECH2, PT, S2):
+    count = 0
+    for g, h in bibundle_pool(Z2, Z3, CECH2, PT, S2):
+        for b in enumerate_bibundles(g, h, max_size=3):
+            assert passed(validate_bibundle(b)), (
+                g, h, b.left.mult.table, b.right.mult.table)
+            count += 1
+    assert count > 300
+
+
+def test_enumerate_bibundles_matches_full_validation(Z2, Z3, CECH2, PT, S2):
+    """The same bibundles, in the same order, as the enumeration whose
+    leaf runs all of ``validate_bibundle`` on every pair of actions."""
+    def key(b):
+        return (b.left.anchor, b.left.mult, b.right.anchor, b.right.mult)
+
+    for g, h in bibundle_pool(Z2, Z3, CECH2, PT, S2):
+        got = [key(b) for b in enumerate_bibundles(g, h, max_size=3)]
+        want = [key(b) for b in reference_enumerate_bibundles(g, h, 3)]
+        assert got == want and got, (g, h)
 
 
 def test_bibundle_isomorphic_finds_bibundle_maps(pool):
@@ -620,6 +651,28 @@ def test_ana_iso_rejects_a_non_functor(Z2):
     bad = Functor(w.functor.src, w.functor.dst, w.functor.F0, swapped)
     with pytest.raises(NotAFunctor, match="unit-preserving"):
         AnaIso(w.src, w.dst, w.p, w.q, bad)
+
+
+def test_ana_iso_rejects_bad_covers_and_non_isos(Z2, S2):
+    """Typed errors, so ``python -O`` rejects the same arguments: a map
+    that is not a cover, covers from two spaces, and a functor that is
+    not an isomorphism (Z/2 -> Z/2 sending both arrows to 0)."""
+    one = identity(Z2.G0)
+    collapse = Functor(Z2, Z2, one, Mor(Z2.G1, Z2.G1, {"0": "0", "1": "0"}))
+    assert passed(validate_functor(collapse))
+    with pytest.raises(NotACover):
+        AnaIso(Z2, Z2, Mor(make_finset([]), Z2.G0, {}), one, collapse)
+    with pytest.raises(BoundaryMismatch):
+        AnaIso(Z2, Z2, one, to_terminal(S2), collapse)
+    with pytest.raises(NotAMorphism, match="not an iso"):
+        AnaIso(Z2, Z2, one, one, collapse)
+
+
+def test_bibundle_constructors_reject_bad_arguments(Z2, Z4):
+    with pytest.raises(BoundaryMismatch, match="target of F"):
+        functor_to_bibundle(identity_functor(Z2), translations(Z4)[0])
+    with pytest.raises(BackendMismatch, match="finite sets"):
+        next(enumerate_bibundles(cyclic_groupoid(2, "fintop"), Z2))
 
 
 def test_action_constructors_reject_bad_ends(Z2, Z4, S2, SWAP, CECH2):
