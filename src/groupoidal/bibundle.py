@@ -83,35 +83,41 @@ def dual(x):
     return Bibundle(x.h, x.g, opposite(x.right), opposite(x.left))
 
 
-def functor_to_bibundle(F, Y=None):
-    """The bibundle G0 x_{F0, H0, r} H1 of a functor, with the optional
-    generalization that replaces the arrows of H by an H-carrier Y, read
-    as a left action.  Raises NotAFunctor, naming the failing checks, when
-    ``F`` is not a functor."""
+def pullback_action(F, Y):
+    """The left G-action g·(x, y) = (r(g), F1(g)·y) on G0 x_{F0, H0} Y,
+    pulled back along a functor F: G -> H from an H-action Y, read as a
+    left action; the fibre product is attached as ``fp``.  Raises
+    NotAFunctor, naming the failing checks, when ``F`` is not a functor,
+    and BoundaryMismatch when Y is not an action of its target."""
     require(validate_functor(F), NotAFunctor)
-    g, h = F.src, F.dst
-    generalized = Y is not None
-    Y = on_side(Y, "left") if generalized else translations(h)[0]
-    if Y.g != h:
+    g = F.src
+    Y = on_side(Y, "left")
+    if Y.g != F.dst:
         raise BoundaryMismatch("Y must be an action of the target of F")
     FP = fibre_product(F.F0, Y.anchor)
 
-    def lrule(w, gel):
+    def rule(w, gel):
         return FP.index[(g.r(gel), Y.apply(FP.pairing[w][1], F.F1(gel)))]
 
-    left = build_action(g, FP.apex, FP.pr1, "left", lrule)
-    if generalized:
-        # generalized pullback of an H-carrier: just the induced G-action
-        left.fp = FP
-        return left
+    out = build_action(g, FP.apex, FP.pr1, "left", rule)
+    out.fp = FP
+    return out
 
-    def rrule(w, hel):
+
+def functor_to_bibundle(F):
+    """The bibundle G0 x_{F0, H0, r} H1 of a functor: the pullback action
+    of H's left translations, with H acting on the right on the arrows;
+    the fibre product is attached as ``fp``."""
+    h = F.dst
+    left = pullback_action(F, translations(h)[0])
+    FP = left.fp
+
+    def rule(w, hel):
         x0, k = FP.pairing[w]
         return FP.index[(x0, h.mul(k, hel))]
 
-    right = build_action(h, FP.apex, compose(h.s, FP.pr2), "right", rrule)
-    out = Bibundle(g, h, left, right)
-    out.F = F
+    right = build_action(h, FP.apex, compose(h.s, FP.pr2), "right", rule)
+    out = Bibundle(F.src, h, left, right)
     out.fp = FP
     return out
 
@@ -123,32 +129,32 @@ def actor_to_bibundle(a):
 
 def bibundle_to_anafunctor(x):
     """The anafunctor (X, r, F_X) of a bibundle functor; the arrow part
-    solves g·x1 · F_X = x2 in the principal right action.
-
-    The isomorphism between the pullback groupoid over r and the
-    two-sided transformation groupoid is built and attached as
-    ``two_sided_iso``.
-    """
+    solves g·x1 · F_X = x2 in the principal right action."""
     try:
         bundle = PrincipalBundle(x.right, x.r_anchor)
     except NotPrincipal:
         raise NotABibundleFunctor(
             "right action not principal over r") from None
     g, h = x.g, x.h
-    gx, hyper = pullback_groupoid(g, x.r_anchor)
+    gx = pullback_groupoid(g, x.r_anchor)
     f1tab = {}
     for e, (x1, gel, x2) in gx.triples.items():
         xm = x.lact(g.i(gel), x1)
         f1tab[e] = bundle.solve(xm, x2)
     F = Functor(gx, h, x.s_anchor, Mor(gx.G1, h.G1, f1tab))
-    ana = Anafunctor(g, h, x.r_anchor, F, gx, hyper)
-    # two-sided transformation groupoid matches the pullback groupoid
+    return Anafunctor(g, h, x.r_anchor, F)
+
+
+def two_sided_iso(x, ana):
+    """The identity-on-objects isomorphism from the two-sided
+    transformation groupoid of a bibundle functor x to the pullback
+    groupoid of its anafunctor ``ana`` = ``bibundle_to_anafunctor(x)``:
+    (g, x, h) goes to (g·x, g, x·h)."""
+    gx = ana.gx
     t = two_sided_transformation_groupoid(x)
     itab = {e: gx.triple_index[(x.lact(gel, xe), gel, x.ract(xe, hel))]
             for e, (gel, xe, hel) in t.triples.items()}
-    ana.two_sided_iso = Functor(t, gx, identity(x.X), Mor(t.G1, gx.G1, itab))
-    ana.bundle = bundle
-    return ana
+    return Functor(t, gx, identity(x.X), Mor(t.G1, gx.G1, itab))
 
 
 def beta_ana_to_bibundle(a):
@@ -221,11 +227,10 @@ def roundtrip_beta(x):
     """For a bibundle functor, the isomorphism from the bibundle of its
     anafunctor back to the bibundle itself: a class of (g, x, h) maps to
     g·x·h."""
-    ana = bibundle_to_anafunctor(x)
-    b = beta_ana_to_bibundle(ana)
+    b = beta_ana_to_bibundle(bibundle_to_anafunctor(x))
     iso = descend(b.X, x.X, ((b.triple_proj(e), x.ract(x.lact(gel, xe), hel))
                              for e, (gel, xe, hel) in b.triples.items()))
-    return {"beta": b, "iso": iso, "ana": ana}
+    return {"beta": b, "iso": iso}
 
 
 def roundtrip_ananat(a):
@@ -306,9 +311,7 @@ def compose_bibundles(x, y):
     out = Bibundle(x.g, y.h, left, y.right.on(Z, r_anchor, rule))
     out.middle = FP
     out.middle_proj = coeq.proj
-    out.middle_coeq = coeq
     out.middle_bundle = res["bundle"]
-    out.factors = (x, y)
     return out
 
 
@@ -341,20 +344,18 @@ def associator(x, y, z):
 
 def left_unitor(x):
     """G1 ∘ x ≅ x by acting."""
-    u = unit_bibundle(x.g)
-    c = compose_bibundles(u, x)
+    c = compose_bibundles(unit_bibundle(x.g), x)
     iso = descend(c.X, x.X, ((c.middle_proj(e), x.lact(gel, xe))
                              for e, (gel, xe) in c.middle.pairing.items()))
-    return {"iso": iso, "composite": c, "unit": u}
+    return {"iso": iso, "composite": c}
 
 
 def right_unitor(x):
     """x ∘ H1 ≅ x by acting."""
-    u = unit_bibundle(x.h)
-    c = compose_bibundles(x, u)
+    c = compose_bibundles(x, unit_bibundle(x.h))
     iso = descend(c.X, x.X, ((c.middle_proj(e), x.ract(xe, hel))
                              for e, (xe, hel) in c.middle.pairing.items()))
-    return {"iso": iso, "composite": c, "unit": u}
+    return {"iso": iso, "composite": c}
 
 
 def check_inverse(x):
@@ -421,12 +422,11 @@ def decompose_actor(x):
     leftK = build_action(K, x.X, p, "left", krule)
     equiv = Bibundle(K, h, leftK, x.right)
 
-    actor_bib = actor_to_bibundle(actor)
-    c = compose_bibundles(actor_bib, equiv)
+    c = compose_bibundles(actor_to_bibundle(actor), equiv)
     iso = descend(c.X, x.X, ((c.middle_proj(e), equiv.lact(ke, xe))
                              for e, (ke, xe) in c.middle.pairing.items()))
-    return {"k": K, "actor": actor, "equiv": equiv,
-            "actor_bibundle": actor_bib, "iso": iso, "composite": c}
+    return {"k": K, "actor": actor, "equiv": equiv, "iso": iso,
+            "composite": c}
 
 
 def imprimitivity(x):
@@ -461,7 +461,6 @@ def imprimitivity(x):
                           lambda xe, be: x.ract(xe, B.parts[be][1]))
     out = Bibundle(A, B, leftA, rightB)
     out.A, out.B = A, B
-    out.left_quotient, out.right_quotient = ql, qr
     return out
 
 

@@ -6,9 +6,10 @@ onto the fibre product of p with itself is invertible; "basic" means
 principal over the quotient by the action.
 """
 
-from .site_core import (Finding, Mor, NotAMorphism, SiteError, coequalizer,
-                        compose, descend, fibre_product, identity, inverse,
-                        is_cover, is_iso, passed, require)
+from .site_core import (BoundaryMismatch, Finding, Mor, NotAMorphism,
+                        SiteError, coequalizer, compose, descend,
+                        fibre_product, identity, inverse, is_cover, is_iso,
+                        passed, require, require_ends)
 from .action import is_invariant, transformation_groupoid
 
 
@@ -36,8 +37,10 @@ def bundle_shear(a, proj):
 def check_principal(a, proj, shear=None):
     """Findings for principality of an action over proj; ``shear`` is
     bundle_shear(a, proj) when the caller has built it."""
+    if proj.dom != a.X:
+        raise BoundaryMismatch("check_principal: proj = %r must start at %r"
+                               % (proj, a.X))
     out = []
-    assert proj.dom == a.X
     out.append(Finding("projection-cover", is_cover(proj), None))
     out.append(Finding("projection-invariant", is_invariant(a, proj), None))
     try:
@@ -76,8 +79,7 @@ def is_basic(a):
     coeq = orbit_space(a)
     # the orbit map is invariant, so the shear is always defined
     shear = bundle_shear(a, coeq.proj)
-    report = check_principal(a, coeq.proj, shear)
-    flag = passed(report)
+    flag = passed(check_principal(a, coeq.proj, shear))
     bundle = PrincipalBundle(a, coeq.proj, shear) if flag else None
     g = a.g
     free = all(gel == g.u(g.r(gel))
@@ -91,13 +93,13 @@ def is_basic(a):
         alt = free and is_iso(shear[0]) and is_cover(coeq.proj)
         cross.append(Finding("basic-iff-free-and-continuous",
                              flag == alt, None))
-    return {"flag": flag, "bundle": bundle, "orbits": coeq,
-            "report": report, "cross": cross}
+    return {"flag": flag, "bundle": bundle, "orbits": coeq, "cross": cross}
 
 
 def pullback_bundle(b, f):
     """Pull a principal bundle back along f: Z' -> Z."""
-    assert f.cod == b.Z
+    if f.cod != b.Z:
+        raise BoundaryMismatch("pullback_bundle: f must land in the base")
     FP = fibre_product(f, b.proj)
 
     def rule(w, gel):
@@ -112,7 +114,7 @@ def pullback_bundle(b, f):
 
 def induced_base_map(f, b1, b2):
     """The map on bases induced by an equivariant map of total spaces."""
-    assert f.f.dom == b1.X and f.f.cod == b2.X
+    require_ends(f.f, b1.X, b2.X, "induced_base_map: f")
     return descend(b1.Z, b2.Z,
                    ((b1.proj(x), b2.proj(f.f(x))) for x in b1.X.elements))
 
@@ -144,4 +146,4 @@ def cech_action_reconstruction(a, p):
     FP = fibre_product(pz, p)
     tbl = {y: FP.index[(coeq.proj(y), a.anchor(y))] for y in a.X.elements}
     iso = Mor(a.X, FP.apex, tbl)
-    return {"iso": iso, "base": coeq, "fp": FP, "base_to_z": pz}
+    return {"iso": iso, "base": coeq, "fp": FP}

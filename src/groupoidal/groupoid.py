@@ -9,8 +9,8 @@ in the domain of m.
 from .site_core import (BoundaryMismatch, Mor, NotAMorphism, Obj,
                         SiteError, descend, fibre_product, first_failure,
                         group_by, identity, is_cover, is_iso, kernel_pair,
-                        pair_id, require_cover, terminal, to_terminal,
-                        triple_product, witness_finding)
+                        pair_id, require_cover, require_ends, terminal,
+                        to_terminal, triple_product, witness_finding)
 
 
 class NotAssociative(SiteError):
@@ -42,16 +42,16 @@ MAX_CYCLIC_ORDER = 256   # cyclic_groupoid(n) builds n² composable pairs
 
 class Groupoid:
     def __init__(self, G0, G1, r, s, m, u, i, pairs=None):
-        assert r.dom == G1 and r.cod == G0
-        assert s.dom == G1 and s.cod == G0
-        assert u.dom == G0 and u.cod == G1
-        assert i.dom == G1 and i.cod == G1
+        require_ends(r, G1, G0, "Groupoid: r")
+        require_ends(s, G1, G0, "Groupoid: s")
+        require_ends(u, G0, G1, "Groupoid: u")
+        require_ends(i, G1, G1, "Groupoid: i")
         if pairs is None:
             pairs = fibre_product(s, r)
+        require_ends(m, pairs.apex, G1, "Groupoid: m")
         self.G0, self.G1 = G0, G1
         self.r, self.s, self.m, self.u, self.i = r, s, m, u, i
         self.pairs = pairs
-        assert m.dom == pairs.apex and m.cod == G1
         self.backend = G0.backend
 
     def mul(self, a, b):
@@ -248,9 +248,8 @@ def pair_groupoid(X):
 def pullback_groupoid(g, p):
     """Arrows are triples (x, h, y) with p(x) = r(h), s(h) = p(y).
 
-    Returns the pulled-back groupoid together with the functor down to g
-    (objects p, arrows the middle projection).  The triple decodings are
-    attached as ``triples`` / ``triple_index``.
+    The triple decodings are attached as ``triples`` / ``triple_index``;
+    ``morphism.hypercover`` is the functor down to g.
     """
     require_cover(p, "pullback_groupoid: p")
     G1x, triples, index = triple_product(p, g.r, g.s, p)
@@ -270,10 +269,7 @@ def pullback_groupoid(g, p):
         lambda x: index[(x, g.unit(p(x)), x)], inv)
     gx.triples = triples
     gx.triple_index = index
-    from .morphism import Functor
-    hyper = Functor(gx, g, p, Mor(G1x, g.G1,
-                                  {e: t[1] for e, t in triples.items()}))
-    return gx, hyper
+    return gx
 
 
 def cyclic_groupoid(n, backend="finset"):

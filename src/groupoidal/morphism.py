@@ -10,7 +10,7 @@ here.
 from .site_core import (BoundaryMismatch, Mor, NotAMorphism, SiteError,
                         all_maps, backtrack, compose, descend, fibre_product,
                         first_failure, group_by, identity, inverse, is_cover,
-                        is_iso, pair_id, require, require_cover,
+                        is_iso, pair_id, require, require_cover, require_ends,
                         witness_finding)
 from .groupoid import pullback_groupoid
 
@@ -29,8 +29,8 @@ class NotNatural(SiteError):
 
 class Functor:
     def __init__(self, src, dst, F0, F1):
-        assert F0.dom == src.G0 and F0.cod == dst.G0
-        assert F1.dom == src.G1 and F1.cod == dst.G1
+        require_ends(F0, src.G0, dst.G0, "Functor: F0")
+        require_ends(F1, src.G1, dst.G1, "Functor: F1")
         self.src, self.dst, self.F0, self.F1 = src, dst, F0, F1
 
     def __eq__(self, other):
@@ -78,8 +78,9 @@ class NatTrans:
     """phi: G0 -> H1 from one functor to a parallel one."""
 
     def __init__(self, from_, to, phi):
-        assert from_.src == to.src and from_.dst == to.dst
-        assert phi.dom == from_.src.G0 and phi.cod == from_.dst.G1
+        if from_.src != to.src or from_.dst != to.dst:
+            raise BoundaryMismatch("NatTrans needs parallel functors")
+        require_ends(phi, from_.src.G0, from_.dst.G1, "NatTrans: phi")
         self.from_, self.to, self.phi = from_, to, phi
 
     def __eq__(self, other):
@@ -147,7 +148,7 @@ def ad_bisection(g, phi):
     adjoint functor conjugates arrows by the chosen ones.  A bisection is
     a section whose range composite is invertible.
     """
-    assert phi.dom == g.G0 and phi.cod == g.G1
+    require_ends(phi, g.G0, g.G1, "ad_bisection: phi")
     is_section = all(g.s(phi(x)) == x for x in g.objects())
     r_phi = compose(g.r, phi)
     is_bisection = is_section and is_iso(r_phi)
@@ -168,7 +169,9 @@ def section_product(g, p1, p2):
 
 def bisection_inverse(g, phi):
     alpha = compose(g.r, phi)
-    assert is_iso(alpha)
+    if not is_iso(alpha):
+        raise NotAMorphism("bisection_inverse: r∘phi = %r is not an iso"
+                           % (alpha,))
     ainv = inverse(alpha)
     return Mor(g.G0, g.G1, {x: g.i(phi(ainv(x))) for x in g.objects()})
 
@@ -176,7 +179,7 @@ def bisection_inverse(g, phi):
 def functor_surjectivity_tests(F):
     """Essential surjectivity: (x, h) -> s(h) on G0 x_{H0} H1 is a cover.
     Full faithfulness: g -> (r(g), F1(g), s(g)) into the arrow span is an
-    isomorphism.  Returns both flags, both maps and the fibre product
+    isomorphism.  Returns both flags, the first map and the fibre product
     ``D`` = G0 x_{H0} H1."""
     g, h = F.src, F.dst
     D = fibre_product(F.F0, h.r)
@@ -187,21 +190,21 @@ def functor_surjectivity_tests(F):
                  {a: C.index[(D.index[(g.r(a), F.F1(a))], g.s(a))]
                   for a in g.arrows()})
     return {"essentially_surjective": is_cover(es_map),
-            "fully_faithful": is_iso(ff_map),
-            "es_map": es_map, "ff_map": ff_map, "D": D}
+            "fully_faithful": is_iso(ff_map), "es_map": es_map, "D": D}
 
 
 class Anafunctor:
-    """A cover p: X -> G0 plus a functor from the pulled-back groupoid."""
+    """A cover p: X -> G0 plus a functor F from the pulled-back groupoid
+    ``gx`` = ``pullback_groupoid(src, p)``, which is F.src."""
 
-    def __init__(self, src, dst, p, F, gx=None, hyper=None):
-        assert is_cover(p) and p.cod == src.G0
-        if gx is None:
-            gx, hyper = pullback_groupoid(src, p)
-        assert F.src == gx and F.dst == dst
+    def __init__(self, src, dst, p, F):
+        require_cover(p, "Anafunctor: p")
+        require_ends(p, F.src.G0, src.G0, "Anafunctor: p")
+        if F.dst != dst:
+            raise BoundaryMismatch("Anafunctor: F must land in %r" % (dst,))
         self.src, self.dst = src, dst
         self.X, self.p, self.F = p.dom, p, F
-        self.gx, self.hyper = gx, hyper
+        self.gx = F.src
 
     def F0(self, x):
         return self.F.F0(x)
@@ -215,16 +218,22 @@ class Anafunctor:
                                                  self.dst)
 
 
+def hypercover(g, p):
+    """The functor from the pullback groupoid of g along p down to g:
+    objects p, arrows the middle projection."""
+    gx = pullback_groupoid(g, p)
+    return Functor(gx, g, p, Mor(gx.G1, g.G1,
+                                 {e: t[1] for e, t in gx.triples.items()}))
+
+
 def identity_anafunctor(g):
-    gx, hyper = pullback_groupoid(g, identity(g.G0))
-    return Anafunctor(g, g, identity(g.G0), hyper, gx, hyper)
+    return Anafunctor(g, g, identity(g.G0), hypercover(g, identity(g.G0)))
 
 
 def anafunctor_from_functor(F):
     g = F.src
-    gx, hyper = pullback_groupoid(g, identity(g.G0))
     return Anafunctor(g, F.dst, identity(g.G0),
-                      compose_functors(F, hyper), gx, hyper)
+                      compose_functors(F, hypercover(g, identity(g.G0))))
 
 
 def compose_anafunctors(b, a):
@@ -234,7 +243,7 @@ def compose_anafunctors(b, a):
         raise NotComposable("anafunctor boundaries do not match")
     FP = fibre_product(a.F.F0, b.p)
     p13 = compose(a.p, FP.pr1)
-    gx13, hyper13 = pullback_groupoid(a.src, p13)
+    gx13 = pullback_groupoid(a.src, p13)
     F0 = compose(b.F.F0, FP.pr2)
     table = {}
     for e, (z1, g, z2) in gx13.triples.items():
@@ -243,9 +252,8 @@ def compose_anafunctors(b, a):
         hmid = a.F1t(x1, g, x2)
         table[e] = b.F1t(y1, hmid, y2)
     F13 = Functor(gx13, b.dst, F0, Mor(gx13.G1, b.dst.G1, table))
-    out = Anafunctor(a.src, b.dst, p13, F13, gx13, hyper13)
+    out = Anafunctor(a.src, b.dst, p13, F13)
     out.fp = FP
-    out.factors = (a, b)
     return out
 
 
@@ -262,10 +270,11 @@ class AnaNat:
     product of the carriers, valued in the codomain's arrows."""
 
     def __init__(self, from_, to, phi, fp=None):
-        assert from_.src == to.src and from_.dst == to.dst
+        if from_.src != to.src or from_.dst != to.dst:
+            raise BoundaryMismatch("AnaNat needs parallel anafunctors")
         if fp is None:
             fp = fibre_product(from_.p, to.p)
-        assert phi.dom == fp.apex and phi.cod == from_.dst.G1
+        require_ends(phi, fp.apex, from_.dst.G1, "AnaNat: phi")
         self.from_, self.to, self.phi, self.fp = from_, to, phi, fp
 
     def at(self, x1, x2):
@@ -303,8 +312,11 @@ def identity_ananat(a):
 
 
 def iso_to_ananat(a1, a2, phi):
-    """Turn an isomorphism of anafunctors into a 2-arrow."""
-    assert is_anafunctor_iso(a1, a2, phi)
+    """Turn an isomorphism of anafunctors into a 2-arrow; raises
+    NotNatural when phi is not one."""
+    if not is_anafunctor_iso(a1, a2, phi):
+        raise NotNatural("iso_to_ananat: phi = %r is not an isomorphism "
+                         "of anafunctors" % (phi,))
     fp = fibre_product(a1.p, a2.p)
     tbl = {e: a2.F1t(x2, a2.src.u(a2.p(x2)), phi(x1))
            for e, (x1, x2) in fp.pairing.items()}
@@ -366,7 +378,7 @@ class AnaIso:
         if not is_iso(functor.F1):
             raise NotAMorphism("AnaIso: F1 = %r is not an iso" % (functor.F1,))
         require(validate_functor(functor), NotAFunctor)
-        self.src, self.dst, self.Z = src, dst, p.dom
+        self.src, self.dst = src, dst
         self.p, self.q, self.functor = p, q, functor
 
 
@@ -376,13 +388,13 @@ def is_ana_equivalence(a):
     tests = functor_surjectivity_tests(a.F)
     flag = tests["essentially_surjective"] and tests["fully_faithful"]
     if not flag:
-        return {"flag": False, "witness": None, "tests": tests}
+        return {"flag": False, "witness": None}
     g, h = a.src, a.dst
     D, q2 = tests["D"], tests["es_map"]
     Z = D.apex
     p2 = compose(a.p, D.pr1)
-    gz, _ = pullback_groupoid(g, p2)
-    hz, _ = pullback_groupoid(h, q2)
+    gz = pullback_groupoid(g, p2)
+    hz = pullback_groupoid(h, q2)
     tbl = {}
     for e, (z1, gg, z2) in gz.triples.items():
         x1, h1 = D.pairing[z1]
@@ -391,7 +403,7 @@ def is_ana_equivalence(a):
         tbl[e] = hz.triple_index[(z1, hmid, z2)]
     functor = Functor(gz, hz, identity(Z), Mor(gz.G1, hz.G1, tbl))
     witness = AnaIso(g, h, p2, q2, functor)
-    return {"flag": True, "witness": witness, "tests": tests}
+    return {"flag": True, "witness": witness}
 
 
 def enumerate_functors(g, h):
@@ -465,32 +477,3 @@ def exists_ananat(a1, a2):
     if got is None:
         return None
     return AnaNat(a1, a2, Mor(fp.apex, h.G1, got), fp)
-
-
-def has_quasi_inverse(a, cap=4):
-    """Bounded search for an anafunctor quasi-inverse: all carriers up to
-    the cap, all covers, all functors.  Returns a quasi-inverse or None."""
-    from .site_core import Obj
-    g, h = a.src, a.dst
-    ida = identity_anafunctor(g)
-    idb = identity_anafunctor(h)
-    for n in range(1, cap + 1):
-        if h.G0.backend == "finset":
-            Y = Obj("finset", ["y%d" % i for i in range(n)])
-        else:
-            Y = Obj("fintop", ["y%d" % i for i in range(n)],
-                    {("y%d" % i): frozenset(["y%d" % i]) for i in range(n)})
-        for q in all_maps(Y, h.G0):
-            if not is_cover(q):
-                continue
-            gy, hy = pullback_groupoid(h, q)
-            for F in enumerate_functors(gy, g):
-                b = Anafunctor(h, g, q, F, gy, hy)
-                c1 = compose_anafunctors(b, a)
-                if exists_ananat(c1, ida) is None:
-                    continue
-                c2 = compose_anafunctors(a, b)
-                if exists_ananat(c2, idb) is None:
-                    continue
-                return b
-    return None

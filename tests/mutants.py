@@ -1,11 +1,15 @@
-"""Mutation table for the propagation of the exhaustive searches.
+"""Mutation table for the exhaustive searches and the axiom harness.
 
 Each row switches off one propagation or leaf check that a search on
-``site_core.backtrack`` keeps because it proves something, and names the
-tests that must then fail.  For each row the script copies ``src`` to a
+``site_core.backtrack`` keeps because it proves something, or one of the
+shortcuts of ``site_core.axiom_harness`` (the skip of the maps that are
+not first in their relabelling class, the keys of its pullback and chain
+memos, its kernel-pair cache and its budget stop), and names the tests
+that must then fail.  For each row the script copies ``src`` to a
 temporary directory, replaces the row's source text there, runs the named
 tests on the copy in a subprocess and prints whether they killed the
-mutant.  The same tests must first pass on an unmutated copy.  The repository itself is never edited.
+mutant.  The same tests must first pass on an unmutated copy.  The
+repository itself is never edited.
 
     python tests/mutants.py            # every row
     python tests/mutants.py links      # the rows whose name contains "links"
@@ -27,12 +31,17 @@ SRC = ROOT / "src"
 
 SEARCH_CORE = "tests/test_search_core.py::"
 POST = "tests/test_postconditions.py::"
+HARNESS = "tests/test_harness.py::"
+SKIP = "if whole and p is not None and first[info[id(p)][0]] is not p:"
+MEMO_TESTS = [HARNESS + "test_harness_matches_old_loops_on_every_other_map",
+              HARNESS + "test_whole_site_keys_only_first_covers"]
 
 # (name, module, source text, replacement, tests that must kill it)
 MUTANTS = [
     ("links", "action.py",
      "[(key(y, q), key(x, pq)) for q, pq in steps[p]]", "[]",
-     [SEARCH_CORE + "test_enumerate_actions_matches_brute_force_cyclic"]),
+     [SEARCH_CORE + "test_enumerate_actions_matches_brute_force_cyclic",
+      SEARCH_CORE + "test_enumerate_actions_matches_brute_force_cech"]),
     ("unit cells", "action.py",
      "cand.update((e, [x]) for e, x in units.items())", "pass",
      [SEARCH_CORE + "test_enumerate_actions_matches_brute_force_cech"]),
@@ -48,6 +57,22 @@ MUTANTS = [
     ("bibundle_compat leaf", "bibundle.py",
      "if passed(bibundle_compat(b)):", "if True:",
      [POST + "test_enumerated_bibundles_are_bibundles"]),
+    ("whole skip", "site_core.py",
+     SKIP, SKIP.replace("whole and ", ""),
+     [HARNESS + "test_sample_that_is_not_whole_walks_in_order"]),
+    ("never skip", "site_core.py",
+     SKIP, "if False:",
+     [HARNESS + "test_whole_site_keys_only_first_covers"]),
+    ("pullback memo", "site_core.py",
+     'k = "pullback", id(f), id(g)', 'k = "pullback", id(f)', MEMO_TESTS),
+    ("chain memo", "site_core.py",
+     'k = "chain", id(p), id(f)', 'k = "chain", id(p)', MEMO_TESTS),
+    ("kernel cache", "site_core.py",
+     "kernel = cache(kernel_pair)", "kernel = kernel_pair",
+     [HARNESS + "test_fibre_products_built"]),
+    ("budget stop", "site_core.py",
+     "if pos > bud.left:", "if pos >= bud.left:",
+     [HARNESS + "test_budget_boundary"]),
 ]
 
 

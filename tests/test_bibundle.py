@@ -28,8 +28,9 @@ from groupoidal.bibundle import (MiddleMismatch, NotABibundleFunctor,
                                  composite_class, composite_witness,
                                  decompose_actor, dual, enumerate_bibundles,
                                  functor_to_bibundle, imprimitivity,
-                                 left_unitor, right_unitor, roundtrip_ananat,
-                                 roundtrip_beta, validate_bibundle_map)
+                                 left_unitor, pullback_action, right_unitor,
+                                 roundtrip_ananat, roundtrip_beta,
+                                 validate_bibundle_map)
 
 
 def point_groupoid():
@@ -100,7 +101,7 @@ def test_generalized_functor_pullback(Z2, CECH2):
     the fibre product."""
     F = object_inclusion_functor(CECH2)
     Y = opposite(canonical_action(CECH2))
-    pulled = functor_to_bibundle(F, Y=Y)
+    pulled = pullback_action(F, Y)
     assert pulled.side == "left"
     assert len(pulled.X) == 1
 
@@ -279,8 +280,8 @@ def test_right_actions_are_read_as_left(Z2, CECH2):
     u, y = unit_bibundle(Z2), canonical_action(Z2)
     assert act_on(u, y).mult == act_on(u, opposite(y)).mult
     F, Y = object_inclusion_functor(CECH2), canonical_action(CECH2)
-    assert functor_to_bibundle(F, Y=Y).mult == \
-        functor_to_bibundle(F, Y=opposite(Y)).mult
+    assert pullback_action(F, Y).mult == \
+        pullback_action(F, opposite(Y)).mult
 
 
 ACT_ON_NON_BASIC_CASE = """

@@ -11,7 +11,7 @@ from groupoidal.groupoid import (MAX_CYCLIC_ORDER, Groupoid, NotAssociative,
                                  from_multiplication, pair_groupoid,
                                  pullback_groupoid, shear_maps,
                                  unit_groupoid, validate_groupoid)
-from groupoidal.morphism import validate_functor
+from groupoidal.morphism import hypercover, validate_functor
 
 
 def test_cyclic_groupoids_validate():
@@ -111,7 +111,7 @@ def test_from_multiplication_matches_old_loops(monkeypatch, S3, CECH2, Z4):
     the shear check passed over, an idempotent e beside the unit 1x at x
     is named as the old loops name it: e has two left units."""
     for g in (CECH2, Z4, pair_groupoid(S3), pullback_groupoid(
-            Z4, to_terminal(S3))[0]):
+            Z4, to_terminal(S3))):
         got = from_multiplication(g.G0, g.G1, g.r, g.s, g.m)
         assert (got.u.table, got.i.table) == old_unit_and_inverse(
             g.G1, g.r, g.s, g.m)
@@ -163,7 +163,9 @@ def test_multiplication_is_cover(CECH2, Z2):
 
 def test_pullback_groupoid(Z2, S3):
     p = to_terminal(S3)
-    gx, hyper = pullback_groupoid(Z2, p)
+    hyper = hypercover(Z2, p)
+    gx = hyper.src
+    assert gx == pullback_groupoid(Z2, p)
     assert len(gx.G0) == 3 and len(gx.G1) == 18
     assert passed(validate_groupoid(gx))
     assert passed(validate_functor(hyper))
@@ -176,10 +178,10 @@ def test_iterated_pullback_agrees(Z2, S2, S3):
     """Pulling back along two covers in stages matches pulling back along
     the composite, up to the canonical renaming of triples."""
     p = to_terminal(S2)
-    g1, _ = pullback_groupoid(Z2, p)
+    g1 = pullback_groupoid(Z2, p)
     q = Mor(S3, S2, {"c": "a", "d": "a", "e": "b"})
-    g2, _ = pullback_groupoid(g1, q)
-    direct, _ = pullback_groupoid(Z2, compose(p, q))
+    g2 = pullback_groupoid(g1, q)
+    direct = pullback_groupoid(Z2, compose(p, q))
     assert len(g2.G1) == len(direct.G1)
     # match arrows through their decoded boundary data and middle arrow
     seen = set()

@@ -10,11 +10,10 @@ indexes rather than by comparing ends; every groupoid but the given
 multiplication of ``from_multiplication`` is built by ``build_groupoid``;
 no relative import in the package is left unused; no constructor
 re-checks its output with an ``assert`` on a validator, nor does any code
-catch ``AssertionError``; ``site_core``, ``nerve``, ``action`` and
-``bibundle`` hold no ``assert`` at all, and the harness ticks its budget
-from the one walk every axiom runs; the command line reads the model
-language from tables, branching on no declaration kind or constructor
-name; and each row of the mutation table in ``tests/mutants.py`` names
+catch ``AssertionError``; the package holds no ``assert`` at all, and
+the harness ticks its budget from the one walk every axiom runs; the
+command line reads the model language from tables, branching on no
+declaration kind or constructor name; and each row of the mutation table in ``tests/mutants.py`` names
 source text that occurs once in the package.
 """
 
@@ -132,30 +131,12 @@ def asserts_in(name):
             if isinstance(node, ast.Assert)]
 
 
-def test_no_assert_in_site_core():
-    """Every argument check in ``site_core`` raises a typed error, so it
-    holds under ``python -O``."""
-    assert asserts_in("site_core.py") == []
-
-
-def test_no_assert_in_nerve():
-    """``NSimplex``, ``restrict_simplex`` and ``unique_inner3_check``
-    reject bad indices and ends with ``BoundaryMismatch``, not ``assert``."""
-    assert asserts_in("nerve.py") == []
-
-
-def test_no_assert_in_action():
-    """The constructors of actions, equivariant maps, bibundles and actors,
-    ``action_fibre_product`` and ``actor_apply`` reject bad arguments with
-    ``BoundaryMismatch``, not ``assert``."""
-    assert asserts_in("action.py") == []
-
-
-def test_no_assert_in_bibundle():
-    """``functor_to_bibundle`` rejects a carrier of another groupoid with
-    ``BoundaryMismatch`` and ``enumerate_bibundles`` a finite space with
-    ``BackendMismatch``, not with ``assert``."""
-    assert asserts_in("bibundle.py") == []
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_in(path):
+    """Every argument check in the package raises a typed ``SiteError``
+    (mostly through ``site_core.require_ends`` and ``require_cover``), so
+    it holds under ``python -O``."""
+    assert asserts_in(path.name) == []
 
 
 def test_mutant_rows_match_the_source_once():

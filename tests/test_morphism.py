@@ -14,13 +14,15 @@ from groupoidal.morphism import (AnaNat, Anafunctor, Functor, NatTrans,
                                  compose_nat, compose_ananat,
                                  enumerate_functors, exists_ananat,
                                  functor_surjectivity_tests,
-                                 has_quasi_inverse, identity_anafunctor,
+                                 identity_anafunctor,
                                  identity_ananat, identity_functor,
                                  identity_nat, is_ana_equivalence,
                                  is_anafunctor_iso, iso_to_ananat,
                                  nat_inverse, section_product,
                                  validate_ananat, validate_functor,
                                  validate_nat)
+from groupoidal.bibundle import (beta_ana_to_bibundle,
+                                 brute_force_quasi_inverse)
 
 
 def unit_inclusion(Z2):
@@ -158,7 +160,7 @@ def test_identity_anafunctor_is_equivalence(Z2, CECH2):
 def test_unit_inclusion_anafunctor_not_equivalence(Z2):
     a = anafunctor_from_functor(unit_inclusion(Z2))
     assert not is_ana_equivalence(a)["flag"]
-    assert has_quasi_inverse(a, cap=2) is None
+    assert brute_force_quasi_inverse(beta_ana_to_bibundle(a), cap=2) is None
 
 
 def test_hypercover_anafunctor_equivalence(p2, CECH2):
@@ -170,7 +172,7 @@ def test_hypercover_anafunctor_equivalence(p2, CECH2):
                    Mor(CECH2.G1, pt.G1, {e: "*" for e in CECH2.G1.elements}))
     a = anafunctor_from_functor(quot)
     assert is_ana_equivalence(a)["flag"]
-    q = has_quasi_inverse(a, cap=2)
+    q = brute_force_quasi_inverse(beta_ana_to_bibundle(a), cap=2)
     assert q is not None
 
 
@@ -254,10 +256,10 @@ def test_broken_ananat_keeps_its_witness(CECH2, Z2, wrong):
     failing case is the old loops' first."""
     X = make_finset(["a1", "a2", "b1", "b2"])
     p = Mor(X, CECH2.G0, {x: x[0] for x in X.elements})
-    gx, hyper = pullback_groupoid(CECH2, p)
+    gx = pullback_groupoid(CECH2, p)
     F = Functor(gx, Z2, to_terminal(X), Mor(gx.G1, Z2.G1, {
         e: "0" for e in gx.G1.elements}))
-    a = Anafunctor(CECH2, Z2, p, F, gx, hyper)
+    a = Anafunctor(CECH2, Z2, p, F)
     fp = fibre_product(p, p)
     t = AnaNat(a, a, Mor(fp.apex, Z2.G1, {
         e: "1" if e == wrong else "0" for e in fp.apex.elements}), fp)

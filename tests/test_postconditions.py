@@ -25,7 +25,7 @@ from groupoidal.site_core import (BackendMismatch, Mor, NotACover,
                                   passed, terminal, to_terminal)
 from groupoidal.backends import all_finspaces, make_finset
 from groupoidal.groupoid import (BoundaryEquationFails, BoundaryMismatch,
-                                 InverseNotUnique, UnitNotUnique,
+                                 Groupoid, InverseNotUnique, UnitNotUnique,
                                  cech_groupoid, cyclic_groupoid,
                                  from_multiplication, pair_groupoid,
                                  pullback_groupoid, unit_groupoid,
@@ -40,16 +40,18 @@ from groupoidal.action import (Action, Actor, Bibundle, GMap, NotAnAction,
                                unit_bibundle, validate_action, validate_actor,
                                validate_bibundle, validate_gmap)
 from groupoidal.bundle import (basic_witness_functor,
-                               cech_action_reconstruction, is_basic)
-from groupoidal.morphism import (AnaIso, Functor, NatTrans, NotAFunctor,
-                                 NotNatural, ad_bisection,
+                               cech_action_reconstruction, check_principal,
+                               induced_base_map, is_basic, pullback_bundle)
+from groupoidal.morphism import (AnaIso, AnaNat, Anafunctor, Functor,
+                                 NatTrans, NotAFunctor, NotNatural,
+                                 ad_bisection, bisection_inverse,
                                  anafunctor_from_functor, ananat_inverse,
                                  compose_anafunctors, compose_ananat,
                                  enumerate_functors, exists_ananat,
                                  functor_surjectivity_tests,
                                  identity_anafunctor, identity_ananat,
                                  identity_functor, is_ana_equivalence,
-                                 nat_inverse, validate_ananat,
+                                 iso_to_ananat, nat_inverse, validate_ananat,
                                  validate_functor)
 from groupoidal.bibundle import (act_on, actor_to_bibundle, associator,
                                  balanced_product, beta_ana_to_bibundle,
@@ -58,8 +60,9 @@ from groupoidal.bibundle import (act_on, actor_to_bibundle, associator,
                                  compose_bibundles, composite_witness,
                                  decompose_actor, dual, enumerate_bibundles,
                                  functor_to_bibundle, imprimitivity,
-                                 left_unitor, right_unitor, roundtrip_ananat,
-                                 roundtrip_beta, validate_bibundle_map)
+                                 left_unitor, pullback_action, right_unitor,
+                                 roundtrip_ananat, roundtrip_beta,
+                                 two_sided_iso, validate_bibundle_map)
 from groupoidal.nerve import (NSimplex, horn_fill_inner2, restrict_simplex,
                               simplex_from_bibundle, simplex_from_groupoid,
                               unique_inner3_check, validate_simplex)
@@ -119,7 +122,7 @@ def built_groupoids(S2, S3, p2, p3, SIER):
              (cech_groupoid(p2), onto_s2),
              (cech_groupoid(p2), identity(S2)),
              (cyclic_groupoid(2, "fintop"), to_terminal(SIER))]
-    out += [pullback_groupoid(g, p)[0] for g, p in bases]
+    out += [pullback_groupoid(g, p) for g, p in bases]
     return out
 
 
@@ -263,7 +266,7 @@ def small_functors(Z2, CECH2):
 def test_functor_to_bibundle(Z2, CECH2):
     """A bibundle, a bibundle functor, covering exactly when F is
     essentially surjective and an equivalence exactly when F is also
-    fully faithful; the generalized pullback is an action."""
+    fully faithful; ``pullback_action`` builds an action."""
     functors = small_functors(Z2, CECH2)
     assert len(functors) > 10
     for F in functors:
@@ -275,7 +278,7 @@ def test_functor_to_bibundle(Z2, CECH2):
         assert flags["is_equivalence"] == (tests["essentially_surjective"]
                                            and tests["fully_faithful"])
         for Y in (canonical_action(F.dst), translations(F.dst)[0]):
-            assert passed(validate_action(functor_to_bibundle(F, Y=Y)))
+            assert passed(validate_action(pullback_action(F, Y)))
 
 
 def test_duals_and_composites(pool, Z2, Z4, CECH2):
@@ -306,8 +309,8 @@ def functor_bibundles(pool):
 
 
 def test_anafunctor_round_trips(monkeypatch, pool):
-    """bibundle_to_anafunctor: the functor and the two-sided iso are
-    functors, the latter an iso on arrows; beta_ana_to_bibundle: the
+    """bibundle_to_anafunctor: a functor; two_sided_iso: a functor that
+    is an iso on arrows; beta_ana_to_bibundle: the
     action it takes orbits of is an action and the result a bibundle;
     roundtrip_beta: an iso of bibundles; roundtrip_ananat: a 2-arrow with
     an inverse."""
@@ -317,8 +320,9 @@ def test_anafunctor_round_trips(monkeypatch, pool):
     for name, x in named.items():
         ana = bibundle_to_anafunctor(x)
         assert passed(validate_functor(ana.F)), name
-        assert passed(validate_functor(ana.two_sided_iso)), name
-        assert is_iso(ana.two_sided_iso.F1), name
+        iso = two_sided_iso(x, ana)
+        assert passed(validate_functor(iso)), name
+        assert is_iso(iso.F1), name
         assert passed(validate_bibundle(beta_ana_to_bibundle(ana))), name
         out = roundtrip_beta(x)
         assert is_iso(out["iso"]), name
@@ -668,9 +672,73 @@ def test_ana_iso_rejects_bad_covers_and_non_isos(Z2, S2):
         AnaIso(Z2, Z2, one, one, collapse)
 
 
+def test_morphism_constructors_reject_bad_ends(Z2, Z4, S2):
+    """Functor, NatTrans, Anafunctor, AnaNat and ad_bisection check their
+    arguments' ends with typed errors, so ``python -O`` rejects the same
+    arguments; F1 on the arrows of Z/2 for a functor out of Z/4 used to be
+    accepted under ``-O``."""
+    idZ2 = identity_functor(Z2)
+    a = identity_anafunctor(Z2)
+    bad = {
+        "^Functor: F1": lambda: Functor(Z4, Z2, identity(Z2.G0),
+                                        identity(Z2.G1)),
+        "parallel functors": lambda: NatTrans(idZ2, identity_functor(Z4),
+                                              Z2.u),
+        "^NatTrans: phi": lambda: NatTrans(idZ2, idZ2, identity(Z2.G1)),
+        "^Anafunctor: p": lambda: Anafunctor(Z2, Z2, to_terminal(S2), a.F),
+        "^Anafunctor: F must land": lambda: Anafunctor(Z2, Z4, a.p, a.F),
+        "parallel anafunctors": lambda: AnaNat(a, identity_anafunctor(Z4),
+                                               identity(a.X)),
+        "^AnaNat: phi": lambda: AnaNat(a, a, identity(a.X)),
+        "^ad_bisection: phi": lambda: ad_bisection(Z2, identity(Z2.G1)),
+    }
+    for match, make in bad.items():
+        with pytest.raises(BoundaryMismatch, match=match):
+            make()
+    with pytest.raises(NotACover, match="^Anafunctor: p"):
+        Anafunctor(Z2, Z2, Mor(make_finset([]), Z2.G0, {}), a.F)
+
+
+def test_iso_to_ananat_and_bisection_inverse_reject_non_isos(CECH2):
+    """The swap of the two objects of the Čech groupoid of S2 does not
+    commute with the identity anafunctor's cover, and the section that
+    sends both objects to arrows out of b is no bisection: each used to
+    be turned into a 2-arrow or an inverse under ``python -O``."""
+    a = identity_anafunctor(CECH2)
+    swap = Mor(a.X, a.X, {"a": "b", "b": "a"})
+    with pytest.raises(NotNatural, match="^iso_to_ananat"):
+        iso_to_ananat(a, a, swap)
+    k = CECH2.kernel.index
+    phi = Mor(CECH2.G0, CECH2.G1, {"a": k[("b", "a")], "b": k[("b", "b")]})
+    assert ad_bisection(CECH2, phi)["is_section"]
+    with pytest.raises(NotAMorphism, match="^bisection_inverse"):
+        bisection_inverse(CECH2, phi)
+
+
+def test_groupoid_and_bundle_constructors_reject_bad_ends(Z2, S2, SWAP):
+    """Groupoid, check_principal, pullback_bundle and induced_base_map
+    check their arguments' ends with ``BoundaryMismatch``."""
+    b = is_basic(SWAP)["bundle"]
+    other = is_basic(translations(Z2)[1])["bundle"]
+    same = GMap(SWAP, SWAP, identity(S2))
+    bad = {
+        "^Groupoid: u": lambda: Groupoid(Z2.G0, Z2.G1, Z2.r, Z2.s, Z2.m,
+                                         Z2.i, Z2.u),
+        "^Groupoid: m": lambda: Groupoid(Z2.G0, Z2.G1, Z2.r, Z2.s, Z2.i,
+                                         Z2.u, Z2.i),
+        "^check_principal: proj": lambda: check_principal(
+            SWAP, identity(Z2.G0)),
+        "^pullback_bundle: f": lambda: pullback_bundle(b, identity(S2)),
+        "^induced_base_map: f": lambda: induced_base_map(same, b, other),
+    }
+    for match, make in bad.items():
+        with pytest.raises(BoundaryMismatch, match=match):
+            make()
+
+
 def test_bibundle_constructors_reject_bad_arguments(Z2, Z4):
     with pytest.raises(BoundaryMismatch, match="target of F"):
-        functor_to_bibundle(identity_functor(Z2), translations(Z4)[0])
+        pullback_action(identity_functor(Z2), translations(Z4)[0])
     with pytest.raises(BackendMismatch, match="finite sets"):
         next(enumerate_bibundles(cyclic_groupoid(2, "fintop"), Z2))
 

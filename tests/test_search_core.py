@@ -110,7 +110,7 @@ def test_enumerate_actions_matches_brute_force_cech(side):
     A = make_finset(["a", "b", "c"])
     B = make_finset(["u", "v"])
     g = cech_groupoid(Mor(A, B, {"a": "u", "b": "u", "c": "v"}))
-    X = make_finset(["p", "q"])
+    X = make_finset(["p", "q", "r"])
     total = 0
     for anchor in all_maps(X, g.G0):
         want = reference_actions(g, X, anchor, side)
