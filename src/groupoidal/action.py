@@ -352,7 +352,6 @@ def two_sided_transformation_groupoid(b):
         mul, lambda x: index[(g.u(b.r_anchor(x)), x, h.u(b.s_anchor(x)))],
         inv)
     t.triples = triples
-    t.triple_index = index
     return t
 
 

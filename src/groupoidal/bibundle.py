@@ -13,16 +13,17 @@ map that is constant on orbits into a map out of the orbit space.
 
 from .site_core import (BackendMismatch, BoundaryMismatch, Mor, NotAMorphism,
                         NotWellDefined, SiteError, all_maps, backtrack,
-                        compose, descend, fibre_product, first_failure,
-                        group_by, identity, is_cover, is_iso, passed, require,
-                        triple_product, witness_finding)
+                        compose, descend, fibre_product, group_by, identity,
+                        is_cover, is_iso, passed, require, require_ends,
+                        triple_product)
 from .backends import make_finset
 from .groupoid import (build_groupoid, cech_groupoid, pullback_groupoid,
                        unit_groupoid)
-from .action import (Actor, Bibundle, NotAnActor, bibundle_compat,
-                     build_action, enumerate_actions, is_invariant, on_side,
-                     opposite, transformation_groupoid, translations,
-                     two_sided_transformation_groupoid, unit_bibundle)
+from .action import (Actor, Bibundle, GMap, NotAnActor, bibundle_compat,
+                     build_action, enumerate_actions, on_side, opposite,
+                     transformation_groupoid, translations,
+                     two_sided_transformation_groupoid, unit_bibundle,
+                     validate_gmap)
 from .bundle import (NotBasic, NotPrincipal, PrincipalBundle, check_principal,
                      is_basic, orbit_space)
 from .morphism import (AnaNat, Anafunctor, Functor, NotAFunctor, NotComposable,
@@ -63,19 +64,10 @@ def actor_orbits(x):
 
 
 def validate_bibundle_map(x, y, f):
-    """An equivariant map of bibundles over both anchors."""
-    return [
-        witness_finding("anchors-over", first_failure(
-            (e, y.r_anchor(f(e)) == x.r_anchor(e)
-             and y.s_anchor(f(e)) == x.s_anchor(e))
-            for e in x.X.elements)),
-        witness_finding("left-equivariance", first_failure(
-            (e, f(x.lact(gel, xe)) == y.lact(gel, f(xe)))
-            for e, (gel, xe) in x.left.pairs.pairing.items())),
-        witness_finding("right-equivariance", first_failure(
-            (e, f(x.ract(xe, hel)) == y.ract(f(xe), hel))
-            for e, (xe, hel) in x.right.pairs.pairing.items())),
-    ]
+    """An equivariant map of bibundles: a map of the left actions and of
+    the right actions, so over both anchors."""
+    return (validate_gmap(GMap(x.left, y.left, f))
+            + validate_gmap(GMap(x.right, y.right, f)))
 
 
 def dual(x):
@@ -193,7 +185,6 @@ def beta_ana_to_bibundle(a):
     right = build_action(h, Z, r_anchor, "right", rrule)
     out = Bibundle(g, h, left, right)
     out.triples = triples
-    out.triple_index = index
     out.triple_proj = coeq.proj
     return out
 
@@ -292,10 +283,8 @@ def quotient_by_middle(x, y):
 
 def compose_bibundles(x, y):
     """The orbit space of the diagonal middle action on the fibre product
-    of carriers, with the surviving outer actions.
-
-    The middle action is always checked to be basic directly.
-    """
+    of carriers, with the surviving outer actions; raises NotComposable
+    when the middle action is not basic."""
     if x.h != y.g:
         raise MiddleMismatch("middle groupoids differ")
     FP, res, left = quotient_by_middle(x, y.left)
@@ -320,42 +309,60 @@ def composite_class(c, xe, ye):
     return c.middle_proj(c.middle.index[(xe, ye)])
 
 
+def from_composite(c, cod, value):
+    """The map out of the composite bibundle c that sends the class
+    [xe, ye] to value(xe, ye); raises NotWellDefined when value is not
+    constant on classes."""
+    return descend(c.X, cod, ((c.middle_proj(e), value(xe, ye))
+                              for e, (xe, ye) in c.middle.pairing.items()))
+
+
+def composite_fault(c, w, m):
+    """None when m, a map from the middle fibre product of the composite
+    c to the carrier of w, descends to an isomorphism of bibundles c -> w;
+    else "not invariant" or why the descended map is not one."""
+    try:
+        f = from_composite(c, w.X, lambda xe, ye: m(c.middle.index[(xe, ye)]))
+    except NotWellDefined:
+        return "not invariant"
+    if not (is_iso(f) and passed(validate_bibundle_map(c, w, f))):
+        return "not an isomorphism of bibundles"
+    return None
+
+
 def induced_composite_map(c1, c2, f, g):
     """f x g on composites, descending [x, y] to [f x, g y]."""
-    return descend(c1.X, c2.X,
-                   ((c1.middle_proj(e), composite_class(c2, f(xe), g(ye)))
-                    for e, (xe, ye) in c1.middle.pairing.items()))
+    return from_composite(c1, c2.X,
+                          lambda xe, ye: composite_class(c2, f(xe), g(ye)))
 
 
 def associator(x, y, z):
-    """The canonical isomorphism (x∘y)∘z ≅ x∘(y∘z)."""
+    """The canonical isomorphism (x∘y)∘z ≅ x∘(y∘z).  A class of x∘y is
+    named by a pair (xe, ye) of its own, so [[xe, ye], ze] goes to
+    [xe, [ye, ze]]."""
     c1 = compose_bibundles(x, y)
     c12 = compose_bibundles(c1, z)
     c2 = compose_bibundles(y, z)
     c21 = compose_bibundles(x, c2)
-    over = group_by(z.X.elements, z.r_anchor)
-    iso = descend(c12.X, c21.X, (
-        (composite_class(c12, c1.middle_proj(e), ze),
-         composite_class(c21, xe, composite_class(c2, ye, ze)))
-        for e, (xe, ye) in c1.middle.pairing.items()
-        for ze in over.get(y.s_anchor(ye), ())))
-    return {"iso": iso, "left": c12, "right": c21}
+
+    def value(cl, ze):
+        xe, ye = c1.middle.pairing[cl]
+        return composite_class(c21, xe, composite_class(c2, ye, ze))
+
+    return {"iso": from_composite(c12, c21.X, value), "left": c12,
+            "right": c21}
 
 
 def left_unitor(x):
     """G1 ∘ x ≅ x by acting."""
     c = compose_bibundles(unit_bibundle(x.g), x)
-    iso = descend(c.X, x.X, ((c.middle_proj(e), x.lact(gel, xe))
-                             for e, (gel, xe) in c.middle.pairing.items()))
-    return {"iso": iso, "composite": c}
+    return {"iso": from_composite(c, x.X, x.lact), "composite": c}
 
 
 def right_unitor(x):
     """x ∘ H1 ≅ x by acting."""
     c = compose_bibundles(x, unit_bibundle(x.h))
-    iso = descend(c.X, x.X, ((c.middle_proj(e), x.ract(xe, hel))
-                             for e, (xe, hel) in c.middle.pairing.items()))
-    return {"iso": iso, "composite": c}
+    return {"iso": from_composite(c, x.X, x.ract), "composite": c}
 
 
 def check_inverse(x):
@@ -366,16 +373,13 @@ def check_inverse(x):
         lb = PrincipalBundle(x.left, x.s_anchor)
     except NotPrincipal:
         raise NotAnEquivalence("bibundle is not an equivalence") from None
-    g, h = x.g, x.h
     xd = dual(x)
     c1 = compose_bibundles(x, xd)
     # the unique g with g·x2 = x1
-    iso1 = descend(c1.X, g.G1, ((c1.middle_proj(e), lb.solve(x2, x1))
-                                for e, (x1, x2) in c1.middle.pairing.items()))
+    iso1 = from_composite(c1, x.g.G1, lambda x1, x2: lb.solve(x2, x1))
     c2 = compose_bibundles(xd, x)
     # the unique h with x1·h = x2
-    iso2 = descend(c2.X, h.G1, ((c2.middle_proj(e), rb.solve(x1, x2))
-                                for e, (x1, x2) in c2.middle.pairing.items()))
+    iso2 = from_composite(c2, x.h.G1, rb.solve)
     return {"iso1": iso1, "iso2": iso2, "c1": c1, "c2": c2}
 
 
@@ -423,10 +427,8 @@ def decompose_actor(x):
     equiv = Bibundle(K, h, leftK, x.right)
 
     c = compose_bibundles(actor_to_bibundle(actor), equiv)
-    iso = descend(c.X, x.X, ((c.middle_proj(e), equiv.lact(ke, xe))
-                             for e, (ke, xe) in c.middle.pairing.items()))
-    return {"k": K, "actor": actor, "equiv": equiv, "iso": iso,
-            "composite": c}
+    return {"k": K, "actor": actor, "equiv": equiv,
+            "iso": from_composite(c, x.X, equiv.lact), "composite": c}
 
 
 def imprimitivity(x):
@@ -465,37 +467,16 @@ def imprimitivity(x):
 
 
 def composite_witness(x, y, w, m):
-    """True iff the invariant equivariant map m on the middle fibre
-    product presents w as the composite of x and y."""
+    """True iff m, a map from the middle fibre product of x and y to the
+    carrier of w, presents w as the composite of x and y: it descends to
+    an isomorphism of bibundles (``composite_fault``).  Raises
+    NotComposable, as ``compose_bibundles`` does, when the middle action
+    is not basic."""
     if x.h != y.g or x.g != w.g or y.h != w.h:
         raise BoundaryMismatch("bibundle chain does not match w")
-    FP, diag = balanced_product(x.right, y.left)
-    if m.dom != FP.apex or m.cod != w.X:
-        raise BoundaryMismatch("m must go from the middle fibre product to w")
-    if not is_invariant(diag, m):
-        return False
-    # equivariance on the two outer sides
-    for e, (xe, ye) in FP.pairing.items():
-        for gel in x.g.arrows():
-            if x.g.s(gel) == x.r_anchor(xe):
-                e2 = FP.index[(x.lact(gel, xe), ye)]
-                if m(e2) != w.lact(gel, m(e)):
-                    return False
-        for kel in y.h.arrows():
-            if y.h.r(kel) == y.s_anchor(ye):
-                e2 = FP.index[(xe, y.ract(ye, kel))]
-                if m(e2) != w.ract(m(e), kel):
-                    return False
-        if w.r_anchor(m(e)) != x.r_anchor(xe) or \
-                w.s_anchor(m(e)) != y.s_anchor(ye):
-            return False
     c = compose_bibundles(x, y)
-    try:
-        induced = descend(c.X, w.X, ((c.middle_proj(e), m(e))
-                                     for e in FP.apex.elements))
-    except NotWellDefined:
-        return False
-    return is_iso(induced)
+    require_ends(m, c.middle.apex, w.X, "composite_witness: m")
+    return composite_fault(c, w, m) is None
 
 
 def act_on(x, y):
@@ -505,10 +486,7 @@ def act_on(x, y):
         raise NotAnActor("bibundle is not an actor")
     if y.g != x.h:
         raise MiddleMismatch("y is not an action of the actor's target")
-    FP, res, out = quotient_by_middle(x, y)
-    out.middle = FP
-    out.middle_proj = res["orbits"].proj
-    return out
+    return quotient_by_middle(x, y)[2]
 
 
 def bibundle_isomorphic(b1, b2):

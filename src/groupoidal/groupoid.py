@@ -87,7 +87,7 @@ class Groupoid:
         return "Groupoid(|G0|=%d, |G1|=%d)" % (len(self.G0), len(self.G1))
 
 
-def shear_maps(G0, G1, r, s, m, pairs):
+def shear_maps(r, s, m, pairs):
     """The two maps built from multiplication whose invertibility makes a
     multiplication-only structure a groupoid: (x, g) -> (g, x·g) into the
     fibre product over s, s, and (g, x) -> (g, g·x) into the one over r, r."""
@@ -141,7 +141,7 @@ def validate_groupoid(g):
             for a, b in g.pairs.pairing.values())),
     ]
     try:
-        sh1, sh2 = shear_maps(g.G0, g.G1, g.r, g.s, g.m, g.pairs)
+        sh1, sh2 = shear_maps(g.r, g.s, g.m, g.pairs)
         out.append(witness_finding(
             "shear-right-iso", None if is_iso(sh1) else "not invertible"))
         out.append(witness_finding(
@@ -181,7 +181,7 @@ def from_multiplication(G0, G1, r, s, m):
             for c in by_range.get(s(b), ()):
                 if mul(mul(a, b), c) != mul(a, mul(b, c)):
                     raise NotAssociative("(%s, %s, %s)" % (a, b, c))
-    sh1, sh2 = shear_maps(G0, G1, r, s, m, pairs)
+    sh1, sh2 = shear_maps(r, s, m, pairs)
     if not is_iso(sh1):
         raise ShearNotIso("(x, g) -> (g, x·g)")
     if not is_iso(sh2):

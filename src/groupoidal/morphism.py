@@ -202,6 +202,11 @@ class Anafunctor:
         require_ends(p, F.src.G0, src.G0, "Anafunctor: p")
         if F.dst != dst:
             raise BoundaryMismatch("Anafunctor: F must land in %r" % (dst,))
+        r, s, t = src.r.table, src.s.table, getattr(F.src, "triples", None)
+        if t is None or any((r.get(g), s.get(g)) != (p(x1), p(x2))
+                            for x1, g, x2 in t.values()):
+            raise BoundaryMismatch("Anafunctor: F must start at a pullback "
+                                   "groupoid of %r over p" % (src,))
         self.src, self.dst = src, dst
         self.X, self.p, self.F = p.dom, p, F
         self.gx = F.src
@@ -258,8 +263,8 @@ def compose_anafunctors(b, a):
 
 
 def is_anafunctor_iso(a1, a2, phi):
-    """phi: X1 -> X2 commuting with the covers and the functors."""
-    return (compose(a2.p, phi) == a1.p
+    """phi: X1 -> X2, a bijection commuting with both covers and functors."""
+    return (compose(a2.p, phi) == a1.p and is_iso(phi)
             and all(a2.F0(phi(x)) == a1.F0(x) for x in a1.X.elements)
             and all(a2.F1t(phi(x1), h, phi(x2)) == a1.F1t(x1, h, x2)
                     for x1, h, x2 in a1.gx.triples.values()))
@@ -281,29 +286,30 @@ class AnaNat:
         return self.phi(pair_id(x1, x2))
 
 
+def naturality_squares(a1, a2, fp):
+    """(g, e1, e2, f1, f2) for each square t(e1)·f1 = f2·t(e2) of a 2-arrow
+    on fp = X1 x X2: e1 = (x1, x2) over r(g), e2 = (x3, x4) over s(g),
+    f1 = F1(x1, g, x3) and f2 = F2(x2, g, x4)."""
+    src = a1.src
+    over = group_by(fp.apex.elements, lambda e: a1.p(fp.pairing[e][0]))
+    for g in src.arrows():
+        for e1 in over.get(src.r(g), ()):
+            x1, x2 = fp.pairing[e1]
+            for e2 in over.get(src.s(g), ()):
+                x3, x4 = fp.pairing[e2]
+                yield g, e1, e2, a1.F1t(x1, g, x3), a2.F1t(x2, g, x4)
+
+
 def validate_ananat(t):
-    a1, a2 = t.from_, t.to
-    h = a1.dst
-
-    fibre1 = group_by(a1.X.elements, a1.p)
-    fibre2 = group_by(a2.X.elements, a2.p)
-
-    def naturality_cases():
-        for g in a1.src.arrows():
-            rg, sg = a1.src.r(g), a1.src.s(g)
-            for x1 in fibre1.get(rg, ()):
-                for x2 in fibre2.get(rg, ()):
-                    for x3 in fibre1.get(sg, ()):
-                        for x4 in fibre2.get(sg, ()):
-                            lhs = h.mul(t.at(x1, x2), a1.F1t(x1, g, x3))
-                            rhs = h.mul(a2.F1t(x2, g, x4), t.at(x3, x4))
-                            yield (x1, x2, g, x3, x4), lhs == rhs
-
+    a1, a2, h, pairing = t.from_, t.to, t.from_.dst, t.fp.pairing
     return [
         witness_finding("anchor", first_failure(
             (e, h.s(t.phi(e)) == a1.F0(x1) and h.r(t.phi(e)) == a2.F0(x2))
-            for e, (x1, x2) in t.fp.pairing.items())),
-        witness_finding("naturality", first_failure(naturality_cases())),
+            for e, (x1, x2) in pairing.items())),
+        witness_finding("naturality", first_failure(
+            ((*pairing[e1], g, *pairing[e2]),
+             h.mul(t.phi(e1), f1) == h.mul(f2, t.phi(e2)))
+            for g, e1, e2, f1, f2 in naturality_squares(a1, a2, t.fp))),
     ]
 
 
@@ -443,31 +449,21 @@ def enumerate_functors(g, h):
 def exists_ananat(a1, a2):
     """Is there any 2-arrow between these parallel anafunctors?  (Every
     2-arrow is invertible, so existence is mutual isomorphism.)  Each
-    naturality square t(e1)·f1 = f2·t(e2) determines either corner from
-    the other."""
+    naturality square t(e1)·f1 = f2·t(e2) forces t(e2) from t(e1); as
+    functors preserve inverses, the square of g⁻¹ forces t(e1) from t(e2)."""
     h = a1.dst
     fp = fibre_product(a1.p, a2.p)
     elems = list(fp.apex.elements)
     ends = group_by(h.arrows(), lambda v: (h.s(v), h.r(v)))
-    cand = {}
-    for e in elems:
-        x1, x2 = fp.pairing[e]
-        cand[e] = ends.get((a1.F0(x1), a2.F0(x2)))
-        if cand[e] is None:
-            return None
+    cand = {e: ends.get((a1.F0(x1), a2.F0(x2)))
+            for e, (x1, x2) in fp.pairing.items()}
+    if None in cand.values():
+        return None
 
-    # the pairs (x1, x2) of the joint carrier by the base point of x1
-    over = group_by(elems, lambda e: a1.p(fp.pairing[e][0]))
     squares = {e: [] for e in elems}
-    for g in a1.src.arrows():
-        for e1 in over.get(a1.src.r(g), ()):
-            x1, x2 = fp.pairing[e1]
-            for e2 in over.get(a1.src.s(g), ()):
-                x3, x4 = fp.pairing[e2]
-                f1, f2 = a1.F1t(x1, g, x3), a2.F1t(x2, g, x4)
-                # t(e2) = f2⁻¹·t(e1)·f1 and t(e1) = f2·t(e2)·f1⁻¹
-                squares[e1].append((e2, h.i(f2), f1))
-                squares[e2].append((e1, f2, h.i(f1)))
+    for g, e1, e2, f1, f2 in naturality_squares(a1, a2, fp):
+        # t(e2) = f2⁻¹·t(e1)·f1
+        squares[e1].append((e2, h.i(f2), f1))
 
     def implied(e, v, assign):
         return [(other, h.mul(h.mul(left, v), right))

@@ -8,13 +8,13 @@ inner multiplications descend to isomorphisms from composites.
 
 from itertools import combinations_with_replacement, product
 
-from .site_core import (BoundaryMismatch, Mor, NotAMorphism, NotWellDefined,
-                        SiteError, descend, fibre_product, first_failure,
-                        group_by, is_cover, is_iso, pair_id, passed,
-                        require_ends, witness_finding)
+from .site_core import (BoundaryMismatch, Mor, NotAMorphism, SiteError,
+                        fibre_product, first_failure, group_by, is_cover,
+                        is_iso, pair_id, passed, require_ends,
+                        witness_finding)
 from .action import Action, Bibundle, validate_bibundle
 from .bundle import check_principal
-from .bibundle import compose_bibundles, validate_bibundle_map
+from .bibundle import compose_bibundles, composite_fault
 
 
 class NotMonotone(SiteError):
@@ -167,15 +167,12 @@ def validate_simplex(sx):
             check_principal(b.right, b.r_anchor))
 
     def descends_to_iso(i, j, k):
-        c = compose_bibundles(edges[(i, j)], edges[(j, k)])
-        try:
-            descended = descend(c.X, sx.XX[(i, k)],
-                                ((c.middle_proj(e), sx.m[(i, j, k)](e))
-                                 for e in c.middle.apex.elements))
-        except NotWellDefined:
-            return (i, j, k, "not invariant"), False
-        return (i, j, k), is_iso(descended) and passed(
-            validate_bibundle_map(c, edges[(i, k)], descended))
+        fault = composite_fault(
+            compose_bibundles(edges[(i, j)], edges[(j, k)]), edges[(i, k)],
+            sx.m[(i, j, k)])
+        if fault == "not invariant":
+            return (i, j, k, fault), False
+        return (i, j, k), fault is None
 
     out.append(witness_finding("diagonals-are-groupoids", first_failure(
         attempts([(i,) for i in range(n + 1)], diagonal))))

@@ -1,7 +1,9 @@
-"""Mutation table for the exhaustive searches and the axiom harness.
+"""Mutation table for the exhaustive searches, the composite check and the
+axiom harness.
 
 Each row switches off one propagation or leaf check that a search on
-``site_core.backtrack`` keeps because it proves something, or one of the
+``site_core.backtrack`` keeps because it proves something, the
+equivariance half of ``bibundle.composite_fault``, or one of the
 shortcuts of ``site_core.axiom_harness`` (the skip of the maps that are
 not first in their relabelling class, the keys of its pullback and chain
 memos, its kernel-pair cache and its budget stop), and names the tests
@@ -31,6 +33,7 @@ SRC = ROOT / "src"
 
 SEARCH_CORE = "tests/test_search_core.py::"
 POST = "tests/test_postconditions.py::"
+BIBUNDLE = "tests/test_bibundle.py::"
 HARNESS = "tests/test_harness.py::"
 SKIP = "if whole and p is not None and first[info[id(p)][0]] is not p:"
 MEMO_TESTS = [HARNESS + "test_harness_matches_old_loops_on_every_other_map",
@@ -57,6 +60,14 @@ MUTANTS = [
     ("bibundle_compat leaf", "bibundle.py",
      "if passed(bibundle_compat(b)):", "if True:",
      [POST + "test_enumerated_bibundles_are_bibundles"]),
+    ("composite equivariance", "bibundle.py",
+     "passed(validate_bibundle_map(c, w, f))", "True",
+     [BIBUNDLE + "test_composite_witness_needs_equivariance"]),
+    ("squares", "morphism.py",
+     "squares[e1].append((e2, h.i(f2), f1))", "pass",
+     [SEARCH_CORE + "test_exists_ananat_matches_brute_force",
+      POST + "test_ananats",
+      BIBUNDLE + "test_bibundle_to_anafunctor"]),
     ("whole skip", "site_core.py",
      SKIP, SKIP.replace("whole and ", ""),
      [HARNESS + "test_sample_that_is_not_whole_walks_in_order"]),

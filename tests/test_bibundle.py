@@ -264,6 +264,17 @@ def test_composite_witness(Z2):
     assert not composite_witness(u, u, u, const)
 
 
+def test_composite_witness_needs_equivariance(Z3):
+    """m(a, b) = (a·b)⁻¹ is invariant and descends to a bijection from
+    the composite of the unit bibundle of Z/3 with itself, but it is not
+    equivariant: g·[a, b] goes to (g·a·b)⁻¹, not g·(a·b)⁻¹."""
+    u = unit_bibundle(Z3)
+    FP = fibre_product(u.s_anchor, u.r_anchor)
+    m = Mor(FP.apex, Z3.G1,
+            {e: Z3.i(Z3.mul(a, b)) for e, (a, b) in FP.pairing.items()})
+    assert not composite_witness(u, u, u, m)
+
+
 def test_act_on(Z2):
     u = unit_bibundle(Z2)
     y = opposite(canonical_action(Z2))

@@ -1,8 +1,9 @@
 """Structure guards over the source tree, read with ``ast`` only.
 
-An action's side is read only inside ``groupoidal.action``; the twin
-left/right functions that the point-first action view replaced stay
-gone; every backtracking search runs on ``site_core.backtrack``; no
+An action's side is read only inside ``groupoidal.action``, and the
+middle fibre product of a composite only inside ``groupoidal.bibundle``;
+the twin left/right functions that the point-first action view replaced
+stay gone; every backtracking search runs on ``site_core.backtrack``; no
 library code filters arrow pairs with ``composable``; the pretopology
 harness builds one fibre product per (cover, map) pair and no product map
 per pair of covers from scratch, and finds composable maps through
@@ -41,6 +42,19 @@ def test_only_action_module_reads_side(path):
              if isinstance(node, ast.Attribute) and node.attr == "side"
              and isinstance(node.ctx, ast.Load)]
     assert reads == [], "%s reads .side at lines %s" % (path.name, reads)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_bibundle_module_reads_middle(path):
+    """The middle fibre product of a composite is read only inside
+    ``groupoidal.bibundle``: elsewhere a map out of a composite comes from
+    ``from_composite`` and the composite check is ``composite_fault``."""
+    if path.name == "bibundle.py":
+        return
+    reads = [node.lineno for node in ast.walk(parse(path))
+             if isinstance(node, ast.Attribute) and node.attr == "middle"
+             and isinstance(node.ctx, ast.Load)]
+    assert reads == [], "%s reads .middle at lines %s" % (path.name, reads)
 
 
 def test_no_twin_side_functions():

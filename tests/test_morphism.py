@@ -1,19 +1,20 @@
 import pytest
 
-from groupoidal.site_core import (Mor, compose, fibre_product,
-                                  first_failure, identity, is_cover, is_iso,
-                                  passed, terminal, to_terminal)
+from groupoidal.site_core import (BoundaryMismatch, Mor, compose,
+                                  fibre_product, first_failure, identity,
+                                  is_cover, is_iso, passed, terminal,
+                                  to_terminal)
 from groupoidal.backends import make_finset
 from groupoidal.groupoid import (cyclic_groupoid, pair_groupoid,
                                  pullback_groupoid, unit_groupoid)
 from groupoidal.morphism import (AnaNat, Anafunctor, Functor, NatTrans,
-                                 NotComposable,
+                                 NotComposable, NotNatural,
                                  ad_bisection, anafunctor_from_functor,
                                  ananat_inverse, bisection_inverse,
                                  compose_anafunctors, compose_functors,
                                  compose_nat, compose_ananat,
                                  enumerate_functors, exists_ananat,
-                                 functor_surjectivity_tests,
+                                 functor_surjectivity_tests, hypercover,
                                  identity_anafunctor,
                                  identity_ananat, identity_functor,
                                  identity_nat, is_ana_equivalence,
@@ -208,6 +209,30 @@ def test_iso_to_ananat(Z2):
     assert is_anafunctor_iso(a, a, phi)
     t = iso_to_ananat(a, a, phi)
     assert passed(validate_ananat(t))
+
+
+def test_anafunctor_rejects_a_source_that_is_no_pullback_groupoid(Z2, S2):
+    """F must start at a pullback groupoid over p: Z2 itself has no
+    triples, and the pullback groupoid of Z2 along another cover from the
+    same carrier has triples over that cover only."""
+    with pytest.raises(BoundaryMismatch, match="pullback groupoid"):
+        Anafunctor(Z2, Z2, identity(Z2.G0), identity_functor(Z2))
+    pair = pair_groupoid(S2)
+    flip = Mor(S2, S2, {"a": "b", "b": "a"})
+    with pytest.raises(BoundaryMismatch, match="pullback groupoid"):
+        Anafunctor(pair, pair, flip, hypercover(pair, identity(S2)))
+
+
+def test_iso_to_ananat_needs_a_bijection(Z2, S2):
+    """The constant map of {a, b} commutes with the covers and the
+    functors of the hypercover anafunctor over the terminal map, but is
+    no isomorphism of anafunctors."""
+    b = Anafunctor(Z2, Z2, to_terminal(S2), hypercover(Z2, to_terminal(S2)))
+    const = Mor(S2, S2, {"a": "a", "b": "a"})
+    assert not is_anafunctor_iso(b, b, const)
+    with pytest.raises(NotNatural):
+        iso_to_ananat(b, b, const)
+    assert is_anafunctor_iso(b, b, Mor(S2, S2, {"a": "b", "b": "a"}))
 
 
 def test_enumerate_functors_counts(Z2, Z4, CECH2):
