@@ -224,7 +224,8 @@ def validate_gmap(m):
 
 def is_invariant(a, f):
     """f: X -> W collapses the action."""
-    return all(f(a.mult(e)) == f(x) for e, x, gel in a.cells())
+    ft, mt = f.table, a.mult.table
+    return all(ft[mt[e]] == ft[x] for e, x, gel in a.cells())
 
 
 def transformation_groupoid(a):

@@ -6,6 +6,8 @@ onto the fibre product of p with itself is invertible; "basic" means
 principal over the quotient by the action.
 """
 
+from collections import Counter
+
 from .site_core import (BoundaryMismatch, Finding, Mor, NotAMorphism,
                         SiteError, coequalizer, compose, descend,
                         fibre_product, identity, inverse, is_cover, is_iso,
@@ -36,13 +38,24 @@ def bundle_shear(a, proj):
 
 def check_principal(a, proj, shear=None):
     """Findings for principality of an action over proj; ``shear`` is
-    bundle_shear(a, proj) when the caller has built it."""
+    bundle_shear(a, proj) when the caller has built it.  Without it, on a
+    finite set and an invariant proj, the shear is counted, not built: it
+    is an iso when the pairs (x, x·g) are distinct and as many as the
+    points of X x_Z X, the sum of the squared fibre sizes of proj.  On a
+    finite space or a proj that is not invariant it is built and tested."""
     if proj.dom != a.X:
         raise BoundaryMismatch("check_principal: proj = %r must start at %r"
                                % (proj, a.X))
-    out = []
-    out.append(Finding("projection-cover", is_cover(proj), None))
-    out.append(Finding("projection-invariant", is_invariant(a, proj), None))
+    invariant = is_invariant(a, proj)
+    out = [Finding("projection-cover", is_cover(proj), None),
+           Finding("projection-invariant", invariant, None)]
+    if shear is None and invariant and a.X.backend == "finset":
+        mt = a.mult.table
+        pairs = {(x, mt[e]) for e, x, gel in a.cells()}
+        squares = sum(n * n for n in Counter(proj.table.values()).values())
+        out.append(Finding("shear-iso",
+                           len(pairs) == len(mt) == squares, None))
+        return out
     try:
         sh, PP = shear or bundle_shear(a, proj)
         out.append(Finding("shear-iso", is_iso(sh), None))
@@ -56,8 +69,11 @@ class PrincipalBundle:
         """``shear`` is bundle_shear(action, proj) for an action the caller
         has found principal over proj; without it the bundle checks."""
         if shear is None:
-            require(check_principal(action, proj), NotPrincipal)
-            shear = bundle_shear(action, proj)
+            try:
+                shear = bundle_shear(action, proj)
+            except (KeyError, NotAMorphism):
+                pass    # not principal: check_principal says why
+            require(check_principal(action, proj, shear), NotPrincipal)
         self.action, self.proj = action, proj
         self.g = action.g
         self.X, self.Z = action.X, proj.cod
@@ -67,7 +83,11 @@ class PrincipalBundle:
     def solve(self, x1, x2):
         """The unique arrow g with x1·g = x2, or g·x1 = x2 (requires
         equal fibres)."""
-        e = self.shear_inverse(self.PP.index[(x1, x2)])
+        try:
+            e = self.shear_inverse(self.PP.index[(x1, x2)])
+        except KeyError:
+            raise BoundaryMismatch("solve: %r and %r are not two points of "
+                                   "one fibre" % (x1, x2)) from None
         return self.action.cell(e)[1]
 
     def __repr__(self):
@@ -75,15 +95,18 @@ class PrincipalBundle:
 
 
 def is_basic(a):
-    """Principal over the orbit space, with backend cross-checks."""
+    """Principal over the orbit space, with backend cross-checks.  The
+    shear is built once on a finite space, for the cross-check too, and
+    on a finite set only for the bundle of a basic action."""
     coeq = orbit_space(a)
     # the orbit map is invariant, so the shear is always defined
-    shear = bundle_shear(a, coeq.proj)
+    shear = bundle_shear(a, coeq.proj) if a.X.backend == "fintop" else None
     flag = passed(check_principal(a, coeq.proj, shear))
-    bundle = PrincipalBundle(a, coeq.proj, shear) if flag else None
-    g = a.g
-    free = all(gel == g.u(g.r(gel))
-               for e, x, gel in a.cells() if a.mult(e) == x)
+    bundle = (PrincipalBundle(a, coeq.proj,
+                              shear or bundle_shear(a, coeq.proj))
+              if flag else None)
+    mt, ut, rt = a.mult.table, a.g.u.table, a.g.r.table
+    free = all(gel == ut[rt[gel]] for e, x, gel in a.cells() if mt[e] == x)
     cross = []
     if a.X.backend == "finset":
         cross.append(Finding("basic-iff-free", flag == free, None))

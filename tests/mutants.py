@@ -3,7 +3,9 @@ axiom harness.
 
 Each row switches off one propagation or leaf check that a search on
 ``site_core.backtrack`` keeps because it proves something, the
-equivariance half of ``bibundle.composite_fault``, or one of the
+equivariance half of ``bibundle.composite_fault``, either half of the
+count by which ``bundle.check_principal`` decides the shear (its pairs
+are distinct; they are as many as X x_Z X has points), or one of the
 shortcuts of ``site_core.axiom_harness`` (the skip of the maps that are
 not first in their relabelling class, the keys of its pullback and chain
 memos, its kernel-pair cache and its budget stop), and names the tests
@@ -34,6 +36,8 @@ SRC = ROOT / "src"
 SEARCH_CORE = "tests/test_search_core.py::"
 POST = "tests/test_postconditions.py::"
 BIBUNDLE = "tests/test_bibundle.py::"
+BUNDLE = "tests/test_bundle.py::"
+COUNT = "len(pairs) == len(mt) == squares"
 HARNESS = "tests/test_harness.py::"
 SKIP = "if whole and p is not None and first[info[id(p)][0]] is not p:"
 MEMO_TESTS = [HARNESS + "test_harness_matches_old_loops_on_every_other_map",
@@ -63,6 +67,11 @@ MUTANTS = [
     ("composite equivariance", "bibundle.py",
      "passed(validate_bibundle_map(c, w, f))", "True",
      [BIBUNDLE + "test_composite_witness_needs_equivariance"]),
+    ("shear distinct", "bundle.py", COUNT, "len(mt) == squares",
+     [POST + "test_counted_shear_matches_built_shear"]),
+    ("shear onto", "bundle.py", COUNT, "len(pairs) == len(mt)",
+     [BUNDLE + "test_injective_shear_that_is_not_onto_is_no_iso",
+      POST + "test_counted_shear_matches_built_shear"]),
     ("squares", "morphism.py",
      "squares[e1].append((e2, h.i(f2), f1))", "pass",
      [SEARCH_CORE + "test_exists_ananat_matches_brute_force",

@@ -5,11 +5,12 @@ import sys
 import pytest
 
 import groupoidal
-from groupoidal.site_core import (Mor, compose, fibre_product, identity,
-                                  is_cover, is_iso, passed, terminal,
-                                  to_terminal)
+from groupoidal.site_core import (BoundaryMismatch, Mor, compose,
+                                  fibre_product, identity, is_cover, is_iso,
+                                  passed, terminal, to_terminal)
 from groupoidal.backends import make_finset, sierpinski
-from groupoidal.groupoid import cech_groupoid, cyclic_groupoid, pair_groupoid
+from groupoidal.groupoid import (cech_groupoid, cyclic_groupoid,
+                                 pair_groupoid, unit_groupoid)
 from groupoidal.action import (Action, GMap, canonical_action,
                                enumerate_actions, validate_action)
 from groupoidal.bundle import (NotPrincipal, PrincipalBundle,
@@ -95,18 +96,43 @@ def counted(monkeypatch, module, names):
     return calls
 
 
-def test_is_basic_builds_the_shear_once(monkeypatch, SWAP):
-    """One principality check and one shear per call, on finsets and on
-    fintop, where the cross-check reuses the shear."""
+def test_is_basic_builds_the_shear_once(monkeypatch, Z2, S2, SWAP, p2):
+    """One principality check per call.  On finsets the shear is counted,
+    and built only for the bundle of a basic action; on fintop it is built
+    once and the cross-check reuses it; a bundle built from an action and
+    a projection builds it once."""
     import groupoidal.bundle as bundle
     calls = counted(monkeypatch, bundle, ["check_principal", "bundle_shear"])
-    res = is_basic(SWAP)
-    assert res["flag"] and res["bundle"].solve("a", "b") == "1"
-    assert calls == {"check_principal": 1, "bundle_shear": 1}
-    calls.update(check_principal=0, bundle_shear=0)
-    res = is_basic(sheet_swap())
-    assert res["flag"] and passed(res["cross"])
-    assert calls == {"check_principal": 1, "bundle_shear": 1}
+    cases = [(lambda: is_basic(trivial_action(Z2, S2)), 0),
+             (lambda: is_basic(SWAP), 1),
+             (lambda: is_basic(sheet_swap()), 1),
+             (lambda: PrincipalBundle(SWAP, p2), 1)]
+    for build, shears in cases:
+        calls.update(check_principal=0, bundle_shear=0)
+        build()
+        assert calls == {"check_principal": 1, "bundle_shear": shears}
+    assert is_basic(SWAP)["bundle"].solve("a", "b") == "1"
+
+
+def test_injective_shear_that_is_not_onto_is_no_iso(S2):
+    """The unit groupoid on two points over the point: its shear is
+    injective, but X x_Z X has four points and the action two cells."""
+    a = canonical_action(unit_groupoid(S2))
+    rep = {f.check: f.ok for f in check_principal(a, to_terminal(S2))}
+    assert rep == {"projection-cover": True, "projection-invariant": True,
+                   "shear-iso": False}
+    assert is_basic(a)["flag"]
+
+
+def test_solve_needs_two_points_of_one_fibre(SWAP, p2):
+    """A point outside the carrier, or two points in two fibres, is a
+    BoundaryMismatch that names both points."""
+    cases = [(PrincipalBundle(SWAP, p2), "a", "zz"),
+             (is_basic(sheet_swap())["bundle"], "0a", "1a")]
+    for b, x1, x2 in cases:
+        with pytest.raises(BoundaryMismatch) as err:
+            b.solve(x1, x2)
+        assert repr(x1) in str(err.value) and repr(x2) in str(err.value)
 
 
 def test_canonical_cech_action_is_basic(CECH3):

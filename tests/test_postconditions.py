@@ -12,6 +12,7 @@ errors, so they hold under ``python -O`` too.
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -39,9 +40,10 @@ from groupoidal.action import (Action, Actor, Bibundle, GMap, NotAnAction,
                                two_sided_transformation_groupoid,
                                unit_bibundle, validate_action, validate_actor,
                                validate_bibundle, validate_gmap)
-from groupoidal.bundle import (basic_witness_functor,
+from groupoidal.bundle import (basic_witness_functor, bundle_shear,
                                cech_action_reconstruction, check_principal,
-                               induced_base_map, is_basic, pullback_bundle)
+                               induced_base_map, is_basic, orbit_space,
+                               pullback_bundle)
 from groupoidal.morphism import (AnaIso, AnaNat, Anafunctor, Functor,
                                  NatTrans, NotAFunctor, NotNatural,
                                  ad_bisection, bisection_inverse,
@@ -71,6 +73,7 @@ from test_acceptance import battery, chains
 from test_action import SMALL_GROUPOIDS
 from test_search_core import fintop_groupoids, reference_enumerate_bibundles
 from test_bibundle import subgroup_bibundle
+from test_bundle import sheet_swap
 from test_nerve import degenerate_3_simplex
 
 
@@ -490,6 +493,52 @@ def test_ana_equivalence_witness_covers(pool, Z2, CECH2):
 
 
 # ------------------------------------------------------------ bundle
+
+def shear_pool(Z2, S2, SIER):
+    """Actions, and tables that need not be actions, for the counted
+    shear: Z/1-Z/4 on 0-4 points and the Čech groupoid of u, v -> s,
+    w -> t on 1-3 points, both sides, from enumerate_actions; the 16
+    tables of Z/2 on two points; translations and canonical actions; the
+    unit groupoid on two points; and the sheet swap on a finite space."""
+    sets = [make_finset(["p%d" % i for i in range(k)]) for k in range(5)]
+    uvw = Mor(make_finset("uvw"), make_finset("st"),
+              {"u": "s", "v": "s", "w": "t"})
+    searched = [(cyclic_groupoid(n), sets) for n in (1, 2, 3, 4)]
+    searched.append((cech_groupoid(uvw), sets[1:4]))
+    out = [a for g, carriers in searched for X in carriers
+           for anchor in all_maps(X, g.G0) for side in ("right", "left")
+           for a in enumerate_actions(g, X, anchor, side)]
+    anchor = to_terminal(S2)
+    pairs = fibre_product(anchor, Z2.r)
+    for values in product(S2.elements, repeat=len(pairs.apex)):
+        tbl = dict(zip(pairs.apex.elements, values))
+        out.append(Action(Z2, S2, anchor, Mor(pairs.apex, S2, tbl),
+                          "right", pairs))
+    for g in [cyclic_groupoid(n) for n in (1, 2, 3, 4)] + [
+            cech_groupoid(uvw), cech_groupoid(to_terminal(SIER))]:
+        out += [canonical_action(g), *translations(g)]
+    return out + [canonical_action(unit_groupoid(S2)), sheet_swap()]
+
+
+def test_counted_shear_matches_built_shear(Z2, S2, SIER):
+    """check_principal without a shear, which counts it on finite sets,
+    gives the findings of check_principal on the built shear, over each
+    action's orbit map, the map to the point and the identity."""
+    compared, verdicts = {"finset": 0, "fintop": 0}, set()
+    for a in shear_pool(Z2, S2, SIER):
+        for proj in (orbit_space(a).proj, to_terminal(a.X), identity(a.X)):
+            try:
+                shear = bundle_shear(a, proj)
+            except (KeyError, NotAMorphism):
+                continue   # proj is not invariant, or the shear not continuous
+            got = check_principal(a, proj)
+            assert got == check_principal(a, proj, shear), (
+                a.mult.table, proj.table)
+            compared[a.X.backend] += 1
+            verdicts.add(passed(got))
+    assert compared["finset"] > 400 and compared["fintop"] > 5
+    assert verdicts == {True, False}
+
 
 def test_basic_witness_functor(Z2, CECH2, SWAP, SIER):
     basic = [a for a in actions(Z2, CECH2, SWAP, SIER)
