@@ -17,6 +17,7 @@ from .site_core import (BoundaryMismatch, Mor, NotAMorphism, SiteError,
                         is_surjective, pair_id, require, require_ends,
                         triple_product, witness_finding)
 from .groupoid import build_groupoid
+from .morphism import Functor
 
 
 class NotAnAction(SiteError):
@@ -100,8 +101,9 @@ class Action:
 
     @property
     def point(self):
-        """The projection of the action fibre product onto X."""
-        return self.order(self.pairs.pr1, self.pairs.pr2)[0]
+        """The projection of the action fibre product onto X; only this
+        projection of the pairs is built."""
+        return getattr(self.pairs, self.order("pr1", "pr2")[0])
 
     def on(self, X, anchor, rule):
         """An action of the same groupoid on the same side, on X."""
@@ -224,8 +226,8 @@ def validate_gmap(m):
 
 def is_invariant(a, f):
     """f: X -> W collapses the action."""
-    ft, mt = f.table, a.mult.table
-    return all(ft[mt[e]] == ft[x] for e, x, gel in a.cells())
+    ft, pt, mt = f.table, a.point.table, a.mult.table
+    return all(ft[mt[e]] == ft[pt[e]] for e in mt)
 
 
 def transformation_groupoid(a):
@@ -403,7 +405,6 @@ def actor_to_pair(a):
     base = build_action(g, h.G0, r0, "left",
                         lambda x, gel: h.r(a.act(gel, h.u(x))))
     t = transformation_groupoid(base)
-    from .morphism import Functor
     F1 = Mor(t.G1, h.G1, {e: a.act(gel, h.u(x))
                           for e, (x, gel) in t.parts.items()})
     F = Functor(t, h, identity(h.G0), F1)

@@ -284,7 +284,8 @@ def quotient_by_middle(x, y):
 def compose_bibundles(x, y):
     """The orbit space of the diagonal middle action on the fibre product
     of carriers, with the surviving outer actions; raises NotComposable
-    when the middle action is not basic."""
+    when the middle action is not basic.  The fibre product is attached
+    as ``middle`` and the orbit map as ``middle_proj``."""
     if x.h != y.g:
         raise MiddleMismatch("middle groupoids differ")
     FP, res, left = quotient_by_middle(x, y.left)
@@ -300,7 +301,6 @@ def compose_bibundles(x, y):
     out = Bibundle(x.g, y.h, left, y.right.on(Z, r_anchor, rule))
     out.middle = FP
     out.middle_proj = coeq.proj
-    out.middle_bundle = res["bundle"]
     return out
 
 
@@ -386,13 +386,15 @@ def check_inverse(x):
 def decompose_actor(x):
     """Split a bibundle actor G–H into an actor onto an intermediate
     groupoid K built from H-orbits of carrier pairs, followed by a K–H
-    bibundle equivalence carried by the original carrier."""
+    bibundle equivalence carried by the original carrier.  The principal
+    bundle of x's right action over its orbit map, built here, solves
+    for the arrows of K."""
     g, h = x.g, x.h
     res = actor_orbits(x)
     if res is None:
         raise NotAnActor("bibundle is not an actor")
-    bundle = res["bundle"]
-    p = bundle.proj
+    p = res["orbits"].proj
+    bundle = PrincipalBundle(x.right, p)
     K0 = bundle.Z
     # X x_H X: read as a left action, the right action turns h⁻¹·x2 into
     # x2·h, so the diagonal action is (x1, x2)·h = (x1·h, x2·h)

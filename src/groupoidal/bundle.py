@@ -12,7 +12,9 @@ from .site_core import (BoundaryMismatch, Finding, Mor, NotAMorphism,
                         SiteError, coequalizer, compose, descend,
                         fibre_product, identity, inverse, is_cover, is_iso,
                         passed, require, require_ends)
+from .groupoid import cech_groupoid
 from .action import is_invariant, transformation_groupoid
+from .morphism import Functor
 
 
 class NotPrincipal(SiteError):
@@ -50,8 +52,8 @@ def check_principal(a, proj, shear=None):
     out = [Finding("projection-cover", is_cover(proj), None),
            Finding("projection-invariant", invariant, None)]
     if shear is None and invariant and a.X.backend == "finset":
-        mt = a.mult.table
-        pairs = {(x, mt[e]) for e, x, gel in a.cells()}
+        pt, mt = a.point.table, a.mult.table
+        pairs = {(pt[e], y) for e, y in mt.items()}
         squares = sum(n * n for n in Counter(proj.table.values()).values())
         out.append(Finding("shear-iso",
                            len(pairs) == len(mt) == squares, None))
@@ -65,15 +67,12 @@ def check_principal(a, proj, shear=None):
 
 
 class PrincipalBundle:
-    def __init__(self, action, proj, shear=None):
-        """``shear`` is bundle_shear(action, proj) for an action the caller
-        has found principal over proj; without it the bundle checks."""
-        if shear is None:
-            try:
-                shear = bundle_shear(action, proj)
-            except (KeyError, NotAMorphism):
-                pass    # not principal: check_principal says why
-            require(check_principal(action, proj, shear), NotPrincipal)
+    def __init__(self, action, proj):
+        try:
+            shear = bundle_shear(action, proj)
+        except (KeyError, NotAMorphism):
+            shear = None    # not principal: check_principal says why
+        require(check_principal(action, proj, shear), NotPrincipal)
         self.action, self.proj = action, proj
         self.g = action.g
         self.X, self.Z = action.X, proj.cod
@@ -95,16 +94,15 @@ class PrincipalBundle:
 
 
 def is_basic(a):
-    """Principal over the orbit space, with backend cross-checks.  The
-    shear is built once on a finite space, for the cross-check too, and
-    on a finite set only for the bundle of a basic action."""
+    """Principal over the orbit space, with backend cross-checks: the
+    flag, the orbit space and the cross-check findings.  On a finite set
+    the shear is counted, not built; on a finite space it is built once,
+    for the flag and the cross-check.  A caller that needs the bundle of
+    a basic action builds PrincipalBundle(a, res["orbits"].proj)."""
     coeq = orbit_space(a)
     # the orbit map is invariant, so the shear is always defined
     shear = bundle_shear(a, coeq.proj) if a.X.backend == "fintop" else None
     flag = passed(check_principal(a, coeq.proj, shear))
-    bundle = (PrincipalBundle(a, coeq.proj,
-                              shear or bundle_shear(a, coeq.proj))
-              if flag else None)
     mt, ut, rt = a.mult.table, a.g.u.table, a.g.r.table
     free = all(gel == ut[rt[gel]] for e, x, gel in a.cells() if mt[e] == x)
     cross = []
@@ -116,7 +114,7 @@ def is_basic(a):
         alt = free and is_iso(shear[0]) and is_cover(coeq.proj)
         cross.append(Finding("basic-iff-free-and-continuous",
                              flag == alt, None))
-    return {"flag": flag, "bundle": bundle, "orbits": coeq, "cross": cross}
+    return {"flag": flag, "orbits": coeq, "cross": cross}
 
 
 def pullback_bundle(b, f):
@@ -147,14 +145,11 @@ def basic_witness_functor(a):
     transformation groupoid to the kernel-pair groupoid of the quotient
     map, sending each arrow to the pair of its range and source.  Raises
     NotBasic when ``a`` is not basic."""
-    from .groupoid import cech_groupoid
-    from .morphism import Functor
     res = is_basic(a)
     if not res["flag"]:
         raise NotBasic("action is not basic")
-    b = res["bundle"]
     t = transformation_groupoid(a)
-    c = cech_groupoid(b.proj)
+    c = cech_groupoid(res["orbits"].proj)
     F1 = Mor(t.G1, c.G1,
              {e: c.kernel.index[(t.r(e), t.s(e))] for e in t.arrows()})
     return Functor(t, c, identity(a.X), F1)

@@ -12,6 +12,7 @@ from .site_core import (BoundaryMismatch, Mor, NotAMorphism, SiteError,
                         fibre_product, first_failure, group_by, is_cover,
                         is_iso, pair_id, passed, require_ends,
                         witness_finding)
+from .groupoid import from_multiplication
 from .action import Action, Bibundle, validate_bibundle
 from .bundle import check_principal
 from .bibundle import compose_bibundles, composite_fault
@@ -67,7 +68,6 @@ class NSimplex:
 def diagonal_groupoid(sx, i):
     """The groupoid on X_i carried by the diagonal edge, with unit and
     inversion recovered from the multiplication."""
-    from .groupoid import from_multiplication
     return from_multiplication(sx.X[i], sx.XX[(i, i)], sx.r[(i, i)],
                                sx.s[(i, i)], sx.m[(i, i, i)])
 

@@ -324,69 +324,58 @@ def triple_product(f, g, h, k):
     return ABC.apex, triples, {t: e for e, t in triples.items()}
 
 
-class UnionFind:
-    def __init__(self, xs):
-        self.parent = {x: x for x in xs}
-
-    def find(self, x):
-        y = self.parent[x]
-        if self.parent[y] != y:
-            y = self.parent[x] = self.find(y)
-        return y
-
-    def union(self, x, y):
-        x, y = self.find(x), self.find(y)
-        if x == y:
-            return
-        # smaller id wins so class names are reproducible
-        if y < x:
-            x, y = y, x
-        self.parent[y] = x
-
-
 class Coequalizer:
-    def __init__(self, quotient, proj, classes):
+    def __init__(self, quotient, proj):
         self.quotient = quotient
         self.proj = proj
-        self.classes = classes
 
 
 def coequalizer(f, g):
     """Quotient of cod(f) by the equivalence generated by f(w) ~ g(w).
 
-    Class representatives are the least ids; the fintop quotient carries
-    the finest topology making proj continuous.
+    One union-find pass over the two tables with path halving (Tarjan,
+    J. ACM 1975); the root of a class is its least id, which names it.
+    The fintop quotient carries the finest topology making proj
+    continuous: the minimal open set of a class holds every class reached
+    from it by steps from a point x of a class to a point of nbhd[x].
     """
     if f.dom != g.dom or f.cod != g.cod:
         raise BoundaryMismatch("coequalizer needs a parallel pair")
     cod = f.cod
-    uf = UnionFind(cod.elements)
-    for w in f.dom.elements:
-        uf.union(f(w), g(w))
-    rep_of = {x: uf.find(x) for x in cod.elements}
-    by_rep = group_by(cod.elements, rep_of.__getitem__)
-    classes, reps = [frozenset(v) for v in by_rep.values()], list(by_rep)
+    parent = {x: x for x in cod.elements}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    gt = g.table
+    for w, fx in f.table.items():
+        x, y = find(fx), find(gt[w])
+        if x != y:
+            # the smaller root wins, so each root is its class's least id
+            if y < x:
+                x, y = y, x
+            parent[y] = x
+    rep_of = {x: find(x) for x in cod.elements}
+    reps = list(dict.fromkeys(rep_of.values()))
     if cod.backend == "finset":
         quot = Obj("finset", reps)
     else:
-        # minimal open of a class: saturate under "if the class of x is
-        # inside, so is the projection of the minimal open of x"
+        step = {q: set() for q in reps}
+        for x in cod.elements:
+            step[rep_of[x]].update(rep_of[y] for y in cod.nbhd[x])
         nb = {}
         for q in reps:
-            cur = {q}
-            changed = True
-            while changed:
-                changed = False
-                for x in cod.elements:
-                    if rep_of[x] in cur:
-                        for y in cod.nbhd[x]:
-                            if rep_of[y] not in cur:
-                                cur.add(rep_of[y])
-                                changed = True
-            nb[q] = frozenset(cur)
+            seen, todo = {q}, [q]
+            while todo:
+                for c in step[todo.pop()] - seen:
+                    seen.add(c)
+                    todo.append(c)
+            nb[q] = frozenset(seen)
         quot = Obj("fintop", reps, nb)
-    proj = Mor(cod, quot, rep_of)
-    return Coequalizer(quot, proj, classes)
+    return Coequalizer(quot, Mor(cod, quot, rep_of))
 
 
 def descend(dom, cod, pairs):

@@ -5,7 +5,12 @@ Each row switches off one propagation or leaf check that a search on
 ``site_core.backtrack`` keeps because it proves something, the
 equivariance half of ``bibundle.composite_fault``, either half of the
 count by which ``bundle.check_principal`` decides the shear (its pairs
-are distinct; they are as many as X x_Z X has points), or one of the
+are distinct; they are as many as X x_Z X has points), a part of
+``site_core.coequalizer`` (its path halving, written as the chained
+assignment that makes a grandparent a root; the swap that keeps the
+least id at the root; the push of the walk that collects the classes in
+a minimal open set of a finite-space quotient), the multiplication
+table read by ``action.is_invariant``, or one of the
 shortcuts of ``site_core.axiom_harness`` (the skip of the maps that are
 not first in their relabelling class, the keys of its pullback and chain
 memos, its kernel-pair cache and its budget stop), and names the tests
@@ -40,6 +45,7 @@ BUNDLE = "tests/test_bundle.py::"
 COUNT = "len(pairs) == len(mt) == squares"
 HARNESS = "tests/test_harness.py::"
 SKIP = "if whole and p is not None and first[info[id(p)][0]] is not p:"
+SITE = "tests/test_site_core.py::"
 MEMO_TESTS = [HARNESS + "test_harness_matches_old_loops_on_every_other_map",
               HARNESS + "test_whole_site_keys_only_first_covers"]
 
@@ -72,6 +78,20 @@ MUTANTS = [
     ("shear onto", "bundle.py", COUNT, "len(pairs) == len(mt)",
      [BUNDLE + "test_injective_shear_that_is_not_onto_is_no_iso",
       POST + "test_counted_shear_matches_built_shear"]),
+    ("path halving", "site_core.py",
+     "parent[x] = parent[parent[x]]\n            x = parent[x]",
+     "x = parent[x] = parent[parent[x]]",
+     [SITE + "test_coequalizer_matches_components_on_long_chains",
+      SITE + "test_cyclic_orbits_are_one_class"]),
+    ("least id", "site_core.py", "if y < x:", "if False:",
+     [SITE + "test_coequalizer_matches_components_on_long_chains",
+      SITE + "test_coequalizer_matches_components_on_small_objects"]),
+    ("quotient walk", "site_core.py", "todo.append(c)", "pass",
+     [SITE + "test_fintop_quotient_reaches_classes_in_several_steps"]),
+    ("invariant", "action.py",
+     "ft[mt[e]] == ft[pt[e]]", "ft[pt[e]] == ft[pt[e]]",
+     ["tests/test_action.py::test_is_invariant_matches_the_definition",
+      "tests/test_action.py::test_gmap_and_invariance"]),
     ("squares", "morphism.py",
      "squares[e1].append((e2, h.i(f2), f1))", "pass",
      [SEARCH_CORE + "test_exists_ananat_matches_brute_force",

@@ -88,6 +88,40 @@ def test_gmap_and_invariance(SWAP, Z2, S2, PT, p2):
     assert not is_invariant(SWAP, identity(S2))
 
 
+def test_is_invariant_matches_the_definition():
+    """is_invariant reads the point and multiplication tables; it agrees
+    with f(x·g) == f(x) over every cell, for every action of Z/2 and Z/3
+    on at most three points, on both sides, and every map into two
+    points (both verdicts occur)."""
+    W = make_finset(["u", "v"])
+    seen = set()
+    for n in (2, 3):
+        g = cyclic_groupoid(n)
+        for k in range(4):
+            X = make_finset(["x%d" % i for i in range(k)])
+            anchor = to_terminal(X)
+            for side in ("right", "left"):
+                for a in enumerate_actions(g, X, anchor, side):
+                    for f in all_maps(X, W):
+                        want = all(f(a.apply(x, gel)) == f(x)
+                                   for e, x, gel in a.cells())
+                        assert is_invariant(a, f) == want
+                        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_point_builds_one_projection(Z2, S2):
+    """Reading an action's point map builds the projection of its pairs
+    onto X and not the one onto the arrows."""
+    for side, built, unbuilt in (("right", "pr1", "pr2"),
+                                 ("left", "pr2", "pr1")):
+        a = build_action(Z2, S2, Mor(S2, Z2.G0, dict.fromkeys(S2, "*")),
+                         side, lambda x, gel: x)
+        assert a.point is vars(a.pairs)[built]
+        assert unbuilt not in vars(a.pairs)
+        assert a.point.table == {e: x for e, x, gel in a.cells()}
+
+
 def test_action_fibre_product_diagonal(SWAP, S2):
     f = GMap(SWAP, SWAP, identity(S2))
     diag, pr1, pr2 = action_fibre_product(f, f)

@@ -53,8 +53,10 @@ def test_trivial_action_not_principal(Z2, S2):
 
 def test_is_basic_cross_checks(SWAP, Z2, S2):
     res = is_basic(SWAP)
+    assert res.keys() == {"flag", "orbits", "cross"}
     assert res["flag"] and passed(res["cross"])
-    assert res["bundle"] is not None
+    b = PrincipalBundle(SWAP, res["orbits"].proj)
+    assert b.solve("a", "b") == "1"
     res2 = is_basic(trivial_action(Z2, S2))
     assert not res2["flag"]
     assert passed(res2["cross"])
@@ -98,20 +100,19 @@ def counted(monkeypatch, module, names):
 
 def test_is_basic_builds_the_shear_once(monkeypatch, Z2, S2, SWAP, p2):
     """One principality check per call.  On finsets the shear is counted,
-    and built only for the bundle of a basic action; on fintop it is built
+    never built, and is_basic builds no bundle; on fintop it is built
     once and the cross-check reuses it; a bundle built from an action and
     a projection builds it once."""
     import groupoidal.bundle as bundle
     calls = counted(monkeypatch, bundle, ["check_principal", "bundle_shear"])
     cases = [(lambda: is_basic(trivial_action(Z2, S2)), 0),
-             (lambda: is_basic(SWAP), 1),
+             (lambda: is_basic(SWAP), 0),
              (lambda: is_basic(sheet_swap()), 1),
              (lambda: PrincipalBundle(SWAP, p2), 1)]
     for build, shears in cases:
         calls.update(check_principal=0, bundle_shear=0)
         build()
         assert calls == {"check_principal": 1, "bundle_shear": shears}
-    assert is_basic(SWAP)["bundle"].solve("a", "b") == "1"
 
 
 def test_injective_shear_that_is_not_onto_is_no_iso(S2):
@@ -127,8 +128,9 @@ def test_injective_shear_that_is_not_onto_is_no_iso(S2):
 def test_solve_needs_two_points_of_one_fibre(SWAP, p2):
     """A point outside the carrier, or two points in two fibres, is a
     BoundaryMismatch that names both points."""
+    a = sheet_swap()
     cases = [(PrincipalBundle(SWAP, p2), "a", "zz"),
-             (is_basic(sheet_swap())["bundle"], "0a", "1a")]
+             (PrincipalBundle(a, is_basic(a)["orbits"].proj), "0a", "1a")]
     for b, x1, x2 in cases:
         with pytest.raises(BoundaryMismatch) as err:
             b.solve(x1, x2)

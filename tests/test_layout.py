@@ -9,7 +9,8 @@ harness builds one fibre product per (cover, map) pair and no product map
 per pair of covers from scratch, and finds composable maps through
 indexes rather than by comparing ends; every groupoid but the given
 multiplication of ``from_multiplication`` is built by ``build_groupoid``;
-no relative import in the package is left unused; no constructor
+no relative import in the package is left unused, and no import sits
+inside a function; no constructor
 re-checks its output with an ``assert`` on a validator, nor does any code
 catch ``AssertionError``; the package holds no ``assert`` at all, and
 the harness ticks its budget from the one walk every axiom runs; the
@@ -206,6 +207,20 @@ def test_relative_imports_are_used(path):
     unused = sorted((line, name) for name, line in imported.items()
                     if name not in used)
     assert unused == [], "%s: unused imports %s" % (path.name, unused)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    """Every import of the package sits at module level: an import inside
+    a function is resolved through ``sys.modules`` at call time, so with
+    two copies of the package loaded in one process it can reach the
+    other copy."""
+    found = [(fn.name, node.lineno) for fn in ast.walk(parse(path))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == [], "%s: imports inside functions %s" % (path.name,
+                                                             found)
 
 
 def names_in(node):

@@ -20,6 +20,7 @@ import pytest
 import groupoidal
 from groupoidal import bibundle as bibundle_module
 from groupoidal import groupoid as groupoid_module
+from groupoidal import nerve as nerve_module
 from groupoidal.site_core import (BackendMismatch, Mor, NotACover,
                                   NotAMorphism, all_maps, fibre_product,
                                   identity, is_cover, is_iso, pair_id,
@@ -40,10 +41,10 @@ from groupoidal.action import (Action, Actor, Bibundle, GMap, NotAnAction,
                                two_sided_transformation_groupoid,
                                unit_bibundle, validate_action, validate_actor,
                                validate_bibundle, validate_gmap)
-from groupoidal.bundle import (basic_witness_functor, bundle_shear,
-                               cech_action_reconstruction, check_principal,
-                               induced_base_map, is_basic, orbit_space,
-                               pullback_bundle)
+from groupoidal.bundle import (PrincipalBundle, basic_witness_functor,
+                               bundle_shear, cech_action_reconstruction,
+                               check_principal, induced_base_map, is_basic,
+                               orbit_space, pullback_bundle)
 from groupoidal.morphism import (AnaIso, AnaNat, Anafunctor, Functor,
                                  NatTrans, NotAFunctor, NotNatural,
                                  ad_bisection, bisection_inverse,
@@ -160,7 +161,7 @@ def test_from_multiplication_on_simplex_diagonals(monkeypatch, Z2, S2, EQ23):
     """Every groupoid that validate_simplex recovers from a diagonal,
     also on the candidate completions of the inner 3-horns, is a
     groupoid."""
-    calls = recorded(monkeypatch, groupoid_module, "from_multiplication")
+    calls = recorded(monkeypatch, nerve_module, "from_multiplication")
     simplices = nerve_simplices(Z2, S2, EQ23)
     for sx in simplices:
         assert passed(validate_simplex(sx))
@@ -286,13 +287,16 @@ def test_functor_to_bibundle(Z2, CECH2):
 
 def test_duals_and_composites(pool, Z2, Z4, CECH2):
     """dual, actor_to_bibundle and compose_bibundles build bibundles; a
-    composite's middle action is an action."""
+    composite's middle action, the diagonal action of the balanced
+    product, is an action."""
     for b in pool.values():
         assert passed(validate_bibundle(dual(b)))
     for x, y in composable(pool, 2):
         c = compose_bibundles(x, y)
         assert passed(validate_bibundle(c))
-        assert passed(validate_action(c.middle_bundle.action))
+        FP, middle = balanced_product(x.right, y.left)
+        assert FP.index == c.middle.index
+        assert passed(validate_action(middle))
     for a in actors(Z2, Z4, CECH2):
         assert passed(validate_bibundle(actor_to_bibundle(a)))
 
@@ -767,8 +771,8 @@ def test_iso_to_ananat_and_bisection_inverse_reject_non_isos(CECH2):
 def test_groupoid_and_bundle_constructors_reject_bad_ends(Z2, S2, SWAP):
     """Groupoid, check_principal, pullback_bundle and induced_base_map
     check their arguments' ends with ``BoundaryMismatch``."""
-    b = is_basic(SWAP)["bundle"]
-    other = is_basic(translations(Z2)[1])["bundle"]
+    b, other = (PrincipalBundle(a, is_basic(a)["orbits"].proj)
+                for a in (SWAP, translations(Z2)[1]))
     same = GMap(SWAP, SWAP, identity(S2))
     bad = {
         "^Groupoid: u": lambda: Groupoid(Z2.G0, Z2.G1, Z2.r, Z2.s, Z2.m,

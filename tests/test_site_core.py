@@ -1,6 +1,8 @@
 import os
+import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -20,6 +22,9 @@ from groupoidal.site_core import (BackendMismatch, BoundaryMismatch, Mor,
 from groupoidal.backends import (all_finsets, all_finspaces, discrete,
                                  indiscrete, make_finset, make_finspace,
                                  sierpinski)
+from groupoidal.groupoid import cyclic_groupoid
+from groupoidal.action import build_action
+from groupoidal.bundle import orbit_space
 
 
 def test_mor_basics(S2, PT, p2):
@@ -168,6 +173,119 @@ def test_fintop_quotient_topology():
     c = coequalizer(f, g)
     assert len(c.quotient) == 2
     assert is_open_map(c.proj) and is_cover(c.proj)
+
+
+def components(points, edges):
+    """Each point's connected component in the graph on ``points`` with
+    the given edges, named by its least id: a depth-first walk written
+    without the library, the reference for ``coequalizer``."""
+    adj = {x: [] for x in points}
+    for x, y in edges:
+        adj[x].append(y)
+        adj[y].append(x)
+    name = {}
+    for x in points:
+        if x not in name:
+            comp, todo = {x}, [x]
+            while todo:
+                for y in adj[todo.pop()]:
+                    if y not in comp:
+                        comp.add(y)
+                        todo.append(y)
+            name.update(dict.fromkeys(comp, min(comp)))
+    return name
+
+
+def parallel_pair(X, edges):
+    """f, g: W -> X with f(w_k), g(w_k) the k-th edge; W is discrete on a
+    finite space, so both maps are continuous."""
+    ids = ["w%d" % k for k in range(len(edges))]
+    W = (make_finset(ids) if X.backend == "finset" else discrete(ids))
+    return (Mor(W, X, {w: e[0] for w, e in zip(ids, edges)}),
+            Mor(W, X, {w: e[1] for w, e in zip(ids, edges)}))
+
+
+def check_against_components(X, edges):
+    c = coequalizer(*parallel_pair(X, edges))
+    name = components(X.elements, edges)
+    assert c.proj.table == name
+    assert c.proj.cod is c.quotient
+    assert list(c.quotient.elements) == list(dict.fromkeys(
+        name[x] for x in X.elements))
+    if X.backend == "fintop":
+        # the quotient topology: U is open exactly when proj⁻¹(U) is
+        Q = c.quotient.elements
+        for bits in range(1 << len(Q)):
+            U = {q for k, q in enumerate(Q) if bits >> k & 1}
+            assert c.quotient.is_open(U) == X.is_open(
+                x for x in X.elements if name[x] in U), (edges, U)
+    return c
+
+
+def shuffled_cycle(n, seed):
+    """A cycle on n points whose ids are not in cycle order, its edges
+    in shuffled order and each edge in a random direction."""
+    rng = random.Random(seed)
+    ids = ["p%d" % k for k in range(n)]
+    rng.shuffle(ids)
+    edges = [(ids[k], ids[(k + 1) % n]) for k in range(n)]
+    rng.shuffle(edges)
+    return ids, [e if rng.random() < 0.5 else e[::-1] for e in edges]
+
+
+def test_coequalizer_matches_components_on_long_chains():
+    """Cycles and paths on 5-7 points, pairs in shuffled order: long
+    chains of unions, where a wrong path compression splits a class."""
+    for n in range(5, 8):
+        for seed in range(40):
+            ids, edges = shuffled_cycle(n, seed)
+            X = make_finset(sorted(ids))
+            assert len(check_against_components(X, edges).quotient) == 1
+            path = edges[1:]
+            assert len(check_against_components(X, path).quotient) == 1
+            assert len(check_against_components(X, path[1:]).quotient) == 2
+
+
+def test_coequalizer_matches_components_on_small_objects():
+    """Every set of generating pairs, in both directions, on every finite
+    set and every finite space of at most three points."""
+    for X in all_finsets(3) + all_finspaces(3, up_to_homeo=False):
+        pairs = list(combinations(X.elements, 2))
+        for bits in range(1 << len(pairs)):
+            edges = [pr for k, pr in enumerate(pairs) if bits >> k & 1]
+            check_against_components(X, edges)
+            check_against_components(X, [e[::-1] for e in edges[::-1]])
+
+
+def test_fintop_quotient_reaches_classes_in_several_steps():
+    """A fence a > b, c > d, e > f with b ~ c and d ~ e: the minimal open
+    set of [a] holds [d] and [f], which lie two and three steps away."""
+    X = Obj("fintop", list("abcdef"), {
+        "a": {"a", "b"}, "b": {"b"}, "c": {"c", "d"}, "d": {"d"},
+        "e": {"e", "f"}, "f": {"f"}})
+    c = check_against_components(X, [("c", "b"), ("e", "d")])
+    assert c.quotient.nbhd["a"] == {"a", "b", "d", "f"}
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_cyclic_orbits_are_one_class(n):
+    """Z/n acting on n points by one n-cycle has one orbit, named by the
+    least id, on both backends, whatever the order of the carrier and of
+    the cycle."""
+    rng = random.Random(n)
+    for backend in ("finset", "fintop"):
+        g = cyclic_groupoid(n, backend)
+        for _ in range(30):
+            ids = ["q%d" % k for k in range(n)]
+            rng.shuffle(ids)
+            cycle = rng.sample(ids, n)
+            X = make_finset(ids) if backend == "finset" else discrete(ids)
+            anchor = Mor(X, g.G0, dict.fromkeys(ids, "*"))
+            a = build_action(g, X, anchor, "right", lambda x, k: cycle[
+                (cycle.index(x) + int(k)) % n])
+            c = orbit_space(a)
+            assert c.quotient.elements == ("q0",)
+            assert c.proj.table == dict.fromkeys(ids, "q0")
 
 
 def test_all_maps_count(S2, S3):
