@@ -8,14 +8,15 @@ so a class id is always an element of the space being quotiented.
 The calculus is built from two moves: ``balanced_product`` forms the
 fibre product X x_{H0} Y of a right and a left H-action with its diagonal
 H-action, whose orbit space is X x_H Y, and ``site_core.descend`` turns a
-map that is constant on orbits into a map out of the orbit space.
+map that is constant on orbits into a map out of the orbit space.  The
+bibundle of an anafunctor is a composite too, so it takes its middle
+orbit space from the same two moves.
 """
 
 from .site_core import (BackendMismatch, BoundaryMismatch, Mor, NotAMorphism,
                         NotWellDefined, SiteError, all_maps, backtrack,
                         compose, descend, fibre_product, group_by, identity,
-                        is_cover, is_iso, passed, require, require_ends,
-                        triple_product)
+                        is_cover, is_iso, passed, require, require_ends)
 from .backends import make_finset
 from .groupoid import (build_groupoid, cech_groupoid, pullback_groupoid,
                        unit_groupoid)
@@ -27,7 +28,7 @@ from .action import (Actor, Bibundle, GMap, NotAnActor, bibundle_compat,
 from .bundle import (NotBasic, NotPrincipal, PrincipalBundle, check_principal,
                      is_basic, orbit_space)
 from .morphism import (AnaNat, Anafunctor, Functor, NotAFunctor, NotComposable,
-                       validate_functor)
+                       hypercover, validate_functor)
 
 
 class MiddleMismatch(SiteError):
@@ -150,42 +151,15 @@ def two_sided_iso(x, ana):
 
 
 def beta_ana_to_bibundle(a):
-    """The bibundle of an anafunctor: the orbit space of the canonical
-    right action of the pullback groupoid on G1 x X x H1 triples, with
-    the surviving outer G- and H-actions."""
-    g, h = a.src, a.dst
-    gx = a.gx
-    T, triples, index = triple_product(g.s, a.p, a.F.F0, h.r)
-    anchor = Mor(T, gx.G0, {e: xe for e, (gel, xe, hel) in triples.items()})
-
-    def mrule(te, ae):
-        g1, _, hel = triples[te]
-        _, g2, x2 = gx.triples[ae]
-        return index[(g.mul(g1, g2), x2, h.mul(h.i(a.F.F1(ae)), hel))]
-
-    act = build_action(gx, T, anchor, "right", mrule)
-    coeq = orbit_space(act)
-    Z = coeq.quotient
-
-    def cls(gel, xe, hel):
-        return coeq.proj(index[(gel, xe, hel)])
-
-    def lrule(c, gel):
-        g1, xe, hel = triples[c]
-        return cls(g.mul(gel, g1), xe, hel)
-
-    def rrule(c, hel):
-        g1, xe, h1 = triples[c]
-        return cls(g1, xe, h.mul(h1, hel))
-
-    l_anchor = descend(Z, g.G0, ((coeq.proj(e), g.r(gel))
-                                 for e, (gel, xe, hel) in triples.items()))
-    left = build_action(g, Z, l_anchor, "left", lrule)
-    r_anchor = Mor(Z, h.G0, {c: h.s(triples[c][2]) for c in Z.elements})
-    right = build_action(h, Z, r_anchor, "right", rrule)
-    out = Bibundle(g, h, left, right)
-    out.triples = triples
-    out.triple_proj = coeq.proj
+    """The bibundle of an anafunctor: the composite of the dual of the
+    bibundle of its cover ``hypercover(src, p)`` with the bibundle of its
+    functor.  The two factors are attached as ``down`` and ``up``; their
+    ``fp`` pairings decode a class [(x, g), (x, h)], which is the class
+    of g⁻¹·x·h."""
+    down = functor_to_bibundle(hypercover(a.src, a.p))
+    up = functor_to_bibundle(a.F)
+    out = compose_bibundles(dual(down), up)
+    out.down, out.up = down, up
     return out
 
 
@@ -216,26 +190,32 @@ def cech_equivalence(p, q=None):
 
 def roundtrip_beta(x):
     """For a bibundle functor, the isomorphism from the bibundle of its
-    anafunctor back to the bibundle itself: a class of (g, x, h) maps to
-    g·x·h."""
+    anafunctor back to the bibundle itself: the class of g⁻¹·x·h maps to
+    that point."""
     b = beta_ana_to_bibundle(bibundle_to_anafunctor(x))
-    iso = descend(b.X, x.X, ((b.triple_proj(e), x.ract(x.lact(gel, xe), hel))
-                             for e, (gel, xe, hel) in b.triples.items()))
-    return {"beta": b, "iso": iso}
+
+    def value(d, u):
+        xe, gel = b.down.fp.pairing[d]
+        return x.ract(x.lact(x.g.i(gel), xe), b.up.fp.pairing[u][1])
+
+    return {"beta": b, "iso": from_composite(b, x.X, value)}
 
 
 def roundtrip_ananat(a):
     """The canonical invertible 2-arrow from the anafunctor of the
-    bibundle of `a` back to `a`."""
+    bibundle of `a` back to `a`: at a class of g⁻¹·x·h, read off its
+    representative in the middle fibre product, and a point x' over the
+    class's range anchor, it is F(x', g⁻¹, x)·h."""
     b = beta_ana_to_bibundle(a)
     a2 = bibundle_to_anafunctor(b)
-    h = a.dst
+    g, h = a.src, a.dst
     fp = fibre_product(a2.p, a.p)
     tbl = {}
     for e, (c, xt) in fp.pairing.items():
-        gel, xe, hel = b.triples[c]
-        arrow = a.gx.triple_index[(xt, gel, xe)]
-        tbl[e] = h.mul(a.F.F1(arrow), hel)
+        d, u = b.middle.pairing[c]
+        xe, gel = b.down.fp.pairing[d]
+        arrow = a.gx.triple_index[(xt, g.i(gel), xe)]
+        tbl[e] = h.mul(a.F.F1(arrow), b.up.fp.pairing[u][1])
     return AnaNat(a2, a, Mor(fp.apex, h.G1, tbl), fp)
 
 
@@ -491,21 +471,21 @@ def act_on(x, y):
     return quotient_by_middle(x, y)[2]
 
 
-def bibundle_isomorphic(b1, b2):
-    """An isomorphism of bibundles between the same pair of groupoids,
-    or None.  Sending x to y sends g·x to g·y and x·h to y·h, and each x
-    has the anchors of its candidates: this proves
+def bibundle_isomorphisms(b1, b2):
+    """Every isomorphism of bibundles between the same pair of groupoids,
+    in ``backtrack`` order.  Sending x to y sends g·x to g·y and x·h to
+    y·h, and each x has the anchors of its candidates: this proves
     ``validate_bibundle_map``.  A leaf is checked only with ``is_iso``, as
     on finite spaces the search does not prove the inverse continuous."""
     if b1.g != b2.g or b1.h != b2.h or len(b1.X) != len(b2.X):
-        return None
+        return
     xs = list(b1.X.elements)
     ends = group_by(b2.X.elements, lambda y: (b2.r_anchor(y), b2.s_anchor(y)))
     cand = {}
     for xe in xs:
         cand[xe] = ends.get((b1.r_anchor(xe), b1.s_anchor(xe)))
         if cand[xe] is None:
-            return None
+            return
     lmoves, rmoves = {xe: [] for xe in xs}, {xe: [] for xe in xs}
     for gel, xe in b1.left.pairs.pairing.values():
         lmoves[xe].append((gel, b1.lact(gel, xe)))
@@ -521,8 +501,12 @@ def bibundle_isomorphic(b1, b2):
     for assign in backtrack(xs, cand, implied):
         f = Mor(b1.X, b2.X, assign)
         if is_iso(f):
-            return f
-    return None
+            yield f
+
+
+def bibundle_isomorphic(b1, b2):
+    """The first of ``bibundle_isomorphisms``, or None."""
+    return next(bibundle_isomorphisms(b1, b2), None)
 
 
 def enumerate_bibundles(g, h, max_size=4):

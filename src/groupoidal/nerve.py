@@ -6,16 +6,17 @@ are groupoids, the edges are bibundle functors between them, and the
 inner multiplications descend to isomorphisms from composites.
 """
 
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
-from .site_core import (BoundaryMismatch, Mor, NotAMorphism, SiteError,
+from .site_core import (BoundaryMismatch, Mor, SiteError, compose,
                         fibre_product, first_failure, group_by, is_cover,
                         is_iso, pair_id, passed, require_ends,
                         witness_finding)
 from .groupoid import from_multiplication
 from .action import Action, Bibundle, validate_bibundle
 from .bundle import check_principal
-from .bibundle import compose_bibundles, composite_fault
+from .bibundle import (bibundle_isomorphisms, compose_bibundles,
+                       composite_fault)
 
 
 class NotMonotone(SiteError):
@@ -81,6 +82,13 @@ def edge_bibundle(sx, i, j, gi=None, gj=None):
     right = Action(gj, sx.XX[(i, j)], sx.s[(i, j)], sx.m[(i, j, j)],
                    "right", sx.fp(i, j, j))
     return Bibundle(gi, gj, left, right)
+
+
+def is_bibundle_functor(b):
+    """A bibundle whose right action is principal over its range anchor:
+    what each edge of a simplex must be."""
+    return passed(validate_bibundle(b)) and passed(
+        check_principal(b.right, b.r_anchor))
 
 
 def validate_simplex(sx):
@@ -161,10 +169,8 @@ def validate_simplex(sx):
         return True
 
     def edge(i, j):
-        b = edges[(i, j)] = edge_bibundle(sx, i, j, groupoids[i],
-                                          groupoids[j])
-        return passed(validate_bibundle(b)) and passed(
-            check_principal(b.right, b.r_anchor))
+        edges[(i, j)] = edge_bibundle(sx, i, j, groupoids[i], groupoids[j])
+        return is_bibundle_functor(edges[(i, j)])
 
     def descends_to_iso(i, j, k):
         fault = composite_fault(
@@ -253,31 +259,27 @@ def horn_fill_inner2(x01, x12):
 
 
 def unique_inner3_check(sx, missing):
-    """Search every map that could replace the missing inner
-    multiplication; returns all completions that validate.
-
-    Candidate values are constrained by the boundary equations before
-    whole-simplex validation.
-    """
+    """Every map that completes the missing inner multiplication (i, j, k)
+    to a valid simplex.  A completion must descend to an isomorphism of
+    bibundles from the composite of the edges ij and jk onto ik, so the
+    candidates are those isomorphisms after the composite's orbit map,
+    each validated with the whole simplex.  There are none when a
+    diagonal is no groupoid or an edge no bibundle functor."""
     i, j, k = missing
     if not i < j < k or missing in sx.m:
         raise BoundaryMismatch("%r is not a missing inner face" % (missing,))
-    fp = sx.fp(i, j, k)
-    ends = group_by(sx.XX[(i, k)].elements,
-                    lambda v: (sx.r[(i, k)](v), sx.s[(i, k)](v)))
-    cands = {}
-    for e, (x, y) in fp.pairing.items():
-        cands[e] = ends.get((sx.r[(i, j)](x), sx.s[(j, k)](y)), ())
-        if not cands[e]:
-            return {"fillers": []}
-    keys = list(fp.apex.elements)
+    try:
+        g = {a: diagonal_groupoid(sx, a) for a in missing}
+    except SiteError:
+        return {"fillers": []}
+    ij, jk, ik = (edge_bibundle(sx, a, b, g[a], g[b])
+                  for a, b in ((i, j), (j, k), (i, k)))
+    if not all(map(is_bibundle_functor, (ij, jk, ik))):
+        return {"fillers": []}
+    c = compose_bibundles(ij, jk)
     fillers = []
-    for choice in product(*(cands[e] for e in keys)):
-        tbl = dict(zip(keys, choice))
-        try:
-            mm = Mor(fp.apex, sx.XX[(i, k)], tbl)
-        except NotAMorphism:
-            continue
+    for f in bibundle_isomorphisms(c, ik):
+        mm = compose(f, c.middle_proj)
         full = NSimplex(sx.n, sx.X, sx.XX, sx.r, sx.s, {**sx.m, missing: mm},
                         sx.pullbacks)
         if passed(validate_simplex(full)):

@@ -10,10 +10,13 @@ are distinct; they are as many as X x_Z X has points), a part of
 assignment that makes a grandparent a root; the swap that keeps the
 least id at the root; the push of the walk that collects the classes in
 a minimal open set of a finite-space quotient), the multiplication
-table read by ``action.is_invariant``, or one of the
-shortcuts of ``site_core.axiom_harness`` (the skip of the maps that are
-not first in their relabelling class, the keys of its pullback and chain
-memos, its kernel-pair cache and its budget stop), and names the tests
+table read by ``action.is_invariant``, the isomorphisms that
+``bibundle.bibundle_isomorphisms`` yields after its first, the inverse
+by which ``bibundle.roundtrip_beta`` reads a class, the edge check of
+``nerve.unique_inner3_check``, or one of the shortcuts of
+``site_core.axiom_harness`` (the skip of the maps that are not first in
+their relabelling class, the keys of its pullback and chain memos, its
+kernel-pair cache and its budget stop), and names the tests
 that must then fail.  For each row the script copies ``src`` to a
 temporary directory, replaces the row's source text there, runs the named
 tests on the copy in a subprocess and prints whether they killed the
@@ -42,6 +45,7 @@ SEARCH_CORE = "tests/test_search_core.py::"
 POST = "tests/test_postconditions.py::"
 BIBUNDLE = "tests/test_bibundle.py::"
 BUNDLE = "tests/test_bundle.py::"
+NERVE = "tests/test_nerve.py::"
 COUNT = "len(pairs) == len(mt) == squares"
 HARNESS = "tests/test_harness.py::"
 SKIP = "if whole and p is not None and first[info[id(p)][0]] is not p:"
@@ -67,6 +71,14 @@ MUTANTS = [
     ("rmoves", "bibundle.py",
      "rmoves[xe].append((hel, b1.ract(xe, hel)))", "pass",
      [SEARCH_CORE + "test_bibundle_isomorphic_needs_both_sides"]),
+    ("every iso", "bibundle.py",
+     "            yield f\n", "            yield f\n            return\n",
+     [SEARCH_CORE + "test_bibundle_isomorphic_matches_brute_force"]),
+    ("beta inverse", "bibundle.py", "x.g.i(gel)", "gel",
+     [BIBUNDLE + "test_roundtrip_beta"]),
+    ("edge check", "nerve.py",
+     "if not all(map(is_bibundle_functor, (ij, jk, ik))):", "if False:",
+     [NERVE + "test_bad_horns_fill_and_fail_as_the_old_loops"]),
     ("bibundle_compat leaf", "bibundle.py",
      "if passed(bibundle_compat(b)):", "if True:",
      [POST + "test_enumerated_bibundles_are_bibundles"]),

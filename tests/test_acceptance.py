@@ -319,7 +319,8 @@ def test_criterion_10_nerve_horns():
             assert passed(validate_simplex(sx))
     assert filled > 3
     # unique filler on every inner 3-horn of degenerate unit chains
-    for g in (cyclic_groupoid(2), pair_groupoid(make_finset(["a", "b"]))):
+    for g in (cyclic_groupoid(2), cyclic_groupoid(3),
+              pair_groupoid(make_finset(["a", "b"]))):
         u = unit_bibundle(g)
         edges = {(i, j): u for i in range(3) for j in range(i + 1, 4)}
         inner = {(i, j, k): g.m

@@ -296,6 +296,61 @@ def test_inner3_candidates_share_the_horns_fibre_products(name, Z2, S2,
         assert len(calls) == 27
 
 
+INNER3 = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+BAD_HORNS = {
+    "Z2": lambda S2: (degenerate_3_simplex(cyclic_groupoid(2)), INNER3),
+    "pair": lambda S2: (degenerate_3_simplex(pair_groupoid(S2)), INNER3),
+    "Z2-fintop": lambda S2: (degenerate_3_simplex(
+        cyclic_groupoid(2, "fintop")), INNER3),
+    "Z2-dim2": lambda S2: (horn_fill_inner2(
+        unit_bibundle(cyclic_groupoid(2)), unit_bibundle(cyclic_groupoid(2))),
+        [(0, 1, 2)]),
+}
+
+
+def bad_horns(full, missing):
+    """The horns of ``full`` missing a face, each with one value of one
+    present face changed: the n-th present face gets the n-th of its
+    single-value corruptions, counted round, so the changed cell moves
+    from face to face.  Every face is corrupted once, those inside the
+    missing triangle included: they break a diagonal or an edge that the
+    filler reads."""
+    m = dict(full.m)
+    m.pop(missing)
+    for turn, key in enumerate(sorted(m)):
+        old = m[key]
+        changes = [(e, v) for e in old.dom.elements for v in old.cod.elements
+                   if v != old(e)]
+        e, v = changes[turn % len(changes)]
+        bad = Mor(old.dom, old.cod, {**old.table, e: v})
+        yield key, NSimplex(full.n, full.X, full.XX, full.r, full.s,
+                            {**m, key: bad})
+
+
+@pytest.mark.parametrize("name", sorted(BAD_HORNS))
+def test_bad_horns_fill_and_fail_as_the_old_loops(name, S2):
+    """On horns with one corrupted face the fillers are ``old_fillers``',
+    and neither raises.  Among the horns are those whose edges are no
+    bibundle functors: there the composite of two edges may not exist, so
+    the filler must find that an edge check fails before it composes."""
+    full, faces = BAD_HORNS[name](S2)
+    for missing in faces:
+        for key, sx in bad_horns(full, missing):
+            assert unique_inner3_check(sx, missing)["fillers"] == old_fillers(
+                sx, missing), (missing, key)
+
+
+@pytest.mark.parametrize("order", [4, 6])
+def test_degenerate_horns_of_larger_groups_fill_uniquely(order):
+    """Z/4 and Z/6, whose product searches would try 4¹⁶ and 6³⁶ tables:
+    each inner face of the degenerate 3-simplex is its only filler."""
+    full = degenerate_3_simplex(cyclic_groupoid(order))
+    for missing in INNER3:
+        sx, wanted = horn(full, missing)
+        assert unique_inner3_check(sx, missing)["fillers"] == [wanted]
+
+
 @pytest.mark.parametrize("kind", ["Z2", "Z3", "pair"])
 def test_corrupted_inner_multiplication_keeps_its_witness(kind, Z2, Z3, S2):
     """One wrong value of the inner multiplication m_012 of a degenerate

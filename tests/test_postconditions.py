@@ -317,11 +317,11 @@ def functor_bibundles(pool):
 
 def test_anafunctor_round_trips(monkeypatch, pool):
     """bibundle_to_anafunctor: a functor; two_sided_iso: a functor that
-    is an iso on arrows; beta_ana_to_bibundle: the
-    action it takes orbits of is an action and the result a bibundle;
+    is an iso on arrows; beta_ana_to_bibundle: the middle action of
+    its composite is an action and the result a bibundle;
     roundtrip_beta: an iso of bibundles; roundtrip_ananat: a 2-arrow with
     an inverse."""
-    orbits = recorded(monkeypatch, bibundle_module, "orbit_space")
+    middles = recorded(monkeypatch, bibundle_module, "is_basic")
     named = functor_bibundles(pool)
     assert len(named) > 8
     for name, x in named.items():
@@ -337,8 +337,8 @@ def test_anafunctor_round_trips(monkeypatch, pool):
         psi = roundtrip_ananat(ana)
         assert passed(validate_ananat(psi)), name
         assert passed(validate_ananat(ananat_inverse(psi))), name
-    assert len(orbits) >= 3 * len(named)
-    for (act,), _ in orbits:
+    assert len(middles) >= 3 * len(named)
+    for (act,), _ in middles:
         assert passed(validate_action(act))
 
 

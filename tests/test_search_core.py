@@ -26,8 +26,8 @@ from groupoidal.morphism import (AnaNat, Functor, anafunctor_from_functor,
                                  exists_ananat, identity_anafunctor,
                                  validate_ananat, validate_functor)
 from groupoidal.bibundle import (beta_ana_to_bibundle, bibundle_isomorphic,
-                                 bibundle_to_anafunctor, compose_bibundles,
-                                 dual, enumerate_bibundles,
+                                 bibundle_isomorphisms, bibundle_to_anafunctor,
+                                 compose_bibundles, dual, enumerate_bibundles,
                                  validate_bibundle_map)
 
 from test_acceptance import battery
@@ -178,17 +178,19 @@ def test_enumerate_functors_matches_brute_force_fintop():
 # ------------------------------------------------------------ bibundle isos
 
 def reference_isomorphism(b1, b2):
+    """Every isomorphism of bibundles from b1 to b2, in product order."""
     if b1.g != b2.g or b1.h != b2.h or len(b1.X) != len(b2.X):
-        return None
+        return []
     xs = b1.X.elements
     cands = [[ye for ye in b2.X.elements
               if b1.r_anchor(xe) == b2.r_anchor(ye)
               and b1.s_anchor(xe) == b2.s_anchor(ye)] for xe in xs]
+    out = []
     for values in product(*cands):
         f = Mor(b1.X, b2.X, dict(zip(xs, values)))
         if is_iso(f) and passed(validate_bibundle_map(b1, b2, f)):
-            return f
-    return None
+            out.append(f)
+    return out
 
 
 def bibundle_pairs():
@@ -205,12 +207,14 @@ def bibundle_pairs():
 
 
 def test_bibundle_isomorphic_matches_brute_force():
-    found = 0
+    found = several = 0
     for name, b1, b2 in bibundle_pairs():
         want = reference_isomorphism(b1, b2)
-        assert bibundle_isomorphic(b1, b2) == want, name
-        found += want is not None
-    assert found > 10
+        assert list(bibundle_isomorphisms(b1, b2)) == want, name
+        assert bibundle_isomorphic(b1, b2) == next(iter(want), None), name
+        found += bool(want)
+        several += len(want) > 1
+    assert found > 10 and several > 5
 
 
 def one_sided_bibundles(h, max_size):
@@ -237,9 +241,10 @@ def test_bibundle_isomorphic_needs_both_sides():
         for b1 in bs:
             for b2 in bs:
                 want = reference_isomorphism(b1, b2)
-                assert bibundle_isomorphic(b1, b2) == want
-                found += want is not None
-                missing += want is None and len(b1.X) == len(b2.X)
+                assert list(bibundle_isomorphisms(b1, b2)) == want
+                assert bibundle_isomorphic(b1, b2) == next(iter(want), None)
+                found += bool(want)
+                missing += not want and len(b1.X) == len(b2.X)
     assert found > 10 and missing > 10
 
 
