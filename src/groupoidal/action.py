@@ -15,7 +15,7 @@ from .site_core import (BoundaryMismatch, Mor, NotAMorphism, SiteError,
                         backtrack, compose, fibre_product, first_failure,
                         group_by, identity, inverse, is_cover, is_iso,
                         is_surjective, pair_id, require, require_ends,
-                        triple_product, witness_finding)
+                        shear, triple_product, witness_finding)
 from .groupoid import build_groupoid
 from .morphism import Functor
 
@@ -165,7 +165,6 @@ def validate_action(a):
         out.append(witness_finding(
             "unit-vs-cover", None if unit_holds == cover else
             "unit axiom and cover multiplication disagree"))
-        shear_ok = False
         try:
             sh, shinv = action_shear(a)
             shear_ok = is_iso(sh) and inverse(sh) == shinv
@@ -178,16 +177,14 @@ def validate_action(a):
 
 
 def action_shear(a):
-    """(x, g) -> (x·g, g) onto the fibre product of the anchor with the
-    end where x·g lands, with stated inverse (x, g) -> (x·g⁻¹, g); for a
-    left action, (g, x) -> (g, g·x)."""
-    g = a.g
+    """The shear (x, g) -> (x·g, g) onto the fibre product of the anchor
+    with the end where x·g lands, or (g, x) -> (g, g·x) for a left
+    action: ``site_core.shear`` keeping the arrow.  Returned with its
+    stated inverse (x, g) -> (x·g⁻¹, g), or (g, x) -> (g, g⁻¹·x)."""
     cod = fibre_product(*a.order(a.anchor, a.lands))
-    tbl = {e: cod.index[a.order(a.mult(e), gel)]
-           for e, x, gel in a.cells()}
-    inv_tbl = {e: a.pairs.index[a.order(a.apply(x, g.i(gel)), gel)]
+    inv_tbl = {e: a.pairs.index[a.order(a.apply(x, a.g.i(gel)), gel)]
                for e, x, gel in a.cells(cod)}
-    return (Mor(a.pairs.apex, cod.apex, tbl),
+    return (shear(a.pairs, a.mult, cod, a.order(1, 0)[0]),
             Mor(cod.apex, a.pairs.apex, inv_tbl))
 
 

@@ -219,18 +219,26 @@ def roundtrip_ananat(a):
     return AnaNat(a2, a, Mor(fp.apex, h.G1, tbl), fp)
 
 
+def middle_pair(FP, pair):
+    """The id of ``pair`` in the middle fibre product FP; raises
+    NotComposable naming a pair that an action moved out of FP."""
+    if pair not in FP.index:
+        raise NotComposable("(%s, %s) leaves the middle fibre product" % pair)
+    return FP.index[pair]
+
+
 def balanced_product(x, y):
     """The fibre product X x_{H0} Y of a right H-action x and an H-action
-    y, read as a left action, with the diagonal right action
-    (x, y)·h = (x·h, h⁻¹·y) whose orbit space is the balanced product
-    X x_H Y.  Returns the fibre product and the diagonal action."""
+    y, read as a left action, with the diagonal right action (x, y)·h =
+    (x·h, h⁻¹·y), whose orbit space is the balanced product X x_H Y;
+    raises NotComposable when it moves a pair out of the fibre product."""
     i = x.g.i
     y = on_side(y, "left")
     FP = fibre_product(x.anchor, y.anchor)
 
     def rule(w, hel):
         xe, ye = FP.pairing[w]
-        return FP.index[(x.apply(xe, hel), y.apply(ye, i(hel)))]
+        return middle_pair(FP, (x.apply(xe, hel), y.apply(ye, i(hel))))
 
     return FP, x.on(FP.apex, compose(x.anchor, FP.pr1), rule)
 
@@ -242,7 +250,7 @@ def descended_left(x, FP, coeq):
 
     def rule(c, gel):
         xe, ye = FP.pairing[c]
-        return coeq.proj(FP.index[(x.lact(gel, xe), ye)])
+        return coeq.proj(middle_pair(FP, (x.lact(gel, xe), ye)))
 
     l_anchor = Mor(Z, x.g.G0,
                    {c: x.r_anchor(FP.pairing[c][0]) for c in Z.elements})
@@ -264,8 +272,9 @@ def quotient_by_middle(x, y):
 def compose_bibundles(x, y):
     """The orbit space of the diagonal middle action on the fibre product
     of carriers, with the surviving outer actions; raises NotComposable
-    when the middle action is not basic.  The fibre product is attached
-    as ``middle`` and the orbit map as ``middle_proj``."""
+    when the middle action is not basic, or when an action moves a pair
+    out of the fibre product.  The fibre product is attached as
+    ``middle`` and the orbit map as ``middle_proj``."""
     if x.h != y.g:
         raise MiddleMismatch("middle groupoids differ")
     FP, res, left = quotient_by_middle(x, y.left)
@@ -274,7 +283,7 @@ def compose_bibundles(x, y):
 
     def rule(c, kel):
         xe, ye = FP.pairing[c]
-        return coeq.proj(FP.index[(xe, y.ract(ye, kel))])
+        return coeq.proj(middle_pair(FP, (xe, y.ract(ye, kel))))
 
     r_anchor = Mor(Z, y.h.G0,
                    {c: y.s_anchor(FP.pairing[c][1]) for c in Z.elements})

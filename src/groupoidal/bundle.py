@@ -1,9 +1,9 @@
 """Principal bundles and orbit spaces.
 
 An action, of either side, is principal over a projection p when p is
-an invariant cover and the shear map (x, g) -> (x, x·g), or (x, g·x),
-onto the fibre product of p with itself is invertible; "basic" means
-principal over the quotient by the action.
+an invariant cover and the shear map (x, g) -> (x, x·g), or (g, x) ->
+(g·x, x), onto the fibre product of p with itself is invertible;
+"basic" means principal over the quotient by the action.
 """
 
 from collections import Counter
@@ -11,7 +11,7 @@ from collections import Counter
 from .site_core import (BoundaryMismatch, Finding, Mor, NotAMorphism,
                         SiteError, coequalizer, compose, descend,
                         fibre_product, identity, inverse, is_cover, is_iso,
-                        passed, require, require_ends)
+                        passed, require, require_ends, shear)
 from .groupoid import cech_groupoid
 from .action import is_invariant, transformation_groupoid
 from .morphism import Functor
@@ -31,11 +31,10 @@ def orbit_space(a):
 
 
 def bundle_shear(a, proj):
-    """(x, g) -> (x, x·g), or (x, g·x), into the fibre product of proj
-    with itself."""
+    """The shear (x, g) -> (x, x·g), or (g, x) -> (g·x, x) for a left
+    action, into the fibre product PP of proj with itself, and PP."""
     PP = fibre_product(proj, proj)
-    tbl = {e: PP.index[(x, a.mult(e))] for e, x, gel in a.cells()}
-    return Mor(a.pairs.apex, PP.apex, tbl), PP
+    return shear(a.pairs, a.mult, PP, a.order(0, 1)[0]), PP
 
 
 def check_principal(a, proj, shear=None):
@@ -83,7 +82,8 @@ class PrincipalBundle:
         """The unique arrow g with x1·g = x2, or g·x1 = x2 (requires
         equal fibres)."""
         try:
-            e = self.shear_inverse(self.PP.index[(x1, x2)])
+            e = self.shear_inverse(
+                self.PP.index[self.action.order(x1, x2)])
         except KeyError:
             raise BoundaryMismatch("solve: %r and %r are not two points of "
                                    "one fibre" % (x1, x2)) from None

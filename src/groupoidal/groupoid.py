@@ -8,9 +8,10 @@ in the domain of m.
 
 from .site_core import (BoundaryMismatch, Mor, NotAMorphism, Obj,
                         SiteError, descend, fibre_product, first_failure,
-                        group_by, identity, is_cover, is_iso, kernel_pair,
-                        pair_id, require_cover, require_ends, terminal,
-                        to_terminal, triple_product, witness_finding)
+                        group_by, identity, inverse, is_cover, is_iso,
+                        kernel_pair, pair_id, require_cover, require_ends,
+                        shear, terminal, to_terminal, triple_product,
+                        witness_finding)
 
 
 class NotAssociative(SiteError):
@@ -22,14 +23,6 @@ class ShearNotIso(SiteError):
 
 
 class BoundaryEquationFails(SiteError):
-    pass
-
-
-class UnitNotUnique(SiteError):
-    pass
-
-
-class InverseNotUnique(SiteError):
     pass
 
 
@@ -87,17 +80,6 @@ class Groupoid:
         return "Groupoid(|G0|=%d, |G1|=%d)" % (len(self.G0), len(self.G1))
 
 
-def shear_maps(r, s, m, pairs):
-    """The two maps built from multiplication whose invertibility makes a
-    multiplication-only structure a groupoid: (x, g) -> (g, x·g) into the
-    fibre product over s, s, and (g, x) -> (g, g·x) into the one over r, r."""
-    ss = fibre_product(s, s)
-    rr = fibre_product(r, r)
-    t1 = {e: ss.index[(b, m(e))] for e, (a, b) in pairs.pairing.items()}
-    t2 = {e: rr.index[(a, m(e))] for e, (a, b) in pairs.pairing.items()}
-    return Mor(pairs.apex, ss.apex, t1), Mor(pairs.apex, rr.apex, t2)
-
-
 def validate_groupoid(g):
     """Check every axiom; returns all failures, not just the first."""
     arrows = g.arrows()
@@ -141,7 +123,8 @@ def validate_groupoid(g):
             for a, b in g.pairs.pairing.values())),
     ]
     try:
-        sh1, sh2 = shear_maps(g.r, g.s, g.m, g.pairs)
+        sh1 = shear(g.pairs, g.m, fibre_product(g.s, g.s), 1)
+        sh2 = shear(g.pairs, g.m, fibre_product(g.r, g.r), 0)
         out.append(witness_finding(
             "shear-right-iso", None if is_iso(sh1) else "not invertible"))
         out.append(witness_finding(
@@ -159,9 +142,12 @@ def from_multiplication(G0, G1, r, s, m):
 
     The input must satisfy the multiplication-only groupoid description:
     r, s covers, boundary equations, associativity, and both shear maps
-    invertible.  Unit and inversion are then forced: the left unit at
-    r(g) is the only e with s(e) = r(g) and e·g = g, and it depends only
-    on r(g); the inverse of g is the only h with h·g a unit.
+    invertible.  Unit and inversion are read off the inverse of the shear
+    (x, g) -> (x·g, g), a bijection onto G1 x_s G1: the unit at r(g) is
+    the first factor of the preimage of (g, g), the inverse of g that of
+    (u(s(g)), g).  Both pairs lie in G1 x_s G1, as s(u(x)) = x, so
+    neither read can be missing or doubled; associativity and the other
+    shear make the unit depend only on r(g), which ``descend`` checks.
     """
     require_cover(r, "from_multiplication: r")
     require_cover(s, "from_multiplication: s")
@@ -181,31 +167,20 @@ def from_multiplication(G0, G1, r, s, m):
             for c in by_range.get(s(b), ()):
                 if mul(mul(a, b), c) != mul(a, mul(b, c)):
                     raise NotAssociative("(%s, %s, %s)" % (a, b, c))
-    sh1, sh2 = shear_maps(r, s, m, pairs)
-    if not is_iso(sh1):
-        raise ShearNotIso("(x, g) -> (g, x·g)")
-    if not is_iso(sh2):
+    ss = fibre_product(s, s)
+    right = shear(pairs, m, ss, 1)
+    if not is_iso(right):
+        raise ShearNotIso("(x, g) -> (x·g, g)")
+    if not is_iso(shear(pairs, m, fibre_product(r, r), 0)):
         raise ShearNotIso("(g, x) -> (g, g·x)")
+    back = inverse(right)
 
-    # e·gel is defined exactly when s(e) = r(gel)
-    by_source = group_by(G1.elements, s)
-    left_unit = {}
-    for gel in G1.elements:
-        cands = [e for e in by_source.get(r(gel), ()) if mul(e, gel) == gel]
-        if len(cands) != 1:
-            raise UnitNotUnique("left unit at %s not unique" % gel)
-        left_unit[gel] = cands[0]
-    # the unit candidate must descend along r
-    u = descend(G0, G1, ((r(gel), left_unit[gel]) for gel in G1.elements))
+    def factor(a, b):
+        """The only x with x·b = a."""
+        return pairs.pairing[back(ss.index[(a, b)])][0]
 
-    itab = {}
-    for gel in G1.elements:
-        cands = [h for h in by_source.get(r(gel), ())
-                 if mul(h, gel) == u(s(gel))]
-        if len(cands) != 1:
-            raise InverseNotUnique("inverse of %s not unique" % gel)
-        itab[gel] = cands[0]
-    i = Mor(G1, G1, itab)
+    u = descend(G0, G1, ((r(gel), factor(gel, gel)) for gel in G1.elements))
+    i = Mor(G1, G1, {gel: factor(u(s(gel)), gel) for gel in G1.elements})
     return Groupoid(G0, G1, r, s, m, u, i, pairs=pairs)
 
 

@@ -8,10 +8,9 @@ inner multiplications descend to isomorphisms from composites.
 
 from itertools import combinations_with_replacement
 
-from .site_core import (BoundaryMismatch, Mor, SiteError, compose,
-                        fibre_product, first_failure, group_by, is_cover,
-                        is_iso, pair_id, passed, require_ends,
-                        witness_finding)
+from .site_core import (BoundaryMismatch, SiteError, compose, fibre_product,
+                        first_failure, group_by, is_cover, is_iso, pair_id,
+                        passed, require_ends, shear, witness_finding)
 from .groupoid import from_multiplication
 from .action import Action, Bibundle, validate_bibundle
 from .bundle import check_principal
@@ -122,18 +121,13 @@ def validate_simplex(sx):
     def shear_is_iso(i, j, k, side):
         """(x, y) -> (x, xy) onto the fibre product of the ranges, or
         (x, y) -> (xy, y) onto that of the sources."""
-        fp, m = sx.fp(i, j, k), sx.m[(i, j, k)]
-        if side == "left":
-            cod = sx.pullback(("r", (i, j)), ("r", (i, k)))
-        else:
-            cod = sx.pullback(("s", (i, k)), ("s", (j, k)))
+        cod = (sx.pullback(("s", (i, k)), ("s", (j, k))) if side == "right"
+               else sx.pullback(("r", (i, j)), ("r", (i, k))))
         try:
-            sh = Mor(fp.apex, cod.apex,
-                     {e: cod.index[(x, m(e)) if side == "left" else (m(e), y)]
-                      for e, (x, y) in fp.pairing.items()})
+            return is_iso(shear(sx.fp(i, j, k), sx.m[(i, j, k)], cod,
+                                side == "right"))
         except KeyError:
             return False
-        return is_iso(sh)
 
     out = [
         witness_finding("range-covers", first_failure(

@@ -314,6 +314,16 @@ def kernel_pair(f):
     return fibre_product(f, f)
 
 
+def shear(fp, m, cod, keep):
+    """The map sending the pair (x, y) of fp to (x, m(x, y)) when keep
+    is 0, or to (m(x, y), y) when keep is 1, in the fibre product cod;
+    raises KeyError when that pair is not in cod."""
+    mt, index = m.table, cod.index
+    return Mor(fp.apex, cod.apex, {
+        e: index[(mt[e], y) if keep else (x, mt[e])]
+        for e, (x, y) in fp.pairing.items()})
+
+
 def triple_product(f, g, h, k):
     """A x_{f,g} B x_{h,k} C for f: A -> Z, g: B -> Z, h: B -> W and
     k: C -> W: the apex, the triple (a, b, c) of each of its elements,

@@ -4,19 +4,24 @@ axiom harness.
 Each row switches off one propagation or leaf check that a search on
 ``site_core.backtrack`` keeps because it proves something, the
 equivariance half of ``bibundle.composite_fault``, either half of the
-count by which ``bundle.check_principal`` decides the shear (its pairs
-are distinct; they are as many as X x_Z X has points), a part of
+count by which ``bundle.check_principal`` decides the shear (its pairs are
+distinct; they are as many as X x_Z X has points), a part of
 ``site_core.coequalizer`` (its path halving, written as the chained
-assignment that makes a grandparent a root; the swap that keeps the
-least id at the root; the push of the walk that collects the classes in
-a minimal open set of a finite-space quotient), the multiplication
-table read by ``action.is_invariant``, the isomorphisms that
-``bibundle.bibundle_isomorphisms`` yields after its first, the inverse
-by which ``bibundle.roundtrip_beta`` reads a class, the edge check of
-``nerve.unique_inner3_check``, or one of the shortcuts of
-``site_core.axiom_harness`` (the skip of the maps that are not first in
-their relabelling class, the keys of its pullback and chain memos, its
-kernel-pair cache and its budget stop), and names the tests
+assignment that makes a grandparent a root; the swap that keeps the least
+id at the root; the push of the walk that collects the classes in a
+minimal open set of a finite-space quotient), the multiplication table
+read by ``action.is_invariant``, the isomorphisms that
+``bibundle.bibundle_isomorphisms`` yields after its first, the inverse by
+which ``bibundle.roundtrip_beta`` reads a class, the edge check of
+``nerve.unique_inner3_check``, the membership test by which
+``bibundle.middle_pair`` names a pair that leaves the middle fibre
+product, the unit that ``groupoid.from_multiplication`` reads off the
+inverse of its shear, the side-dependent choice of the factor that
+``bundle.bundle_shear`` keeps, the order in which
+``bundle.PrincipalBundle.solve`` looks up its pair, or one of the
+shortcuts of ``site_core.axiom_harness`` (the skip of the maps that are
+not first in their relabelling class, the keys of its pullback and chain
+memos, its kernel-pair cache and its budget stop), and names the tests
 that must then fail.  For each row the script copies ``src`` to a
 temporary directory, replaces the row's source text there, runs the named
 tests on the copy in a subprocess and prints whether they killed the
@@ -46,6 +51,8 @@ POST = "tests/test_postconditions.py::"
 BIBUNDLE = "tests/test_bibundle.py::"
 BUNDLE = "tests/test_bundle.py::"
 NERVE = "tests/test_nerve.py::"
+GROUPOID = "tests/test_groupoid.py::"
+DISCRETE = "tests/test_discrete.py::"
 COUNT = "len(pairs) == len(mt) == squares"
 HARNESS = "tests/test_harness.py::"
 SKIP = "if whole and p is not None and first[info[id(p)][0]] is not p:"
@@ -79,6 +86,16 @@ MUTANTS = [
     ("edge check", "nerve.py",
      "if not all(map(is_bibundle_functor, (ij, jk, ik))):", "if False:",
      [NERVE + "test_bad_horns_fill_and_fail_as_the_old_loops"]),
+    ("middle pair", "bibundle.py", "if pair not in FP.index:", "if False:",
+     [NERVE + "test_composing_edges_of_corrupted_faces_is_typed"]),
+    ("unit read", "groupoid.py", "factor(gel, gel)", "gel",
+     [GROUPOID + "test_from_multiplication_matches_old_loops",
+      DISCRETE + "test_groupoid_verdicts_agree_on_discrete_spaces"]),
+    ("shear keep", "bundle.py", "a.order(0, 1)[0]", "0",
+     [DISCRETE + "test_principal_verdicts_agree_on_discrete_spaces"]),
+    ("solve order", "bundle.py", "self.PP.index[self.action.order(x1, x2)]",
+     "self.PP.index[(x1, x2)]",
+     [DISCRETE + "test_principal_verdicts_agree_on_discrete_spaces"]),
     ("bibundle_compat leaf", "bibundle.py",
      "if passed(bibundle_compat(b)):", "if True:",
      [POST + "test_enumerated_bibundles_are_bibundles"]),

@@ -68,8 +68,21 @@ def action_counts(g, X, anchors, side):
     return len(acts), sum(is_basic(a)["flag"] for a in acts)
 
 
+ZN_ORDERS = [2, 3, 4, 6]
+CECH_FIBRES = [(1,), (2,), (3,), (2, 1), (2, 2), (3, 2)]
+
+
+def fibred_cech_groupoid(fibres):
+    """The Čech groupoid of a cover whose fibres have the given sizes."""
+    cells = [("b%d" % b, "a%d.%d" % (b, i)) for b, f in enumerate(fibres)
+             for i in range(f)]
+    A = make_finset([a for _, a in cells])
+    B = make_finset(["b%d" % b for b in range(len(fibres))])
+    return cech_groupoid(Mor(A, B, {a: b for b, a in cells}))
+
+
 @pytest.mark.parametrize("side", ["right", "left"])
-@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("n", ZN_ORDERS)
 def test_zn_action_counts(n, side):
     """Z/n acts on k points as the permutations with sigma^n = 1 (A000085,
     A001470, A001472 and A053496 for n = 2, 3, 4, 6); the basic actions
@@ -83,16 +96,11 @@ def test_zn_action_counts(n, side):
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
-@pytest.mark.parametrize("fibres", [(1,), (2,), (3,), (2, 1), (2, 2),
-                                    (3, 2)])
+@pytest.mark.parametrize("fibres", CECH_FIBRES)
 def test_cech_action_counts(fibres, side):
     """Actions of the Čech groupoid of a cover with the given fibre sizes
     on k points, summed over every anchor; each of them is basic."""
-    cells = [("b%d" % b, "a%d.%d" % (b, i)) for b, f in enumerate(fibres)
-             for i in range(f)]
-    A = make_finset([a for _, a in cells])
-    B = make_finset(["b%d" % b for b in range(len(fibres))])
-    g = cech_groupoid(Mor(A, B, {a: b for b, a in cells}))
+    g = fibred_cech_groupoid(fibres)
     for k in range(5):
         X = points(k)
         c = jobs.cech_action_count(fibres, k)

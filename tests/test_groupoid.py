@@ -1,15 +1,15 @@
 import pytest
 
-from groupoidal.site_core import (Mor, compose, fibre_product, identity,
-                                  is_cover, is_iso, pair_id, passed,
-                                  terminal, to_terminal)
+from groupoidal.site_core import (Mor, NotAMorphism, compose,
+                                  fibre_product, identity, is_cover, is_iso,
+                                  pair_id, passed, shear, terminal,
+                                  to_terminal)
 from groupoidal.backends import make_finset, sierpinski
 import groupoidal.groupoid as groupoid_module
 from groupoidal.groupoid import (MAX_CYCLIC_ORDER, Groupoid, NotAssociative,
-                                 OrderOutOfRange, ShearNotIso, UnitNotUnique,
-                                 cech_groupoid, cyclic_groupoid,
-                                 from_multiplication, pair_groupoid,
-                                 pullback_groupoid, shear_maps,
+                                 OrderOutOfRange, ShearNotIso, cech_groupoid,
+                                 cyclic_groupoid, from_multiplication,
+                                 pair_groupoid, pullback_groupoid,
                                  unit_groupoid, validate_groupoid)
 from groupoidal.morphism import hypercover, validate_functor
 
@@ -107,9 +107,11 @@ def old_unit_and_inverse(G1, r, s, m):
 
 
 def test_from_multiplication_matches_old_loops(monkeypatch, S3, CECH2, Z4):
-    """Units and inverses are those of the old filtered loops; and with
-    the shear check passed over, an idempotent e beside the unit 1x at x
-    is named as the old loops name it: e has two left units."""
+    """Units and inverses are those of the old filtered loops.  With the
+    shear check passed over, an idempotent e beside the unit 1x at x,
+    which the old loops name as having two left units, makes the shear
+    (x, g) -> (x·g, g) fail to be injective: its inverse, from which the
+    unit is read, is no morphism."""
     for g in (CECH2, Z4, pair_groupoid(S3), pullback_groupoid(
             Z4, to_terminal(S3))):
         got = from_multiplication(g.G0, g.G1, g.r, g.s, g.m)
@@ -120,11 +122,11 @@ def test_from_multiplication_matches_old_loops(monkeypatch, S3, CECH2, Z4):
     pairs = fibre_product(end, end)
     m = Mor(pairs.apex, G1, {k: b if a[0] == "1" else a
                              for k, (a, b) in pairs.pairing.items()})
+    assert old_unit_and_inverse(G1, end, end, m) == (
+        "left unit at e not unique")
     monkeypatch.setattr(groupoid_module, "is_iso", lambda f: True)
-    with pytest.raises(UnitNotUnique) as err:
+    with pytest.raises(NotAMorphism, match="not injective"):
         from_multiplication(G0, G1, end, end, m)
-    assert str(err.value) == old_unit_and_inverse(G1, end, end, m)
-    assert str(err.value) == "left unit at e not unique"
 
 
 def test_from_multiplication_rejects_nonassociative():
@@ -152,8 +154,8 @@ def test_from_multiplication_rejects_broken_shear():
 
 
 def test_shear_maps_are_isos_on_fixture(Z4):
-    sh1, sh2 = shear_maps(Z4.r, Z4.s, Z4.m, Z4.pairs)
-    assert is_iso(sh1) and is_iso(sh2)
+    for ends, keep in ((Z4.s, 1), (Z4.r, 0)):
+        assert is_iso(shear(Z4.pairs, Z4.m, fibre_product(ends, ends), keep))
 
 
 def test_multiplication_is_cover(CECH2, Z2):

@@ -1,15 +1,17 @@
+from collections import Counter
 from itertools import combinations_with_replacement, product
 
 import pytest
 
 from groupoidal.site_core import (BoundaryMismatch, Mor, NotAMorphism,
-                                  compose, fibre_product, first_failure,
-                                  identity, is_iso, passed, terminal)
+                                  SiteError, compose, fibre_product,
+                                  first_failure, identity, is_iso, passed,
+                                  terminal)
 from groupoidal.backends import make_finset
 from groupoidal.groupoid import (cyclic_groupoid, pair_groupoid,
                                  unit_groupoid)
 from groupoidal.action import unit_bibundle
-from groupoidal.bibundle import dual
+from groupoidal.bibundle import compose_bibundles, dual
 from groupoidal import nerve
 from groupoidal.nerve import (NSimplex, NotMonotone, build_simplex,
                               diagonal_groupoid, edge_bibundle,
@@ -394,3 +396,30 @@ def test_bad_simplex_arguments_are_typed_errors(Z2):
     for face in [(0, 1, 3), (1, 1, 2)]:
         with pytest.raises(BoundaryMismatch):
             unique_inner3_check(full, face)
+
+
+def test_composing_edges_of_corrupted_faces_is_typed(S2):
+    """Every single-value corruption of a face of the degenerate pair(S2)
+    3-simplex: composing its edges 01 and 13 returns a bibundle or raises
+    a ``SiteError``.  Where an action of an edge moves a pair out of the
+    middle fibre product, the composite raises ``NotComposable`` naming
+    the pair, not a bare ``KeyError``."""
+    full = degenerate_3_simplex(pair_groupoid(S2))
+    outcomes, messages = Counter(), {}
+    for key, old in sorted(full.m.items()):
+        for e, v in product(old.dom.elements, old.cod.elements):
+            if v == old(e):
+                continue
+            sx = NSimplex(3, full.X, full.XX, full.r, full.s, {
+                **full.m, key: Mor(old.dom, old.cod, {**old.table, e: v})})
+            try:
+                compose_bibundles(edge_bibundle(sx, 0, 1),
+                                  edge_bibundle(sx, 1, 3))
+                outcomes["composed"] += 1
+            except SiteError as exc:
+                outcomes[type(exc).__name__] += 1
+                messages[key, e, v] = str(exc)
+    assert outcomes == {"composed": 344, "BoundaryEquationFails": 72,
+                        "NotComposable": 64}
+    assert messages[(0, 0, 1), "a|a|a|a", "a|b"] == (
+        "(a|b, a|a) leaves the middle fibre product")

@@ -27,8 +27,7 @@ from groupoidal.site_core import (BackendMismatch, Mor, NotACover,
                                   passed, terminal, to_terminal)
 from groupoidal.backends import all_finspaces, make_finset
 from groupoidal.groupoid import (BoundaryEquationFails, BoundaryMismatch,
-                                 Groupoid, InverseNotUnique, UnitNotUnique,
-                                 cech_groupoid, cyclic_groupoid,
+                                 Groupoid, cech_groupoid, cyclic_groupoid,
                                  from_multiplication, pair_groupoid,
                                  pullback_groupoid, unit_groupoid,
                                  validate_groupoid)
@@ -847,8 +846,10 @@ def walking_arrow():
 
 def test_from_multiplication_typed_errors(monkeypatch):
     """A wrong domain and failing boundary equations are rejected before
-    the shear check; with the shear check passed over, so are a unit and
-    an inverse that are not unique."""
+    the shear check.  With the shear check passed over, a multiplication
+    with many left units has a shear that is not injective, and one with
+    no inverse of f a shear that is not onto: both are rejected as the
+    inverse of the shear is read."""
     pt, G1, r, s, m = loops(lambda a, b: b)
     with pytest.raises(BoundaryMismatch):
         from_multiplication(pt, G1, r, s, Mor(G1, G1, identity(G1).table))
@@ -858,9 +859,9 @@ def test_from_multiplication_typed_errors(monkeypatch):
             e: "f" for e in hm.dom.elements}))
     monkeypatch.setattr(groupoid_module, "is_iso", lambda f: True)
     # x·y = y: every arrow is a left unit of every arrow
-    with pytest.raises(UnitNotUnique):
+    with pytest.raises(NotAMorphism, match="not injective"):
         from_multiplication(pt, G1, r, s, m)
-    with pytest.raises(InverseNotUnique):
+    with pytest.raises(NotAMorphism, match="total"):
         from_multiplication(G0, H1, hr, hs, hm)
 
 
