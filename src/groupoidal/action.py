@@ -91,10 +91,6 @@ class Action:
         another fibre product whose pairs are ordered like this action's."""
         return self._cells((self.pairs if fp is None else fp).pairing)
 
-    def cell(self, e):
-        """(x, gel) of the pair e."""
-        return self.order(*self.pairs.pairing[e])
-
     def then(self, p, q):
         """The arrow that acts as p and then q."""
         return self.g.mul(*self.order(p, q))

@@ -152,11 +152,11 @@ def two_sided_iso(x, ana):
 
 def beta_ana_to_bibundle(a):
     """The bibundle of an anafunctor: the composite of the dual of the
-    bibundle of its cover ``hypercover(src, p)`` with the bibundle of its
-    functor.  The two factors are attached as ``down`` and ``up``; their
-    ``fp`` pairings decode a class [(x, g), (x, h)], which is the class
-    of g⁻¹·x·h."""
-    down = functor_to_bibundle(hypercover(a.src, a.p))
+    bibundle of its cover ``hypercover(a.gx)``, built on a's own groupoid,
+    with the bibundle of its functor.  The two factors are attached as
+    ``down`` and ``up``; their ``fp`` pairings decode a class
+    [(x, g), (x, h)], which is the class of g⁻¹·x·h."""
+    down = functor_to_bibundle(hypercover(a.gx))
     up = functor_to_bibundle(a.F)
     out = compose_bibundles(dual(down), up)
     out.down, out.up = down, up

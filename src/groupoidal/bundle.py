@@ -10,8 +10,8 @@ from collections import Counter
 
 from .site_core import (BoundaryMismatch, Finding, Mor, NotAMorphism,
                         SiteError, coequalizer, compose, descend,
-                        fibre_product, identity, inverse, is_cover, is_iso,
-                        passed, require, require_ends, shear)
+                        fibre_product, identity, is_cover, is_iso, passed,
+                        require, require_ends, shear)
 from .groupoid import cech_groupoid
 from .action import is_invariant, transformation_groupoid
 from .morphism import Functor
@@ -32,9 +32,9 @@ def orbit_space(a):
 
 def bundle_shear(a, proj):
     """The shear (x, g) -> (x, x·g), or (g, x) -> (g·x, x) for a left
-    action, into the fibre product PP of proj with itself, and PP."""
-    PP = fibre_product(proj, proj)
-    return shear(a.pairs, a.mult, PP, a.order(0, 1)[0]), PP
+    action, into the fibre product of proj with itself."""
+    return shear(a.pairs, a.mult, fibre_product(proj, proj),
+                 a.order(0, 1)[0])
 
 
 def check_principal(a, proj, shear=None):
@@ -58,7 +58,7 @@ def check_principal(a, proj, shear=None):
                            len(pairs) == len(mt) == squares, None))
         return out
     try:
-        sh, PP = shear or bundle_shear(a, proj)
+        sh = shear or bundle_shear(a, proj)
         out.append(Finding("shear-iso", is_iso(sh), None))
     except (KeyError, NotAMorphism) as exc:
         out.append(Finding("shear-iso", False, str(exc)))
@@ -66,28 +66,24 @@ def check_principal(a, proj, shear=None):
 
 
 class PrincipalBundle:
+    """An action principal over proj, checked once; ``solve`` reads its
+    arrows off the cells, whose pairs (x1, x2) the check made distinct."""
+
     def __init__(self, action, proj):
-        try:
-            shear = bundle_shear(action, proj)
-        except (KeyError, NotAMorphism):
-            shear = None    # not principal: check_principal says why
-        require(check_principal(action, proj, shear), NotPrincipal)
+        require(check_principal(action, proj), NotPrincipal)
         self.action, self.proj = action, proj
-        self.g = action.g
         self.X, self.Z = action.X, proj.cod
-        self.shear, self.PP = shear
-        self.shear_inverse = inverse(self.shear)
+        self._arrow = {(x, action.apply(x, gel)): gel
+                       for _, x, gel in action.cells()}
 
     def solve(self, x1, x2):
         """The unique arrow g with x1·g = x2, or g·x1 = x2 (requires
         equal fibres)."""
         try:
-            e = self.shear_inverse(
-                self.PP.index[self.action.order(x1, x2)])
+            return self._arrow[(x1, x2)]
         except KeyError:
             raise BoundaryMismatch("solve: %r and %r are not two points of "
                                    "one fibre" % (x1, x2)) from None
-        return self.action.cell(e)[1]
 
     def __repr__(self):
         return "PrincipalBundle(|X|=%d, |Z|=%d)" % (len(self.X), len(self.Z))
@@ -111,7 +107,7 @@ def is_basic(a):
     else:
         # freeness plus continuity of the shear inverse plus the quotient
         # map being a cover
-        alt = free and is_iso(shear[0]) and is_cover(coeq.proj)
+        alt = free and is_iso(shear) and is_cover(coeq.proj)
         cross.append(Finding("basic-iff-free-and-continuous",
                              flag == alt, None))
     return {"flag": flag, "orbits": coeq, "cross": cross}

@@ -221,11 +221,9 @@ def pair_groupoid(X):
 
 
 def pullback_groupoid(g, p):
-    """Arrows are triples (x, h, y) with p(x) = r(h), s(h) = p(y).
-
-    The triple decodings are attached as ``triples`` / ``triple_index``;
-    ``morphism.hypercover`` is the functor down to g.
-    """
+    """Arrows are triples (x, h, y) with p(x) = r(h), s(h) = p(y); the
+    triple decodings are attached as ``triples`` / ``triple_index``, and g
+    and p as ``base`` and ``cover``, read by ``morphism.hypercover``."""
     require_cover(p, "pullback_groupoid: p")
     G1x, triples, index = triple_product(p, g.r, g.s, p)
 
@@ -242,8 +240,8 @@ def pullback_groupoid(g, p):
         p.dom, G1x, Mor(G1x, p.dom, {e: t[0] for e, t in triples.items()}),
         Mor(G1x, p.dom, {e: t[2] for e, t in triples.items()}), mul,
         lambda x: index[(x, g.unit(p(x)), x)], inv)
-    gx.triples = triples
-    gx.triple_index = index
+    gx.triples, gx.triple_index = triples, index
+    gx.base, gx.cover = g, p
     return gx
 
 

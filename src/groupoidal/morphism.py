@@ -223,22 +223,23 @@ class Anafunctor:
                                                  self.dst)
 
 
-def hypercover(g, p):
-    """The functor from the pullback groupoid of g along p down to g:
-    objects p, arrows the middle projection."""
-    gx = pullback_groupoid(g, p)
-    return Functor(gx, g, p, Mor(gx.G1, g.G1,
-                                 {e: t[1] for e, t in gx.triples.items()}))
+def hypercover(gx):
+    """The functor from gx = ``pullback_groupoid(g, p)`` down to g, its
+    ``base``: objects p, its ``cover``, arrows the middle projection."""
+    if not hasattr(gx, "base"):
+        raise BoundaryMismatch("hypercover: %r is no pullback groupoid" % gx)
+    return Functor(gx, gx.base, gx.cover, Mor(
+        gx.G1, gx.base.G1, {e: t[1] for e, t in gx.triples.items()}))
 
 
 def identity_anafunctor(g):
-    return Anafunctor(g, g, identity(g.G0), hypercover(g, identity(g.G0)))
+    return anafunctor_from_functor(identity_functor(g))
 
 
 def anafunctor_from_functor(F):
     g = F.src
-    return Anafunctor(g, F.dst, identity(g.G0),
-                      compose_functors(F, hypercover(g, identity(g.G0))))
+    return Anafunctor(g, F.dst, identity(g.G0), compose_functors(
+        F, hypercover(pullback_groupoid(g, identity(g.G0)))))
 
 
 def compose_anafunctors(b, a):

@@ -17,16 +17,21 @@ which ``bibundle.roundtrip_beta`` reads a class, the edge check of
 ``bibundle.middle_pair`` names a pair that leaves the middle fibre
 product, the unit that ``groupoid.from_multiplication`` reads off the
 inverse of its shear, the side-dependent choice of the factor that
-``bundle.bundle_shear`` keeps, the order in which
-``bundle.PrincipalBundle.solve`` looks up its pair, or one of the
-shortcuts of ``site_core.axiom_harness`` (the skip of the maps that are
-not first in their relabelling class, the keys of its pullback and chain
-memos, its kernel-pair cache and its budget stop), and names the tests
-that must then fail.  For each row the script copies ``src`` to a
-temporary directory, replaces the row's source text there, runs the named
-tests on the copy in a subprocess and prints whether they killed the
-mutant.  The same tests must first pass on an unmutated copy.  The
-repository itself is never edited.
+``bundle.bundle_shear`` keeps, the order of the pair (x, x·g) under which
+``bundle.PrincipalBundle`` files the arrow g that ``solve`` reads, the
+middle projection that is the arrow part of ``morphism.hypercover``, the
+anafunctor's own groupoid from which ``bibundle.beta_ana_to_bibundle``
+maps down, the continuity of the shear inverse in the finite-space
+cross-check of ``bundle.is_basic``, the text of a failing check's witness in
+``cli._verdict`` (which the committed reports of ``tests/golden/`` pin),
+or one of the shortcuts of ``site_core.axiom_harness`` (the skip of the
+maps that are not first in their relabelling class, the keys of its
+pullback and chain memos, its kernel-pair cache and its budget stop), and
+names the tests that must then fail.  For each row the script copies
+``src`` to a temporary directory, replaces the row's source text there,
+runs the named tests on the copy in a subprocess and prints whether they
+killed the mutant.  The same tests must first pass on an unmutated copy.
+The repository itself is never edited.
 
     python tests/mutants.py            # every row
     python tests/mutants.py links      # the rows whose name contains "links"
@@ -53,6 +58,7 @@ BUNDLE = "tests/test_bundle.py::"
 NERVE = "tests/test_nerve.py::"
 GROUPOID = "tests/test_groupoid.py::"
 DISCRETE = "tests/test_discrete.py::"
+GOLDEN = "tests/test_golden.py::"
 COUNT = "len(pairs) == len(mt) == squares"
 HARNESS = "tests/test_harness.py::"
 SKIP = "if whole and p is not None and first[info[id(p)][0]] is not p:"
@@ -93,9 +99,24 @@ MUTANTS = [
       DISCRETE + "test_groupoid_verdicts_agree_on_discrete_spaces"]),
     ("shear keep", "bundle.py", "a.order(0, 1)[0]", "0",
      [DISCRETE + "test_principal_verdicts_agree_on_discrete_spaces"]),
-    ("solve order", "bundle.py", "self.PP.index[self.action.order(x1, x2)]",
-     "self.PP.index[(x1, x2)]",
+    ("solve order", "bundle.py", "(x, action.apply(x, gel))",
+     "(action.apply(x, gel), x)",
      [DISCRETE + "test_principal_verdicts_agree_on_discrete_spaces"]),
+    ("hypercover arrows", "morphism.py",
+     "{e: t[1] for e, t in gx.triples.items()}",
+     "{e: gx.base.unit(gx.base.r(t[1])) for e, t in gx.triples.items()}",
+     [GROUPOID + "test_pullback_groupoid", BIBUNDLE + "test_roundtrip_beta"]),
+    ("beta's groupoid", "bibundle.py",
+     "down = functor_to_bibundle(hypercover(a.gx))",
+     "down = functor_to_bibundle(hypercover(pullback_groupoid(a.src, a.p)))",
+     ["tests/test_morphism.py::test_beta_builds_no_pullback_groupoid"]),
+    ("fintop alt", "bundle.py",
+     "alt = free and is_iso(shear) and is_cover(coeq.proj)",
+     "alt = free and is_cover(coeq.proj)",
+     [BUNDLE + "test_free_action_whose_shear_inverse_is_not_continuous"]),
+    ("witness text", "cli.py", "[f.check for f in rep if not f.ok] or None",
+     "[f.check.upper() for f in rep if not f.ok] or None",
+     [GOLDEN + "test_report_matches_golden"]),
     ("bibundle_compat leaf", "bibundle.py",
      "if passed(bibundle_compat(b)):", "if True:",
      [POST + "test_enumerated_bibundles_are_bibundles"]),

@@ -86,6 +86,29 @@ def test_is_basic_fintop():
     assert len(res["orbits"].quotient) == 2
 
 
+def test_free_action_whose_shear_inverse_is_not_continuous():
+    """Z/2 swaps a with b and c with d, on the space where a and b lie
+    below c and d.  The action is free and its orbit map a cover, but
+    (a, a) lies below (c, d), which the arrow 1 joins and (a, a) the arrow
+    0: the shear's inverse is not continuous, so the action is not basic,
+    and the fintop cross-check needs that continuity to agree."""
+    from groupoidal.site_core import Obj
+    Z2 = cyclic_groupoid(2, backend="fintop")
+    up = {"a": "acd", "b": "bcd", "c": "c", "d": "d"}
+    X = Obj("fintop", list(up), {x: frozenset(u) for x, u in up.items()})
+    anchor = Mor(X, Z2.G0, dict.fromkeys(up, "*"))
+    pairs = fibre_product(anchor, Z2.r)
+    flip = {"a": "b", "b": "a", "c": "d", "d": "c"}
+    a = Action(Z2, X, anchor, Mor(pairs.apex, X, {
+        e: x if gel == "0" else flip[x]
+        for e, (x, gel) in pairs.pairing.items()}), "right", pairs)
+    assert passed(validate_action(a))
+    res = is_basic(a)
+    assert not res["flag"] and is_cover(res["orbits"].proj)
+    assert [(f.check, f.ok) for f in res["cross"]] == [
+        ("basic-iff-free-and-continuous", True)]
+
+
 def counted(monkeypatch, module, names):
     calls = dict.fromkeys(names, 0)
     for name in names:
@@ -102,13 +125,16 @@ def test_is_basic_builds_the_shear_once(monkeypatch, Z2, S2, SWAP, p2):
     """One principality check per call.  On finsets the shear is counted,
     never built, and is_basic builds no bundle; on fintop it is built
     once and the cross-check reuses it; a bundle built from an action and
-    a projection builds it once."""
+    a projection counts it on finsets and builds it once on fintop."""
     import groupoidal.bundle as bundle
+    sheets = sheet_swap()
+    sheets_proj = orbit_space(sheets).proj
     calls = counted(monkeypatch, bundle, ["check_principal", "bundle_shear"])
     cases = [(lambda: is_basic(trivial_action(Z2, S2)), 0),
              (lambda: is_basic(SWAP), 0),
              (lambda: is_basic(sheet_swap()), 1),
-             (lambda: PrincipalBundle(SWAP, p2), 1)]
+             (lambda: PrincipalBundle(SWAP, p2), 0),
+             (lambda: PrincipalBundle(sheets, sheets_proj), 1)]
     for build, shears in cases:
         calls.update(check_principal=0, bundle_shear=0)
         build()

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -11,6 +10,7 @@ from groupoidal.cli import (BadEnvironment, ModelSyntaxError, NegativeCap,
                             TypeMismatch, UnknownCommand, UnresolvedName,
                             build_model, format_report, main, parse_model,
                             run_command, serialize_model)
+from test_golden import readme_model
 
 
 MODEL = """\
@@ -127,7 +127,6 @@ def test_map_off_its_codomain_is_a_model_error(tmp_path, flags):
                                   "codomain (line 3, col 0)")
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
 README_COMMANDS = [["validate", "C2", "SWAP", "EQ"], ["compose", "EQ", "EQd"],
                    ["equiv", "EQ"], ["decompose", "EQ"], ["orbit", "SWAP"],
                    ["nerve", "EQ", "EQd"], ["axioms", "--max", "2"]]
@@ -141,10 +140,8 @@ def test_readme_reports_do_not_depend_on_O(tmp_path, flags):
     """The --json report of each README command, run in a subprocess with
     the given flags, equals the one this process writes; so the reports
     are the same under -O as without it."""
-    text = README.read_text(encoding="utf-8")
-    start = text.index("# model.gpd\n")
     model = tmp_path / "model.gpd"
-    model.write_text(text[start:text.index("```", start)])
+    model.write_text(readme_model())
 
     def argvs(tag):
         return [cmd + (["--model", str(model)] if cmd[0] != "axioms" else [])

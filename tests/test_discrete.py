@@ -1,4 +1,5 @@
-"""The finite-set and the finite-space paths of the shear checks agree.
+"""The finite-set and the finite-space paths of the shear checks, and of
+the anafunctor calculus built on them, agree.
 
 A finite set carried to the discrete space on the same ids is the same
 object of the site, so every verdict must be the same on both.  The two
@@ -6,10 +7,11 @@ backends reach some verdicts by different code: on a finite set
 ``bundle.check_principal`` counts the shear of an invariant projection,
 on a finite space it builds the shear and tests it with ``is_iso``, and
 ``is_basic`` names its cross-check differently on the two.  The helpers
-``carry_groupoid`` and ``carry_action`` carry a finset groupoid or
-action to discrete spaces, keeping every id, so each table and witness
-can be compared as it stands.  The inputs are the acceptance battery,
-its duals, and the action pools of ``tests/test_counts.py``.
+``carry_groupoid``, ``carry_action`` and ``carry_bibundle`` carry a
+finset groupoid, action or bibundle to discrete spaces, keeping every
+id, so each table and witness can be compared as it stands.  The inputs
+are the acceptance battery, its duals, and the action pools of
+``tests/test_counts.py``.
 """
 
 from itertools import product
@@ -19,10 +21,11 @@ from groupoidal.site_core import (Mor, all_maps, fibre_product, identity,
 from groupoidal.backends import discrete
 from groupoidal.groupoid import (Groupoid, cyclic_groupoid,
                                  from_multiplication, validate_groupoid)
-from groupoidal.action import (Action, action_pairs, enumerate_actions,
-                               on_side)
+from groupoidal.action import (Action, Bibundle, action_pairs,
+                               enumerate_actions, on_side, validate_bibundle)
 from groupoidal.bundle import PrincipalBundle, check_principal, orbit_space
-from groupoidal.bibundle import dual
+from groupoidal.bibundle import (bibundle_to_anafunctor, classify,
+                                 decompose_actor, dual, roundtrip_beta)
 from test_acceptance import battery
 from test_counts import CECH_FIBRES, ZN_ORDERS, fibred_cech_groupoid, points
 
@@ -50,6 +53,12 @@ def carry_action(a, g):
     pairs = action_pairs(g, anchor, a.side)
     return Action(g, X, anchor, Mor(pairs.apex, X, a.mult.table), a.side,
                   pairs)
+
+
+def carry_bibundle(b):
+    """The bibundle b on discrete spaces with the same ids."""
+    g, h = carry_groupoid(b.g), carry_groupoid(b.h)
+    return Bibundle(g, h, carry_action(b.left, g), carry_action(b.right, h))
 
 
 def battery_bibundles():
@@ -151,3 +160,38 @@ def check_both_backends(a, d):
                                          carry_map(orbits))) == got
         assert all(a2.apply(x1, gel) == x2 for (x1, x2), gel in got.items())
     return 2
+
+
+def calculus(b):
+    """What the anafunctor calculus reads off the bibundle b, by ids: the
+    flags; for a functor the F1 table of its anafunctor, the carrier of
+    the bibundle of that anafunctor and its validation, the round-trip
+    iso and every solution in its principal right action; for an actor
+    the sizes of K and the recomposition iso."""
+    flags = classify(b)
+    out = {"flags": flags}
+    if flags["is_functor"]:
+        rt = roundtrip_beta(b)
+        out.update(F1=bibundle_to_anafunctor(b).F.F1.table,
+                   beta=(rt["beta"].X.elements, validate_bibundle(rt["beta"])),
+                   iso=rt["iso"].table,
+                   solve=solutions(PrincipalBundle(b.right, b.r_anchor)))
+    if flags["is_actor"]:
+        res = decompose_actor(b)
+        out["decompose"] = (len(res["k"].G0), len(res["k"].G1),
+                            res["iso"].table)
+    return out
+
+
+def test_anafunctor_calculus_agrees_on_discrete_spaces():
+    """Each bibundle of the battery and each dual, carried to discrete
+    spaces, gives the same flags, anafunctor, bibundle of the anafunctor,
+    round trip, solutions and actor decomposition, id for id."""
+    read = []
+    for b in battery_bibundles():
+        got = calculus(b)
+        assert calculus(carry_bibundle(b)) == got, b
+        assert "beta" not in got or passed(got["beta"][1])
+        read += got
+    # 11 of the 12 are functors and every one is an actor
+    assert (read.count("F1"), read.count("decompose")) == (11, 12)

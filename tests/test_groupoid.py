@@ -165,9 +165,9 @@ def test_multiplication_is_cover(CECH2, Z2):
 
 def test_pullback_groupoid(Z2, S3):
     p = to_terminal(S3)
-    hyper = hypercover(Z2, p)
-    gx = hyper.src
-    assert gx == pullback_groupoid(Z2, p)
+    gx = pullback_groupoid(Z2, p)
+    hyper = hypercover(gx)
+    assert hyper.src is gx and hyper.dst is Z2 and hyper.F0 is p
     assert len(gx.G0) == 3 and len(gx.G1) == 18
     assert passed(validate_groupoid(gx))
     assert passed(validate_functor(hyper))

@@ -23,7 +23,10 @@ from groupoidal.morphism import (AnaNat, Anafunctor, Functor, NatTrans,
                                  validate_ananat, validate_functor,
                                  validate_nat)
 from groupoidal.bibundle import (beta_ana_to_bibundle,
-                                 brute_force_quasi_inverse)
+                                 bibundle_to_anafunctor,
+                                 brute_force_quasi_inverse, classify)
+from test_acceptance import battery
+from test_bundle import counted
 
 
 def unit_inclusion(Z2):
@@ -220,14 +223,39 @@ def test_anafunctor_rejects_a_source_that_is_no_pullback_groupoid(Z2, S2):
     pair = pair_groupoid(S2)
     flip = Mor(S2, S2, {"a": "b", "b": "a"})
     with pytest.raises(BoundaryMismatch, match="pullback groupoid"):
-        Anafunctor(pair, pair, flip, hypercover(pair, identity(S2)))
+        Anafunctor(pair, pair, flip,
+                   hypercover(pullback_groupoid(pair, identity(S2))))
+
+
+def test_hypercover_needs_a_pullback_groupoid(Z2):
+    """A groupoid that pullback_groupoid did not build has no base and
+    cover to map down to: BoundaryMismatch, not AttributeError."""
+    with pytest.raises(BoundaryMismatch, match="^hypercover: .* no pullback"):
+        hypercover(Z2)
+
+
+def test_beta_builds_no_pullback_groupoid(monkeypatch, Z2, CECH2):
+    """beta_ana_to_bibundle maps down from the anafunctor's own groupoid
+    ``a.gx``: it builds no second pullback groupoid (counted in the two
+    modules that call it)."""
+    import groupoidal.bibundle as bibundle
+    import groupoidal.morphism as morphism
+    anas = [bibundle_to_anafunctor(b) for b in battery().values()
+            if classify(b)["is_functor"]]
+    anas += [identity_anafunctor(Z2), identity_anafunctor(CECH2)]
+    calls = [counted(monkeypatch, m, ["pullback_groupoid"])
+             for m in (bibundle, morphism)]
+    for a in anas:
+        assert beta_ana_to_bibundle(a).down.g is a.gx
+    assert calls == [{"pullback_groupoid": 0}] * 2
 
 
 def test_iso_to_ananat_needs_a_bijection(Z2, S2):
     """The constant map of {a, b} commutes with the covers and the
     functors of the hypercover anafunctor over the terminal map, but is
     no isomorphism of anafunctors."""
-    b = Anafunctor(Z2, Z2, to_terminal(S2), hypercover(Z2, to_terminal(S2)))
+    b = Anafunctor(Z2, Z2, to_terminal(S2),
+                   hypercover(pullback_groupoid(Z2, to_terminal(S2))))
     const = Mor(S2, S2, {"a": "a", "b": "a"})
     assert not is_anafunctor_iso(b, b, const)
     with pytest.raises(NotNatural):
